@@ -307,6 +307,19 @@ class BitmapTable:
             raise SchemaError(f"bitmap has no item for ({attribute!r}, {value!r})") from None
 
 
+def int_from_bit_positions(positions: Iterable[int], n_bits: int) -> int:
+    """The int whose set bits are exactly ``positions`` (each below ``n_bits``).
+
+    Bits are set in one ``bytearray`` converted once, so building a wide
+    vector costs O(n_bits / 8 + len(positions)); OR-ing ``1 << j`` into an
+    int instead allocates a j-bit integer per set bit.
+    """
+    buf = bytearray((n_bits + 7) // 8)
+    for j in positions:
+        buf[j >> 3] |= 1 << (j & 7)
+    return int.from_bytes(buf, "little")
+
+
 def build_information_system(table: RelationalTable) -> InformationSystem:
     """View a table as objects 0..r-1 with a total value function.
 
@@ -362,7 +375,7 @@ def bitmap_encode(table: RelationalTable) -> BitmapTable:
             )
 
     items: list[Item] = []
-    columns: list[int] = []
+    hits: list[list[int]] = []
     slot: dict[tuple[str, str], int] = {}
 
     for pos, spec in enumerate(table.schema):
@@ -380,15 +393,14 @@ def bitmap_encode(table: RelationalTable) -> BitmapTable:
         for v in values:
             slot[(spec.name, v)] = len(items)
             items.append(Item(id=len(items), attribute=spec.name, value=v))
-            columns.append(0)
+            hits.append([])
 
     for j, row in enumerate(table.rows):
         for pos, spec in enumerate(table.schema):
-            columns[slot[(spec.name, row[pos])]] |= 1 << j
+            hits[slot[(spec.name, row[pos])]].append(j)
 
-    return BitmapTable(
-        items=tuple(items), columns=tuple(columns), universe_size=table.n_rows
-    )
+    columns = tuple(int_from_bit_positions(h, table.n_rows) for h in hits)
+    return BitmapTable(items=tuple(items), columns=columns, universe_size=table.n_rows)
 
 
 def table_from_bitmap(bitmap: BitmapTable, name: str = "decoded") -> RelationalTable:

@@ -101,12 +101,14 @@ class MappingFunction:
         return self._by_source.get(tuple(source))  # type: ignore[attr-defined]
 
 
-def load_csv(path: str | Path, schema: Sequence[AttributeSpec]) -> RelationalTable:
+def load_csv(
+    path: str | Path, schema: Sequence[AttributeSpec], name: str | None = None
+) -> RelationalTable:
     """Parse a strict CSV file against a declared schema.
 
     The header must match the schema names in order. Cells of quantitative
     attributes are parsed as numbers; parse failures report the 1-based data
-    row number.
+    row number. The table is named ``name``, by default the file's stem.
     """
     path = Path(path)
     schema = tuple(schema)
@@ -152,7 +154,9 @@ def load_csv(path: str | Path, schema: Sequence[AttributeSpec]) -> RelationalTab
                     ) from None
         rows.append(tuple(parsed))
 
-    return RelationalTable(name=path.stem, schema=schema, rows=tuple(rows))
+    return RelationalTable(
+        name=path.stem if name is None else name, schema=schema, rows=tuple(rows)
+    )
 
 
 def join_tables(

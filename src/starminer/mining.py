@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .datamodel import BitmapTable, Item
+from .datamodel import BitmapTable, Item, int_from_bit_positions
 from .errors import DataError
 
 
@@ -161,17 +161,17 @@ def build_item_extents(
     each column is the extent of the two-block partition that "has c" induces
     on the groups.
     """
-    index = {c: i for i, c in enumerate(view.code_universe)}
-    columns = [0] * len(view.code_universe)
+    hits: dict[str, list[int]] = {c: [] for c in view.code_universe}
     for j, (_, codes) in enumerate(view.groups):
         for c in codes:
-            columns[index[c]] |= 1 << j
+            hits[c].append(j)
     if stats is not None:
         stats.full_scans_of_groups += 1
     items = tuple(
         Item(id=i, attribute="code", value=c) for i, c in enumerate(view.code_universe)
     )
-    return BitmapTable(items=items, columns=tuple(columns), universe_size=view.n_groups)
+    columns = tuple(int_from_bit_positions(hits[c], view.n_groups) for c in view.code_universe)
+    return BitmapTable(items=items, columns=columns, universe_size=view.n_groups)
 
 
 def _apriori_join(prev: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
@@ -244,7 +244,7 @@ def fi_gen(
     start = time.perf_counter()
 
     n = view.n_groups
-    threshold = max(1, math.ceil(f * n))
+    threshold = support_threshold(f, n)
 
     extents = build_item_extents(view, stats)
     single_mask = {
@@ -315,7 +315,7 @@ def apriori_baseline(
     start = time.perf_counter()
 
     n = view.n_groups
-    threshold = max(1, math.ceil(f * n))
+    threshold = support_threshold(f, n)
     group_sets = [codes for _, codes in view.groups]
 
     result: list[FrequentItemset] = []
@@ -385,9 +385,8 @@ def brute_force_frequent(
         raise ValueError(
             f"brute force limited to 20 codes, universe has {len(view.code_universe)}"
         )
-    f = exact_fraction(minsup)
     n = view.n_groups
-    threshold = max(1, math.ceil(f * n))
+    threshold = support_threshold(minsup, n)
     group_sets = [codes for _, codes in view.groups]
 
     result: list[FrequentItemset] = []

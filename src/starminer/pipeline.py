@@ -252,10 +252,14 @@ def _load_inputs(config: RunConfig, out: Path) -> tuple[RelationalTable, list[Re
     bins_by_attr = {attr: bins for attr, bins in config.bins}
 
     def schema_for(path: Path) -> tuple[AttributeSpec, ...]:
-        text = path.read_text(encoding="utf-8") if path.exists() else ""
-        if not text:
+        # same encoding as load_csv, so a BOM never reaches the header names
+        first = ""
+        if path.exists():
+            with path.open(encoding="utf-8-sig") as fh:
+                first = fh.readline()
+        if not first:
             raise DataError(f"no such file or empty file: {path}")
-        header = text.splitlines()[0].split(",")
+        header = first.splitlines()[0].split(",")
         specs = []
         for name in header:
             if name in bins_by_attr:
@@ -282,12 +286,8 @@ def _load_inputs(config: RunConfig, out: Path) -> tuple[RelationalTable, list[Re
         fact_path = Path(config.fact)
         dim_paths = [(name, Path(p)) for name, p in config.dims]
 
-    fact = load_csv(fact_path, schema_for(fact_path))
-    fact = dataclasses.replace(fact, name="fact")
-    dims = []
-    for name, p in dim_paths:
-        t = load_csv(p, schema_for(p))
-        dims.append(dataclasses.replace(t, name=name))
+    fact = load_csv(fact_path, schema_for(fact_path), name="fact")
+    dims = [load_csv(p, schema_for(p), name=name) for name, p in dim_paths]
     return fact, dims
 
 
@@ -310,6 +310,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     projected = config.projected or _derive_projection(fact, dims, needed)
     join_spec = JoinSpec(fact_table="fact", links=config.joins, projected_attrs=projected)
     general = join_tables([fact, *dims], join_spec)
+    # Each stage's input is released once the next stage has consumed it, so
+    # peak memory holds about two stages' tables rather than every one.
+    del fact, dims
 
     for spec in general.schema:
         if spec.kind == QUANTITATIVE:
@@ -325,10 +328,12 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         config.selected_dims,
         filters=filter_map or None,
     )
+    del general
     result.registry = registry
     result.codes = len(registry)
 
     view = group_by_key(md)
+    del md
     result.groups = view.n_groups
 
     assert config.minsup is not None and config.minconf is not None

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError
 from .mapcode import DecodedItemset, Pair
@@ -74,6 +75,31 @@ class AssociationRule:
             )
 
 
+def _listed_subsets(
+    fkey: frozenset[Pair],
+    pairs: Sequence[Pair],
+    chosen: dict[frozenset[Pair], DecodedItemset],
+) -> Iterator[tuple[frozenset[Pair], DecodedItemset]]:
+    """Yield ``(akey, ante)`` for every listed proper subset of ``fkey``.
+
+    Looking up the 2^m - 2 proper non-empty subsets of an m-pair set is the
+    cheaper way unless that count reaches the size of the list; codes that
+    combine several dimensions make m exceed the itemset level, and then the
+    list is scanned instead. Both ways yield the same subsets.
+    """
+    if (1 << len(pairs)) - 2 >= len(chosen):
+        for akey, ante in chosen.items():
+            if akey < fkey:
+                yield akey, ante
+        return
+    for size in range(1, len(pairs)):
+        for combo in combinations(pairs, size):
+            akey = frozenset(combo)
+            ante = chosen.get(akey)
+            if ante is not None:
+                yield akey, ante
+
+
 def gen_rules(
     frequent: Sequence[DecodedItemset],
     minconf: float | str | Fraction,
@@ -116,9 +142,7 @@ def gen_rules(
         full = chosen[fkey]
         if full.level < 2 or not policy.allows(full.pairs):
             continue
-        for akey, ante in chosen.items():
-            if not (akey < fkey):
-                continue
+        for akey, ante in _listed_subsets(fkey, full.pairs, chosen):
             if ante.support_count < full.support_count:
                 raise DataError(
                     f"frequent list is corrupt: subset {ante.pairs!r} has count "

@@ -252,6 +252,30 @@ def test_cli_single_table_run(tmp_path, capsys):
     assert (tmp_path / "out" / "itemsets.txt").read_text().startswith('age("Middle")')
 
 
+def test_cli_bom_prefixed_inputs_mine_like_plain_ones(tmp_path):
+    fact_text = "tid,product_id\n1,p1\n1,p2\n2,p1\n2,p2\n3,p1\n"
+    dim_text = "product_id,product_name\np1,beer\np2,diaper\n"
+    outputs = {}
+    for label, prefix in (("plain", ""), ("bom", "﻿")):
+        base = tmp_path / label
+        base.mkdir()
+        (base / "fact.csv").write_text(prefix + fact_text, encoding="utf-8")
+        (base / "product.csv").write_text(prefix + dim_text, encoding="utf-8")
+        code = run_cli(
+            "--fact", str(base / "fact.csv"), "--dim", f"product={base / 'product.csv'}",
+            "--join", "product_id:product:product_id",
+            "--key-dim", "tid", "--combine-dims", "product_name",
+            "--repeatable-dims", "product_name",
+            "--minsup", "0.5", "--minconf", "0.5", "--out", str(base / "out"),
+        )
+        assert code == 0
+        outputs[label] = [
+            (base / "out" / name).read_bytes() for name in ("itemsets.jsonl", "rules.jsonl")
+        ]
+    assert outputs["bom"] == outputs["plain"]
+    assert b"diaper" in outputs["plain"][1]
+
+
 def test_cli_synth_only_generates_data(tmp_path, capsys):
     code = run_cli("--synth", "50", "--seed", "3", "--out", str(tmp_path / "out"))
     assert code == 0
