@@ -7,7 +7,9 @@ eagerly and raise :class:`SchemaError` or :class:`DataError`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import DataError, SchemaError
@@ -123,6 +125,37 @@ def _check_cell(spec: AttributeSpec, value: Atom, row: int) -> None:
             )
 
 
+_PLAIN_NUMBERS = frozenset({int, float})
+
+
+def _cells_pass(schema: tuple[AttributeSpec, ...], rows: tuple[tuple[Atom, ...], ...]) -> bool:
+    """True if every row has one value per attribute and every cell would pass
+    :func:`_check_cell`, judged a column at a time.
+
+    Each column is read in place through ``itemgetter`` (never transposed):
+    once for the set of cell types and, when it holds floats, once for
+    finiteness. Only exact ``int`` and ``float`` count as numbers here. A
+    numeric subclass, or an int too large for a float beside float cells,
+    returns False and leaves the verdict to the per-cell scan.
+    """
+    if not set(map(len, rows)) <= {len(schema)}:
+        return False
+    for j, spec in enumerate(schema):
+        types = set(map(type, map(itemgetter(j), rows)))
+        if spec.is_categorical():
+            if not all(issubclass(t, str) for t in types):
+                return False
+        elif not types <= _PLAIN_NUMBERS:
+            return False
+        elif float in types:
+            try:
+                if not all(map(math.isfinite, map(itemgetter(j), rows))):
+                    return False
+            except OverflowError:
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class RelationalTable:
     """Named columns over rows of atomic values (strings or finite numbers)."""
@@ -133,21 +166,23 @@ class RelationalTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schema", tuple(self.schema))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         names = [s.name for s in self.schema]
         seen: set[str] = set()
         for n in names:
             if n in seen:
                 raise SchemaError(f"table {self.name!r}: duplicate attribute name {n!r}")
             seen.add(n)
-        width = len(self.schema)
-        for i, row in enumerate(self.rows, start=1):
-            if len(row) != width:
-                raise DataError(
-                    f"table {self.name!r} row {i}: expected {width} values, got {len(row)}"
-                )
-            for spec, value in zip(self.schema, row):
-                _check_cell(spec, value, i)
+        if not _cells_pass(self.schema, self.rows):
+            # the row-major scan names the first bad row exactly as before
+            width = len(self.schema)
+            for i, row in enumerate(self.rows, start=1):
+                if len(row) != width:
+                    raise DataError(
+                        f"table {self.name!r} row {i}: expected {width} values, got {len(row)}"
+                    )
+                for spec, value in zip(self.schema, row):
+                    _check_cell(spec, value, i)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
 
     @property
@@ -229,12 +264,6 @@ class EquivalenceClassPartition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "attribute_set", frozenset(self.attribute_set))
         object.__setattr__(self, "classes", tuple(tuple(c) for c in self.classes))
-
-    def class_of(self, obj: int) -> tuple[int, ...]:
-        for cls in self.classes:
-            if obj in cls:
-                return cls
-        raise SchemaError(f"object {obj!r} not in any class")
 
     def refines(self, coarser: "EquivalenceClassPartition") -> bool:
         """True if every class here is contained in some class of ``coarser``."""

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .datamodel import Atom, AttributeSpec, RelationalTable
 from .errors import DataError, SchemaError
@@ -101,6 +102,38 @@ class MappingFunction:
         return self._by_source.get(tuple(source))  # type: ignore[attr-defined]
 
 
+def _read_text(path: Path, header_only: bool = False) -> str:
+    """The file's text, or only its first line, decoded as UTF-8.
+
+    A leading BOM is dropped (it would otherwise corrupt the first header
+    name with an invisible character). Every failure to open or decode the
+    file is a DataError that names it.
+    """
+    try:
+        with path.open(encoding="utf-8-sig") as fh:
+            return fh.readline() if header_only else fh.read()
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    except IsADirectoryError:
+        raise DataError(f"{path}: is a directory, expected a CSV file") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def read_header(path: str | Path) -> list[str]:
+    """The attribute names in a strict CSV file's header row.
+
+    Only the first line is read, with the same decoding as :func:`load_csv`.
+    """
+    path = Path(path)
+    first = _read_text(path, header_only=True)
+    if not first:
+        raise DataError(f"{path}: empty file, expected a header row")
+    return first.splitlines()[0].split(",")
+
+
 def load_csv(
     path: str | Path, schema: Sequence[AttributeSpec], name: str | None = None
 ) -> RelationalTable:
@@ -112,11 +145,7 @@ def load_csv(
     """
     path = Path(path)
     schema = tuple(schema)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    # utf-8-sig tolerates a BOM, which would otherwise corrupt the first
-    # header name with an invisible character
-    text = path.read_text(encoding="utf-8-sig")
+    text = _read_text(path)
     lines = text.splitlines()
     if not lines:
         raise DataError(f"{path}: empty file, expected a header row")
@@ -128,31 +157,34 @@ def load_csv(
             f"{path}: header mismatch: expected {expected}, got {header}"
         )
 
+    body = lines[1:]
+    # Rows before the first quoted one are parsed, so that an earlier bad row
+    # is still the one reported.
+    quoted = None
+    if '"' in text:
+        quoted = next((i for i, line in enumerate(body) if '"' in line), None)
+        body = body[:quoted]
+    width = len(schema)
+    numeric = [j for j, spec in enumerate(schema) if not spec.is_categorical()]
     rows: list[tuple[Atom, ...]] = []
-    for i, line in enumerate(lines[1:], start=1):
-        if '"' in line:
-            raise DataError(
-                f"{path} row {i}: quoted values are not supported; this format "
-                "forbids delimiters inside values"
-            )
-        cells = line.split(",")
-        if len(cells) != len(schema):
-            raise DataError(
-                f"{path} row {i}: expected {len(schema)} values, got {len(cells)}"
-            )
-        parsed: list[Atom] = []
-        for spec, cell in zip(schema, cells):
-            if spec.is_categorical():
-                parsed.append(cell)
-            else:
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path} row {i}: cannot parse {cell!r} as a number for "
-                        f"attribute {spec.name!r}"
-                    ) from None
-        rows.append(tuple(parsed))
+    for i, line in enumerate(body, start=1):
+        cells: list[Atom] = line.split(",")  # type: ignore[assignment]
+        if len(cells) != width:
+            raise DataError(f"{path} row {i}: expected {width} values, got {len(cells)}")
+        for j in numeric:
+            try:
+                cells[j] = float(cells[j])
+            except ValueError:
+                raise DataError(
+                    f"{path} row {i}: cannot parse {cells[j]!r} as a number for "
+                    f"attribute {schema[j].name!r}"
+                ) from None
+        rows.append(tuple(cells))
+    if quoted is not None:
+        raise DataError(
+            f"{path} row {quoted + 1}: quoted values are not supported; this format "
+            "forbids delimiters inside values"
+        )
 
     return RelationalTable(
         name=path.stem if name is None else name, schema=schema, rows=tuple(rows)
@@ -191,13 +223,18 @@ def join_tables(
         link_info.append((fact_pos, dim, index))
 
     orphans: list[tuple[str, Atom]] = []
-    orphan_seen: set[tuple[str, Atom]] = set()
-    for row in fact.rows:
-        for (fact_pos, dim, index) in link_info:
-            key = row[fact_pos]
-            if key not in index and (dim.name, key) not in orphan_seen:
-                orphan_seen.add((dim.name, key))
-                orphans.append((dim.name, key))
+    if any(
+        not set(map(itemgetter(fact_pos), fact.rows)) <= index.keys()
+        for fact_pos, _, index in link_info
+    ):
+        # name the orphans in fact-row order, then link order
+        orphan_seen: set[tuple[str, Atom]] = set()
+        for row in fact.rows:
+            for (fact_pos, dim, index) in link_info:
+                key = row[fact_pos]
+                if key not in index and (dim.name, key) not in orphan_seen:
+                    orphan_seen.add((dim.name, key))
+                    orphans.append((dim.name, key))
     if orphans:
         shown = ", ".join(f"{k!r} (dimension {d!r})" for d, k in orphans[:_MAX_LISTED_ORPHANS])
         more = "" if len(orphans) <= _MAX_LISTED_ORPHANS else f" and {len(orphans) - _MAX_LISTED_ORPHANS} more"
@@ -223,18 +260,32 @@ def join_tables(
                 "joined dimension"
             )
 
-    out_rows: list[tuple[Atom, ...]] = []
-    for row in fact.rows:
-        match_lists = [index[row[fact_pos]] for fact_pos, _, index in link_info]
-        for combo in product(*match_lists):
-            out_row: list[Atom] = []
-            for source, pos in resolved:
-                if source is None:
-                    out_row.append(row[pos])
-                else:
-                    dim = link_info[source][1]
-                    out_row.append(dim.rows[combo[source]][pos])
-            out_rows.append(tuple(out_row))
+    out_rows: Iterable[tuple[Atom, ...]]
+    if all(len(rs) == 1 for _, _, index in link_info for rs in index.values()):
+        # Each fact row meets exactly one row of every dimension, so each
+        # output column is one lookup streamed over the fact rows.
+        columns: list[Iterable[Atom]] = []
+        for source, pos in resolved:
+            if source is None:
+                columns.append(map(itemgetter(pos), fact.rows))
+            else:
+                fact_pos, dim, index = link_info[source]
+                value_of = {key: dim.rows[r][pos] for key, (r,) in index.items()}
+                columns.append(map(value_of.__getitem__, map(itemgetter(fact_pos), fact.rows)))
+        out_rows = zip(*columns)
+    else:
+        out_rows = []
+        for row in fact.rows:
+            match_lists = [index[row[fact_pos]] for fact_pos, _, index in link_info]
+            for combo in product(*match_lists):
+                out_row: list[Atom] = []
+                for source, pos in resolved:
+                    if source is None:
+                        out_row.append(row[pos])
+                    else:
+                        dim = link_info[source][1]
+                        out_row.append(dim.rows[combo[source]][pos])
+                out_rows.append(tuple(out_row))
 
     return RelationalTable(name="general", schema=tuple(out_schema), rows=tuple(out_rows))
 
@@ -279,19 +330,21 @@ def discretize(table: RelationalTable, attr: str) -> RelationalTable:
         )
     assert spec.bins is not None
 
+    label_of: dict[Atom, str] = {}
     out_rows: list[tuple[Atom, ...]] = []
     for i, row in enumerate(table.rows, start=1):
         value = row[pos]
-        label: str | None = None
-        for b in spec.bins:
-            if b.contains(float(value)):
-                label = b.label
-                break
+        label = label_of.get(value)
         if label is None:
-            raise DataError(
-                f"row {i}: value {value!r} of attribute {attr!r} falls outside "
-                "every declared bin"
-            )
+            for b in spec.bins:
+                if b.contains(float(value)):
+                    label = label_of[value] = b.label
+                    break
+            else:
+                raise DataError(
+                    f"row {i}: value {value!r} of attribute {attr!r} falls outside "
+                    "every declared bin"
+                )
         out_rows.append(row[:pos] + (label,) + row[pos + 1 :])
 
     new_spec = AttributeSpec(name=attr)

@@ -9,6 +9,7 @@ dimension/value pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -86,7 +87,7 @@ class MdTable:
     rows: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
 
 
 @dataclass(frozen=True)
@@ -121,15 +122,12 @@ def combine_dims(
     selected_dims: Sequence[str],
     *,
     filters: Mapping[str, Iterable[str]] | None = None,
-    two_pass: bool = False,
 ) -> tuple[MapCodeRegistry, MdTable]:
     """Assign codes to selected-dimension combinations and emit key/code pairs.
 
-    The default single pass looks up or creates each row's code and emits the
-    (key value, code) pair immediately; ``two_pass=True`` runs the original
-    create-then-find structure (first loop assigns all codes, second emits the
-    pairs) and produces identical output. ``filters`` restricts rows to those
-    whose value for each filtered dimension is in the allowed set.
+    One pass looks up or creates each row's code and emits the (key value,
+    code) pair. ``filters`` restricts rows to those whose value for each
+    filtered dimension is in the allowed set.
     """
     selected = tuple(selected_dims)
     if not selected:
@@ -154,37 +152,24 @@ def combine_dims(
             )
 
     registry = MapCodeRegistry(selected)
+    # The registry is asked only for combos not met before; ``pick`` gives a
+    # value for one selected dimension and a tuple for several, which is
+    # consistent within this call and so serves as the cache key.
+    pick = itemgetter(*sel_pos)
+    code_of: dict[object, str] = {}
+    pairs: dict[tuple[str, str], None] = {}
+    for row in general.rows:
+        for pos, allowed in filt:
+            if row[pos] not in allowed:
+                break
+        else:
+            combo = pick(row)
+            code = code_of.get(combo)
+            if code is None:
+                code = code_of[combo] = registry.encode([row[p] for p in sel_pos])
+            pairs[row[key_pos], code] = None
 
-    def kept(row: tuple) -> bool:
-        return all(row[pos] in allowed for pos, allowed in filt)
-
-    rows: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-
-    if two_pass:
-        for row in general.rows:
-            if kept(row):
-                registry.encode(tuple(row[p] for p in sel_pos))
-        for row in general.rows:
-            if not kept(row):
-                continue
-            code = registry.find(tuple(row[p] for p in sel_pos))
-            assert code is not None
-            pair = (row[key_pos], code)
-            if pair not in seen:
-                seen.add(pair)
-                rows.append(pair)
-    else:
-        for row in general.rows:
-            if not kept(row):
-                continue
-            code = registry.encode(tuple(row[p] for p in sel_pos))
-            pair = (row[key_pos], code)
-            if pair not in seen:
-                seen.add(pair)
-                rows.append(pair)
-
-    return registry, MdTable(rows=tuple(rows))
+    return registry, MdTable(rows=tuple(pairs))
 
 
 def transform_map_code(

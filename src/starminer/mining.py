@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .datamodel import BitmapTable, Item, int_from_bit_positions
@@ -68,35 +69,26 @@ class TransactionView:
     """Key-dimension groups and the code set each group carries.
 
     Groups keep first-occurrence order; ``code_universe`` is the sorted list
-    of every code present in any group.
+    of every code present in any group, derived from the groups.
     """
 
     groups: tuple[tuple[str, frozenset[str]], ...]
-    code_universe: tuple[str, ...]
+    code_universe: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "groups", tuple((k, frozenset(c)) for k, c in self.groups)
-        )
-        object.__setattr__(self, "code_universe", tuple(self.code_universe))
-        keys = [k for k, _ in self.groups]
-        if len(set(keys)) != len(keys):
+        groups = tuple((k, frozenset(c)) for k, c in self.groups)
+        if len(set(map(itemgetter(0), groups))) != len(groups):
             raise DataError("transaction view has duplicate key values")
-        present: set[str] = set()
-        for _, codes in self.groups:
-            present |= codes
-        if set(self.code_universe) != present or list(self.code_universe) != sorted(present):
-            raise DataError("code_universe must be the sorted union of group codes")
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(
+            self, "code_universe", tuple(sorted(frozenset().union(*map(itemgetter(1), groups))))
+        )
 
     @classmethod
     def from_groups(
         cls, groups: Iterable[tuple[str, Iterable[str]]]
     ) -> "TransactionView":
-        normalized = tuple((k, frozenset(c)) for k, c in groups)
-        universe: set[str] = set()
-        for _, codes in normalized:
-            universe |= codes
-        return cls(groups=normalized, code_universe=tuple(sorted(universe)))
+        return cls(groups=groups)  # type: ignore[arg-type]
 
     @property
     def n_groups(self) -> int:
@@ -142,14 +134,10 @@ class MiningStats:
 def group_by_key(md) -> TransactionView:
     """Collect distinct key values in first-occurrence order and union each
     key's codes into one set (duplicate pairs collapse)."""
-    order: list[str] = []
-    codes_for: dict[str, set[str]] = {}
+    codes_for: dict[str, list[str]] = {}
     for key, code in md.rows:
-        if key not in codes_for:
-            order.append(key)
-            codes_for[key] = set()
-        codes_for[key].add(code)
-    return TransactionView.from_groups((k, codes_for[k]) for k in order)
+        codes_for.setdefault(key, []).append(code)
+    return TransactionView.from_groups(codes_for.items())
 
 
 def build_item_extents(

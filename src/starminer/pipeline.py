@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .datamodel import QUANTITATIVE, AttributeSpec, RelationalTable
-from .errors import AgreementError, DataError, SchemaError
-from .ingest import JoinSpec, discretize, join_tables, load_csv
+from .errors import AgreementError, SchemaError
+from .ingest import JoinSpec, discretize, join_tables, load_csv, read_header
 from .mapcode import DecodedItemset, MapCodeRegistry, combine_dims, transform_map_code
 from .mining import (
     FrequentItemset,
@@ -252,14 +252,7 @@ def _load_inputs(config: RunConfig, out: Path) -> tuple[RelationalTable, list[Re
     bins_by_attr = {attr: bins for attr, bins in config.bins}
 
     def schema_for(path: Path) -> tuple[AttributeSpec, ...]:
-        # same encoding as load_csv, so a BOM never reaches the header names
-        first = ""
-        if path.exists():
-            with path.open(encoding="utf-8-sig") as fh:
-                first = fh.readline()
-        if not first:
-            raise DataError(f"no such file or empty file: {path}")
-        header = first.splitlines()[0].split(",")
+        header = read_header(path)
         specs = []
         for name in header:
             if name in bins_by_attr:
@@ -295,7 +288,10 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     """Execute a full run and write its artifacts under ``config.out_dir``."""
     config.validate()
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {out}: {exc.strerror}") from None
     result = PipelineResult()
 
     fact, dims = _load_inputs(config, out)

@@ -56,21 +56,6 @@ def test_duplicate_key_code_pairs_collapse():
     assert md.rows == (("t1", "0001"),)
 
 
-def test_two_pass_mode_is_observably_identical():
-    rows = (
-        ("t1", "Direct sales", "Jeans"),
-        ("t2", "Internet", "Beer"),
-        ("t1", "Internet", "Beer"),
-        ("t3", "Direct sales", "Socks"),
-    )
-    one_reg, one_md = combine_dims(sales_table(rows), "Times", ["Channel", "Product"])
-    two_reg, two_md = combine_dims(
-        sales_table(rows), "Times", ["Channel", "Product"], two_pass=True
-    )
-    assert one_reg.csv_lines() == two_reg.csv_lines()
-    assert one_md.rows == two_md.rows
-
-
 def test_value_filter_restricts_rows_before_combining():
     rows = (
         ("t1", "Direct sales", "Jeans"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starminer.errors import DataError
 from starminer.mapcode import MdTable
 from starminer.mining import (
     TransactionView,
@@ -62,6 +63,13 @@ def test_group_by_key_duplicate_pairs_keep_set_semantics():
     md = MdTable(rows=(("t1", "0001"), ("t1", "0001")))
     view = group_by_key(md)
     assert view.groups == (("t1", frozenset({"0001"})),)
+
+
+def test_view_derives_sorted_universe_and_rejects_duplicate_keys():
+    view = TransactionView.from_groups([("t1", ["0002", "0001"]), ("t2", {"0003"})])
+    assert view.code_universe == ("0001", "0002", "0003")
+    with pytest.raises(DataError, match="duplicate key"):
+        TransactionView.from_groups([("t1", {"0001"}), ("t1", {"0002"})])
 
 
 # --- extents --------------------------------------------------------------------

@@ -361,3 +361,42 @@ def test_cli_usage_error_exit_code_from_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--algorithm", "bogus"])
     assert exc.value.code == 1
+
+
+LOAD_FAILURES = [
+    # (case, fact bytes, extra flags, exit code, stderr prefix after "starminer: ")
+    ("latin1-body", b"TID,age\n1,Young\n2,\xe9l\xe8ve\n", [], 2, "data error: {fact}: not valid UTF-8"),
+    ("latin1-header", b"TID,\xe2ge\n1,Young\n", [], 2, "data error: {fact}: not valid UTF-8"),
+    ("missing", None, [], 2, "data error: no such file: {fact}"),
+    ("fact-is-dir", "dir", [], 2, "data error: {fact}: is a directory"),
+    ("dim-is-dir", b"TID,age\n1,Young\n", ["--dim=x={tmp}", "--join=age:x:age"], 2, "data error: {tmp}: is a directory"),
+    ("out-is-file", b"TID,age\n1,Young\n", ["--out={tmp}/taken"], 1, "usage error: cannot create output directory {tmp}/taken"),
+    ("trailing-blank-line", b"TID,age\n1,Young\n\n", [], 2, "data error: {fact} row 2: expected 2 values, got 1"),
+    ("bom", b"\xef\xbb\xbfTID,age\n1,Young\n2,Young\n", [], 0, ""),
+]
+
+
+@pytest.mark.parametrize(
+    "fact_bytes, flags, exit_code, prefix",
+    [case[1:] for case in LOAD_FAILURES],
+    ids=[case[0] for case in LOAD_FAILURES],
+)
+def test_cli_load_failures_are_classified_one_liners(tmp_path, capsys, fact_bytes, flags, exit_code, prefix):
+    fact = tmp_path / "fact.csv"
+    if fact_bytes == "dir":
+        fact.mkdir()
+    elif fact_bytes is not None:
+        fact.write_bytes(fact_bytes)
+    (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
+    code = run_cli(
+        "--fact", str(fact), "--key-dim", "TID", "--combine-dims", "age",
+        "--minsup", "0.5", "--minconf", "0.5", "--out", str(tmp_path / "out"),
+        *(f.format(tmp=tmp_path) for f in flags),
+    )
+    err = capsys.readouterr().err
+    assert code == exit_code
+    if exit_code:
+        assert err.startswith("starminer: " + prefix.format(fact=fact, tmp=tmp_path))
+        assert err.count("\n") == 1
+    else:
+        assert err == ""
