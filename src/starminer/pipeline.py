@@ -30,7 +30,7 @@ from .mining import (
     fi_gen,
     group_by_key,
 )
-from .rules import AssociationRule, DimensionPolicy, format_rule, gen_rules
+from .rules import AssociationRule, DimensionPolicy, format_percent, format_rule, gen_rules
 from .synth import SynthSpec, generate_sales
 
 ALGORITHMS = ("rshar", "apriori", "both")
@@ -197,9 +197,7 @@ def _levels(itemsets: Sequence[FrequentItemset]) -> dict[str, int]:
 
 def _algo_info(itemsets: Sequence[FrequentItemset], stats: MiningStats) -> dict[str, Any]:
     return {
-        "full_scans_of_groups": stats.full_scans_of_groups,
-        "candidates_generated": stats.candidates_generated,
-        "candidates_pruned": stats.candidates_pruned,
+        **stats.counters(),
         "itemsets_per_level": _levels(itemsets),
         "itemsets_total": len(itemsets),
         "elapsed": stats.elapsed,
@@ -208,8 +206,7 @@ def _algo_info(itemsets: Sequence[FrequentItemset], stats: MiningStats) -> dict[
 
 def _format_itemset(decoded: DecodedItemset) -> str:
     body = " ∧ ".join(f'{d}("{v}")' for d, v in decoded.pairs)
-    pct = f"{decoded.support * 100:.2f}".rstrip("0").rstrip(".")
-    return f"{body}  sup={pct}% ({decoded.support_count})"
+    return f"{body}  sup={format_percent(decoded.support)}% ({decoded.support_count})"
 
 
 def _jsonl(records: Sequence[dict[str, Any]]) -> str:
@@ -417,14 +414,7 @@ def _write_artifacts(config: RunConfig, out: Path, result: PipelineResult) -> No
         "groups": result.groups,
         "codes": result.codes,
         "rules_total": len(result.rules),
-        "algorithms": {
-            name: {
-                "full_scans_of_groups": st.full_scans_of_groups,
-                "candidates_generated": st.candidates_generated,
-                "candidates_pruned": st.candidates_pruned,
-            }
-            for name, st in result.stats.items()
-        },
+        "algorithms": {name: st.counters() for name, st in result.stats.items()},
         "itemsets_per_level": _levels(result.itemsets),
         "itemsets_total": len(result.itemsets),
     }

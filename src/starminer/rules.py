@@ -110,9 +110,13 @@ def gen_rules(
     Confidence is computed from support counts with exact rational
     comparisons against ``minconf``. Splits whose antecedent pair set is not
     in the list are not derivable (codes combining several dimensions expand
-    to pair sets with no listed proper subsets) and are skipped. A listed
-    subset with a smaller count than its superset means the list is corrupt
-    and raises :class:`DataError`.
+    to pair sets with no listed proper subsets) and are skipped. When the
+    pairs name one dimension, pair sets and code sets correspond one to one,
+    so a listed subset with a smaller count than its superset means the list
+    is corrupt and raises :class:`DataError`. When they name several, pair-set
+    containment does not imply code-set containment and such a subset can
+    have the smaller count; its split would have confidence above 1, so it is
+    skipped.
 
     Output is sorted by support descending, then confidence descending, then
     lexicographically.
@@ -137,6 +141,7 @@ def gen_rules(
         elif itemset.support_count > prev.support_count:
             chosen[key] = itemset
 
+    multi_dimension = len({d for key in chosen for d, _ in key}) > 1
     rules: list[AssociationRule] = []
     for fkey in order:
         full = chosen[fkey]
@@ -144,6 +149,8 @@ def gen_rules(
             continue
         for akey, ante in _listed_subsets(fkey, full.pairs, chosen):
             if ante.support_count < full.support_count:
+                if multi_dimension:
+                    continue
                 raise DataError(
                     f"frequent list is corrupt: subset {ante.pairs!r} has count "
                     f"{ante.support_count} below its superset's {full.support_count}"
@@ -175,7 +182,8 @@ def gen_rules(
     return rules
 
 
-def _percent(x: float) -> str:
+def format_percent(x: float) -> str:
+    """``x`` as a percentage with up to two decimals, trailing zeros trimmed."""
     return f"{x * 100:.2f}".rstrip("0").rstrip(".")
 
 
@@ -188,5 +196,5 @@ def format_rule(rule: AssociationRule) -> str:
     right = " ∧ ".join(f'{d}("{v}")' for d, v in rule.consequent)
     return (
         f"{left} → {right} "
-        f"{{sup={_percent(rule.support)}%, conf={_percent(rule.confidence)}%}}"
+        f"{{sup={format_percent(rule.support)}%, conf={format_percent(rule.confidence)}%}}"
     )

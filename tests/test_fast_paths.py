@@ -1,17 +1,20 @@
 """Each linear fast path against the quadratic code it replaced.
 
 The oracles are the previous implementations: ``gen_rules`` testing every
-listed pair set against every other, and bit vectors built by OR-ing
-``1 << j`` into an int once per set bit.
+listed pair set against every other, bit vectors built by OR-ing ``1 << j``
+into an int once per set bit, and apriori testing every candidate against
+every group.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from starminer import mining
 from starminer.datamodel import (
     AttributeSpec,
     BitmapTable,
@@ -22,11 +25,14 @@ from starminer.datamodel import (
 from starminer.errors import DataError
 from starminer.mapcode import DecodedItemset, MapCodeRegistry, transform_map_code
 from starminer.mining import (
+    FrequentItemset,
     MiningStats,
     TransactionView,
+    apriori_baseline,
     build_item_extents,
     exact_fraction,
     fi_gen,
+    support_threshold,
 )
 from starminer.rules import AssociationRule, DimensionPolicy, gen_rules
 
@@ -46,6 +52,7 @@ def scan_gen_rules(frequent, minconf, policy):
         elif itemset.support_count > prev.support_count:
             chosen[key] = itemset
 
+    multi_dimension = len({d for key in chosen for d, _ in key}) > 1
     rules = []
     for fkey in order:
         full = chosen[fkey]
@@ -55,6 +62,8 @@ def scan_gen_rules(frequent, minconf, policy):
             if not (akey < fkey):
                 continue
             if ante.support_count < full.support_count:
+                if multi_dimension:
+                    continue
                 raise DataError("frequent list is corrupt")
             if Fraction(full.support_count, ante.support_count) < conf_min:
                 continue
@@ -77,6 +86,48 @@ def scan_gen_rules(frequent, minconf, policy):
         )
     )
     return rules
+
+
+def loop_apriori(view, minsup):
+    stats = MiningStats()
+    n = view.n_groups
+    threshold = support_threshold(minsup, n)
+    group_sets = [codes for _, codes in view.groups]
+    result = []
+    singles = list(view.code_universe)
+    stats.candidates_generated += len(singles)
+    current = []
+    if singles:
+        stats.full_scans_of_groups += 1
+        for c in singles:
+            count = sum(1 for codes in group_sets if c in codes)
+            if count >= threshold:
+                current.append((c,))
+                result.append(FrequentItemset(items=(c,), support_count=count, support=count / n))
+    k = 2
+    while current:
+        joined = mining._apriori_join(current)
+        stats.candidates_generated += len(joined)
+        candidates, pruned = mining._prune(joined, set(current))
+        stats.candidates_pruned += pruned
+        if not candidates:
+            break
+        stats.full_scans_of_groups += 1
+        cand_sets = [(cand, frozenset(cand)) for cand in candidates]
+        counts = {cand: 0 for cand in candidates}
+        for codes in group_sets:
+            if len(codes) < k:
+                continue
+            for cand, cset in cand_sets:
+                if cset <= codes:
+                    counts[cand] += 1
+        current = [cand for cand in candidates if counts[cand] >= threshold]
+        result.extend(
+            FrequentItemset(items=cand, support_count=counts[cand], support=counts[cand] / n)
+            for cand in current
+        )
+        k += 1
+    return result, stats
 
 
 def shift_or_extents(view):
@@ -153,11 +204,10 @@ def uses_subset_lookup(decoded):
     policy=st.sampled_from(POLICIES),
 )
 def test_gen_rules_matches_scan_on_multi_dimension_codes(seed, minconf, policy):
-    # a pair set contained in another need not come from a code subset, so a
-    # mined list can still fail the count check; both must then raise
+    # a pair set contained in another need not come from a code subset, so
+    # its count can be lower; a mined list must still never raise
     decoded = mined_multi_dim(random.Random(seed))
-    ours = outcome(gen_rules, decoded, minconf, policy)
-    assert ours == outcome(scan_gen_rules, decoded, minconf, policy)
+    assert gen_rules(decoded, minconf, policy) == scan_gen_rules(decoded, minconf, policy)
 
 
 def test_multi_dimension_inputs_reach_both_paths():
@@ -169,8 +219,18 @@ def test_multi_dimension_inputs_reach_both_paths():
 
 @st.composite
 def arbitrary_lists(draw):
-    """Listed pair sets with unrelated counts: often corrupt, sometimes not."""
-    universe = [("A", "a0"), ("A", "a1"), ("B", "b0"), ("B", "b1"), ("B", "b2")]
+    """Listed pair sets with unrelated counts: often corrupt, sometimes not.
+
+    Over one dimension a corrupt list must raise; over two, a subset with the
+    lower count is skipped."""
+    universe = draw(
+        st.sampled_from(
+            [
+                [("A", "a0"), ("A", "a1"), ("B", "b0"), ("B", "b1"), ("B", "b2")],
+                [("B", "b0"), ("B", "b1"), ("B", "b2"), ("B", "b3"), ("B", "b4")],
+            ]
+        )
+    )
     n = 20
     pair_lists = draw(
         st.lists(
@@ -206,6 +266,47 @@ def test_corrupt_list_raises_on_subset_lookup_path():
     assert uses_subset_lookup(frequent) == [True]
     with pytest.raises(DataError, match="corrupt"):
         gen_rules(frequent, 0.5, DimensionPolicy.from_repeatable(["item"]))
+
+
+# --- apriori level counting ------------------------------------------------
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    minsup=st.sampled_from(["0.05", "0.1", "0.2", "0.3", "0.5", "1"]),
+)
+@example(seed=0, minsup="0.05")
+def test_apriori_matches_candidate_loop(seed, minsup):
+    # most groups are narrow, as in the benchmark; a few carry nearly every
+    # code, so levels with few candidates send them to the containment loop
+    rng = random.Random(seed)
+    codes = [f"{i:04d}" for i in range(1, rng.randint(1, 14) + 1)]
+    groups = []
+    for j in range(rng.randint(0, 40)):
+        width = rng.randint(0, len(codes)) if rng.random() < 0.15 else rng.randint(0, 3)
+        groups.append((f"g{j}", rng.sample(codes, min(width, len(codes)))))
+    view = TransactionView.from_groups(groups)
+    itemsets, stats = apriori_baseline(view, minsup)
+    expected, expected_stats = loop_apriori(view, minsup)
+    assert itemsets == expected
+    assert stats.counters() == expected_stats.counters()
+
+
+def test_count_level_enumerates_narrow_groups_and_scans_wide_ones(monkeypatch):
+    enumerated = []
+
+    def spy(iterable, r):
+        enumerated.append(tuple(iterable))
+        return combinations(iterable, r)
+
+    monkeypatch.setattr(mining, "combinations", spy)
+    candidates = [("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("c", "d", "e")]
+    # x is in no candidate; "abcdx" has 4 live codes and as many 3-subsets as
+    # there are candidates, the wide group 10, and "ab" is too short
+    groups = [frozenset("abc"), frozenset("abcdx"), frozenset("abcdefg"), frozenset("ab")]
+    counts = mining._count_level(groups, candidates, 3)
+    assert enumerated == [("a", "b", "c"), ("a", "b", "c", "d")]
+    assert counts == {("a", "b", "c"): 3, ("a", "b", "d"): 2, ("a", "c", "d"): 2, ("c", "d", "e"): 1}
 
 
 # --- extents and bitmaps ----------------------------------------------------

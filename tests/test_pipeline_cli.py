@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -274,6 +275,27 @@ def test_cli_bom_prefixed_inputs_mine_like_plain_ones(tmp_path):
         ]
     assert outputs["bom"] == outputs["plain"]
     assert b"diaper" in outputs["plain"][1]
+
+
+def test_cli_two_dimension_codes_mine_without_a_corrupt_list_error(tmp_path, capsys):
+    # codes over A and B expand to pair sets where containment does not follow
+    # code containment, so a listed subset can have the lower count
+    rng = random.Random(4)
+    rows = [f"t{rng.randrange(8)},a{rng.randrange(2)},b{rng.randrange(4)}\n" for _ in range(22)]
+    fact = tmp_path / "fact.csv"
+    fact.write_text("tid,A,B\n" + "".join(rows), encoding="utf-8")
+    code = run_cli(
+        "--fact", str(fact), "--key-dim", "tid", "--combine-dims", "A,B",
+        "--minsup", "0.3", "--minconf", "0.5", "--repeatable-dims", "A,B",
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 0, capsys.readouterr().err
+    records = [
+        json.loads(line)
+        for line in (tmp_path / "out" / "rules.jsonl").read_text(encoding="utf-8").splitlines()
+    ]
+    assert records
+    assert all(r["antecedent_count"] >= r["support_count"] for r in records)
 
 
 def test_cli_synth_only_generates_data(tmp_path, capsys):
