@@ -11,6 +11,9 @@ Three miners share one output contract and are cross-checked in the tests:
 * :func:`brute_force_frequent` enumerates every subset of a small universe by
   direct containment counting; it is the oracle the other two are held to.
 
+The two level-wise miners share candidate generation: :func:`_next_candidates`
+joins each prefix class and applies Apriori's subset prune in one pass.
+
 Support thresholds use exact rational arithmetic: ``minsup`` may be a decimal
 string ("0.0045"), a Fraction, or a float (converted through its shortest
 decimal repr), and an itemset is frequent iff its count reaches
@@ -171,38 +174,41 @@ def build_item_extents(
     return BitmapTable(items=items, columns=columns, universe_size=view.n_groups)
 
 
-def _apriori_join(prev: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
-    """Merge sorted (k-1)-itemsets sharing a (k-2)-prefix into k-candidates."""
-    out: list[tuple[str, ...]] = []
-    n = len(prev)
-    i = 0
-    while i < n:
-        prefix = prev[i][:-1]
-        block_end = i + 1
-        while block_end < n and prev[block_end][:-1] == prefix:
-            block_end += 1
-        for a in range(i, block_end):
-            for b in range(a + 1, block_end):
-                out.append(prev[a] + (prev[b][-1],))
-        i = block_end
-    return out
+def _next_candidates(
+    prev: list[tuple[str, ...]],
+) -> tuple[list[tuple[str, ...]], int, int]:
+    """The k-candidates of the sorted, duplicate-free frequent (k-1)-sets.
 
+    ``prev`` falls into prefix classes, the sets sharing their first k-2
+    items (Zaki's equivalence classes). Joining ``prefix + (a,)`` with a later
+    ``prefix + (b,)`` of the same class gives ``prefix + (a, b)``. Its two
+    parents are frequent; every other (k-1)-subset drops one prefix item
+    ``p``, and it is frequent exactly when ``b`` ends a set of the class
+    ``prefix - p + (a,)``. So the b's kept for ``a`` are the tails after
+    ``a`` that lie in all k-2 such classes, and only they become tuples.
 
-def _prune(
-    candidates: list[tuple[str, ...]], prev_frequent: set[tuple[str, ...]]
-) -> tuple[list[tuple[str, ...]], int]:
-    """Drop candidates with an infrequent (k-1)-subset; return survivors and
-    the number pruned."""
+    Returns ``(kept, joined, pruned)``: the surviving candidates in the
+    order the plain join would list them, the number of joined pairs, and
+    how many of those had an infrequent subset (Apriori's prune).
+    """
+    tails: dict[tuple[str, ...], list[str]] = {}
+    for itemset in prev:
+        tails.setdefault(itemset[:-1], []).append(itemset[-1])
+    tail_sets = {prefix: frozenset(items) for prefix, items in tails.items()}
     kept: list[tuple[str, ...]] = []
-    pruned = 0
-    for cand in candidates:
-        if all(
-            cand[:i] + cand[i + 1 :] in prev_frequent for i in range(len(cand))
-        ):
-            kept.append(cand)
-        else:
-            pruned += 1
-    return kept, pruned
+    joined = 0
+    for prefix, items in tails.items():
+        m = len(items)
+        joined += m * (m - 1) // 2
+        drops = [prefix[:j] + prefix[j + 1 :] for j in range(len(prefix))]
+        for i, a in enumerate(items):
+            survivors = items[i + 1 :]
+            for sub in drops:
+                allowed = tail_sets.get(sub + (a,), frozenset())
+                survivors = [b for b in survivors if b in allowed]
+            head = prefix + (a,)
+            kept.extend(head + (b,) for b in survivors)
+    return kept, joined, joined - len(kept)
 
 
 def _count_slice(
@@ -225,10 +231,9 @@ def fi_gen(
 ) -> tuple[list[FrequentItemset], MiningStats]:
     """Mine all itemsets with support >= minsup using bitmap intersections.
 
-    Level 1 reads the code extents; level k candidates come from the
-    sorted-prefix join of frequent (k-1)-sets plus the subset prune, and each
-    surviving candidate is counted as the population count of the AND of its
-    parent's mask with its last item's extent. No group scan happens after
+    Level 1 reads the code extents; level k candidates come from
+    :func:`_next_candidates`, and each is counted as the population count
+    of the AND of its parent's mask with its last item's extent. No group scan happens after
     the extent build, so ``full_scans_of_groups`` is always 1.
 
     ``workers`` > 1 splits candidate counting into contiguous slices handled
@@ -264,9 +269,8 @@ def fi_gen(
             )
 
     while current:
-        joined = _apriori_join(current)
-        stats.candidates_generated += len(joined)
-        candidates, pruned = _prune(joined, set(current))
+        candidates, joined, pruned = _next_candidates(current)
+        stats.candidates_generated += joined
         stats.candidates_pruned += pruned
         if not candidates:
             break
@@ -368,9 +372,8 @@ def apriori_baseline(
 
     k = 2
     while current:
-        joined = _apriori_join(current)
-        stats.candidates_generated += len(joined)
-        candidates, pruned = _prune(joined, set(current))
+        candidates, joined, pruned = _next_candidates(current)
+        stats.candidates_generated += joined
         stats.candidates_pruned += pruned
         if not candidates:
             break

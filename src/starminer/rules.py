@@ -126,6 +126,8 @@ def gen_rules(
         raise ValueError(f"minconf must be in (0, 1], got {minconf!r}")
     if policy is None:
         policy = DimensionPolicy()
+    # full / ante < num / den, cross-multiplied: exact without a Fraction per split
+    conf_num, conf_den = conf_min.numerator, conf_min.denominator
 
     # Deduplicate by pair set keeping the maximal count: distinct code
     # itemsets can expand to one pair set, and the larger count is the
@@ -155,7 +157,7 @@ def gen_rules(
                     f"frequent list is corrupt: subset {ante.pairs!r} has count "
                     f"{ante.support_count} below its superset's {full.support_count}"
                 )
-            if Fraction(full.support_count, ante.support_count) < conf_min:
+            if full.support_count * conf_den < conf_num * ante.support_count:
                 continue
             antecedent = tuple(p for p in full.pairs if p in akey)
             consequent = tuple(p for p in full.pairs if p not in akey)

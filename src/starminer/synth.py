@@ -11,8 +11,11 @@ across runs.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
+from typing import Callable
 
 from .errors import SchemaError
 
@@ -57,8 +60,17 @@ class SynthSpec:
             raise SchemaError("skew must be >= 0")
 
 
-def _zipf_weights(n: int, skew: float) -> list[float]:
-    return [1.0 / (rank ** skew) for rank in range(1, n + 1)]
+def _zipf_draw(rng: random.Random, population: list[str], skew: float) -> Callable[[], str]:
+    """A function drawing one element with weight ``1 / rank**skew``.
+
+    A draw is ``rng.choices(population, weights)[0]`` with the weights
+    accumulated once, not per call: the same one ``rng.random()`` and bisect.
+    """
+    cum = list(accumulate(1.0 / (rank**skew) for rank in range(1, len(population) + 1)))
+    total = cum[-1] + 0.0
+    hi = len(population) - 1
+    uniform = rng.random
+    return lambda: population[bisect(cum, uniform() * total, 0, hi)]
 
 
 def _product_names(n: int) -> list[str]:
@@ -94,12 +106,9 @@ def generate_sales(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
     time_ids = [f"T{i:02d}" for i in range(1, spec.n_times + 1)]
     channel_ids = [f"CH{i:02d}" for i in range(1, spec.n_channels + 1)]
 
-    age_w = _zipf_weights(len(AGE_GROUPS), spec.skew)
-    city_w = _zipf_weights(len(CITIES), spec.skew)
-    customer_rows = [
-        [cid, rng.choices(AGE_GROUPS, age_w)[0], rng.choices(CITIES, city_w)[0]]
-        for cid in customer_ids
-    ]
+    draw_age_group = _zipf_draw(rng, AGE_GROUPS, spec.skew)
+    draw_city = _zipf_draw(rng, CITIES, spec.skew)
+    customer_rows = [[cid, draw_age_group(), draw_city()] for cid in customer_ids]
 
     names = _product_names(spec.n_products)
     product_rows = [
@@ -119,10 +128,10 @@ def generate_sales(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
         for i, chid in enumerate(channel_ids)
     ]
 
-    cust_w = _zipf_weights(spec.n_customers, spec.skew)
-    prod_w = _zipf_weights(spec.n_products, spec.skew)
-    time_w = _zipf_weights(spec.n_times, spec.skew)
-    chan_w = _zipf_weights(spec.n_channels, spec.skew)
+    draw_customer = _zipf_draw(rng, customer_ids, spec.skew)
+    draw_product = _zipf_draw(rng, product_ids, spec.skew)
+    draw_time = _zipf_draw(rng, time_ids, spec.skew)
+    draw_channel = _zipf_draw(rng, channel_ids, spec.skew)
 
     tid_width = max(5, len(str(max(spec.n_fact_rows, 1))))
     fact_rows: list[list[str]] = []
@@ -130,12 +139,12 @@ def generate_sales(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
     while len(fact_rows) < spec.n_fact_rows:
         basket += 1
         tid = f"TX{basket:0{tid_width}d}"
-        customer = rng.choices(customer_ids, cust_w)[0]
-        time_id = rng.choices(time_ids, time_w)[0]
-        channel = rng.choices(channel_ids, chan_w)[0]
+        customer = draw_customer()
+        time_id = draw_time()
+        channel = draw_channel()
         lines = min(rng.randint(1, MAX_BASKET_LINES), spec.n_fact_rows - len(fact_rows))
         for _ in range(lines):
-            product = rng.choices(product_ids, prod_w)[0]
+            product = draw_product()
             fact_rows.append([tid, customer, product, time_id, channel])
 
     paths = {

@@ -2,8 +2,9 @@
 
 The oracles are the previous implementations: ``gen_rules`` testing every
 listed pair set against every other, bit vectors built by OR-ing ``1 << j``
-into an int once per set bit, and apriori testing every candidate against
-every group.
+into an int once per set bit, apriori testing every candidate against every
+group, and candidate generation materialising every joined tuple before
+testing its subsets.
 """
 
 import random
@@ -88,6 +89,36 @@ def scan_gen_rules(frequent, minconf, policy):
     return rules
 
 
+def apriori_join(prev):
+    """Merge sorted (k-1)-itemsets sharing a (k-2)-prefix into k-candidates."""
+    out = []
+    n = len(prev)
+    i = 0
+    while i < n:
+        prefix = prev[i][:-1]
+        block_end = i + 1
+        while block_end < n and prev[block_end][:-1] == prefix:
+            block_end += 1
+        for a in range(i, block_end):
+            for b in range(a + 1, block_end):
+                out.append(prev[a] + (prev[b][-1],))
+        i = block_end
+    return out
+
+
+def prune(candidates, prev_frequent):
+    """Drop candidates with an infrequent (k-1)-subset; return survivors and
+    the number pruned."""
+    kept = []
+    pruned = 0
+    for cand in candidates:
+        if all(cand[:i] + cand[i + 1 :] in prev_frequent for i in range(len(cand))):
+            kept.append(cand)
+        else:
+            pruned += 1
+    return kept, pruned
+
+
 def loop_apriori(view, minsup):
     stats = MiningStats()
     n = view.n_groups
@@ -106,9 +137,9 @@ def loop_apriori(view, minsup):
                 result.append(FrequentItemset(items=(c,), support_count=count, support=count / n))
     k = 2
     while current:
-        joined = mining._apriori_join(current)
+        joined = apriori_join(current)
         stats.candidates_generated += len(joined)
-        candidates, pruned = mining._prune(joined, set(current))
+        candidates, pruned = prune(joined, set(current))
         stats.candidates_pruned += pruned
         if not candidates:
             break
@@ -307,6 +338,58 @@ def test_count_level_enumerates_narrow_groups_and_scans_wide_ones(monkeypatch):
     counts = mining._count_level(groups, candidates, 3)
     assert enumerated == [("a", "b", "c"), ("a", "b", "c", "d")]
     assert counts == {("a", "b", "c"): 3, ("a", "b", "d"): 2, ("a", "c", "d"): 2, ("c", "d", "e"): 1}
+
+
+# --- candidate generation --------------------------------------------------
+
+@st.composite
+def frequent_families(draw):
+    """A sorted, duplicate-free family of equal-size itemsets over a small
+    universe, as one level of frequent sets. Random subsets of all size-s
+    combinations leave many prefix classes whose sub-prefix classes are
+    missing, and keep some classes whole."""
+    size = draw(st.integers(1, 4))
+    universe = "abcdefg"[: draw(st.integers(size, 7))]
+    every = list(combinations(universe, size))
+    keep = draw(st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
+    return [itemset for itemset, k in zip(every, keep) if k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(prev=frequent_families())
+@example(prev=[])
+@example(prev=[("a",)])
+# abcd needs d in the classes (a, c) and (b, c): (b, c) is missing
+@example(prev=[("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d")])
+# abcd and abce keep every subset; abde has no ade or bde
+@example(prev=[(*"abc",), (*"abd",), (*"abe",), (*"acd",), (*"ace",), (*"bcd",), (*"bce",)])
+def test_next_candidates_matches_join_then_prune(prev):
+    joined = apriori_join(prev)
+    kept, pruned = prune(joined, set(prev))
+    assert mining._next_candidates(prev) == (kept, len(joined), pruned)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    minsup=st.sampled_from(["0.05", "0.1", "0.2", "0.3", "0.5", "1"]),
+)
+def test_both_miners_generate_and_prune_the_same_candidates(seed, minsup):
+    rng = random.Random(seed)
+    codes = [f"{i:04d}" for i in range(1, rng.randint(1, 10) + 1)]
+    view = TransactionView.from_groups(
+        (f"g{j}", rng.sample(codes, rng.randint(0, len(codes)))) for j in range(rng.randint(0, 40))
+    )
+    rshar, rshar_stats = fi_gen(view, minsup)
+    apriori, apriori_stats = apriori_baseline(view, minsup)
+    assert rshar == apriori
+    # the scan counts differ by design: one for rshar, one per level for apriori
+    scans = "full_scans_of_groups"
+    rshar_counters = rshar_stats.counters()
+    apriori_counters = apriori_stats.counters()
+    assert rshar_counters.pop(scans) == 1
+    assert apriori_counters.pop(scans) >= len({fi.level for fi in apriori})
+    assert rshar_counters == apriori_counters
 
 
 # --- extents and bitmaps ----------------------------------------------------

@@ -81,6 +81,22 @@ def test_minconf_one_keeps_only_exact_rules():
     assert rules[0].confidence == 1.0
 
 
+@pytest.mark.parametrize("minconf", ["0.6", 0.6, Fraction(3, 5)])
+def test_confidence_equal_to_minconf_is_kept(minconf):
+    frequent = [
+        decoded([("item", "a")], 5, 0.5),
+        decoded([("item", "b")], 10, 1.0),
+        decoded([("item", "a"), ("item", "b")], 3, 0.3),
+    ]
+    policy = DimensionPolicy.from_repeatable(["item"])
+    rules = gen_rules(frequent, minconf, policy)
+    # a -> b has confidence exactly 3/5; b -> a has 3/10
+    assert [(r.antecedent, r.support_count, r.antecedent_count) for r in rules] == [
+        ((("item", "a"),), 3, 5)
+    ]
+    assert gen_rules(frequent, "0.6000001", policy) == []
+
+
 def test_single_policy_suppresses_repeated_dimension():
     frequent = [
         decoded([("Times", "1997")], 6, 0.6),

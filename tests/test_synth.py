@@ -1,5 +1,6 @@
 import pytest
 
+from starminer import synth
 from starminer.errors import SchemaError
 from starminer.synth import SynthSpec, generate_sales
 
@@ -19,6 +20,30 @@ def test_different_seeds_differ(tmp_path):
     a = generate_sales(SynthSpec(seed=1, n_fact_rows=800), tmp_path / "a")
     b = generate_sales(SynthSpec(seed=2, n_fact_rows=800), tmp_path / "b")
     assert a["fact"].read_bytes() != b["fact"].read_bytes()
+
+
+def choices_draw(rng, population, skew):
+    """The draw generate_sales used to make: one ``rng.choices`` call each."""
+    weights = [1.0 / (rank**skew) for rank in range(1, len(population) + 1)]
+    return lambda: rng.choices(population, weights)[0]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SynthSpec(seed=0, n_fact_rows=600),
+        SynthSpec(seed=7, n_fact_rows=600, n_customers=3, n_times=2, n_channels=9),
+        SynthSpec(seed=20260808, n_fact_rows=1500, n_products=200),
+        SynthSpec(seed=11, n_fact_rows=400, skew=0),
+        SynthSpec(seed=12, n_fact_rows=400, skew=2.5),
+        SynthSpec(seed=13, n_fact_rows=0),
+        SynthSpec(seed=14, n_fact_rows=300, n_products=1),
+    ],
+)
+def test_precomputed_draws_match_random_choices(spec, tmp_path, monkeypatch):
+    ours = read_all(generate_sales(spec, tmp_path / "ours"))
+    monkeypatch.setattr(synth, "_zipf_draw", choices_draw)
+    assert ours == read_all(generate_sales(spec, tmp_path / "choices"))
 
 
 def test_zero_fact_rows_keeps_dimensions(tmp_path):
