@@ -19,13 +19,10 @@ from .datamodel import (
     bitmap_encode,
     build_information_system,
     partition_by_attributes,
-    table_from_bitmap,
 )
 from .errors import AgreementError, DataError, SchemaError, StarMinerError
 from .ingest import (
     JoinSpec,
-    MappingFunction,
-    apply_mapping_function,
     discretize,
     join_tables,
     load_csv,
@@ -71,7 +68,6 @@ __all__ = [
     "Item",
     "JoinSpec",
     "MapCodeRegistry",
-    "MappingFunction",
     "MdTable",
     "MiningStats",
     "PipelineResult",
@@ -81,7 +77,6 @@ __all__ = [
     "StarMinerError",
     "SynthSpec",
     "TransactionView",
-    "apply_mapping_function",
     "apriori_baseline",
     "bitmap_encode",
     "brute_force_frequent",
@@ -101,6 +96,5 @@ __all__ = [
     "run_benchmark",
     "run_pipeline",
     "support_threshold",
-    "table_from_bitmap",
     "transform_map_code",
 ]

@@ -127,6 +127,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             base = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ValueError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(base, dict):
+            raise ValueError("config file must hold a JSON object")
 
     overrides: dict = {}
     if args.out is not None:

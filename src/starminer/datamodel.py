@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable
 
 from .errors import DataError, SchemaError
@@ -128,20 +127,17 @@ def _check_cell(spec: AttributeSpec, value: Atom, row: int) -> None:
 _PLAIN_NUMBERS = frozenset({int, float})
 
 
-def _cells_pass(schema: tuple[AttributeSpec, ...], rows: tuple[tuple[Atom, ...], ...]) -> bool:
-    """True if every row has one value per attribute and every cell would pass
-    :func:`_check_cell`, judged a column at a time.
+def _columns_pass(schema: tuple[AttributeSpec, ...], columns: tuple[tuple[Atom, ...], ...]) -> bool:
+    """True if every cell would pass :func:`_check_cell`, judged a column at a
+    time: once for the set of cell types and, for a column holding floats,
+    once for finiteness.
 
-    Each column is read in place through ``itemgetter`` (never transposed):
-    once for the set of cell types and, when it holds floats, once for
-    finiteness. Only exact ``int`` and ``float`` count as numbers here. A
-    numeric subclass, or an int too large for a float beside float cells,
-    returns False and leaves the verdict to the per-cell scan.
+    Only exact ``int`` and ``float`` count as numbers here. A numeric
+    subclass, or an int too large for a float beside float cells, returns
+    False and leaves the verdict to the per-cell scan.
     """
-    if not set(map(len, rows)) <= {len(schema)}:
-        return False
-    for j, spec in enumerate(schema):
-        types = set(map(type, map(itemgetter(j), rows)))
+    for spec, column in zip(schema, columns):
+        types = set(map(type, column))
         if spec.is_categorical():
             if not all(issubclass(t, str) for t in types):
                 return False
@@ -149,40 +145,78 @@ def _cells_pass(schema: tuple[AttributeSpec, ...], rows: tuple[tuple[Atom, ...],
             return False
         elif float in types:
             try:
-                if not all(map(math.isfinite, map(itemgetter(j), rows))):
+                if not all(map(math.isfinite, column)):
                     return False
             except OverflowError:
                 return False
     return True
 
 
-@dataclass(frozen=True)
+def _scan_rows(name: str, schema: tuple[AttributeSpec, ...], rows: Iterable[tuple[Atom, ...]]) -> None:
+    """Raise for the first row with the wrong width or a bad cell."""
+    width = len(schema)
+    for i, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise DataError(f"table {name!r} row {i}: expected {width} values, got {len(row)}")
+        for spec, value in zip(schema, row):
+            _check_cell(spec, value, i)
+
+
+@dataclass(frozen=True, init=False)
 class RelationalTable:
-    """Named columns over rows of atomic values (strings or finite numbers)."""
+    """Named columns of atomic values (strings or finite numbers).
+
+    Storage is column-major: ``columns[j]`` holds attribute ``schema[j]`` for
+    every row. A table is built from ``columns`` or, for callers that think
+    in rows, from ``rows``, which are transposed once. The ``rows`` property
+    derives row tuples on each access; no pipeline stage reads it.
+    """
 
     name: str
     schema: tuple[AttributeSpec, ...]
-    rows: tuple[tuple[Atom, ...], ...]
+    columns: tuple[tuple[Atom, ...], ...]
+    n_rows: int
+
+    def __init__(
+        self,
+        name: str,
+        schema: Iterable[AttributeSpec],
+        rows: Iterable[Iterable[Atom]] | None = None,
+        *,
+        columns: Iterable[Iterable[Atom]] | None = None,
+    ) -> None:
+        schema = tuple(schema)
+        if (rows is None) == (columns is None):
+            raise TypeError("RelationalTable takes exactly one of rows and columns")
+        if columns is None:
+            row_tuples = tuple(map(tuple, rows))  # type: ignore[arg-type]
+            if not set(map(len, row_tuples)) <= {len(schema)}:
+                _scan_rows(name, schema, row_tuples)
+            n_rows = len(row_tuples)
+            cols = tuple(zip(*row_tuples)) if n_rows else ((),) * len(schema)
+        else:
+            cols = tuple(map(tuple, columns))
+            n_rows = len(cols[0]) if cols else 0
+            if len(cols) != len(schema) or any(len(c) != n_rows for c in cols):
+                raise SchemaError(
+                    f"table {name!r}: needs {len(schema)} columns of equal length"
+                )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "n_rows", n_rows)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "schema", tuple(self.schema))
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         names = [s.name for s in self.schema]
         seen: set[str] = set()
         for n in names:
             if n in seen:
                 raise SchemaError(f"table {self.name!r}: duplicate attribute name {n!r}")
             seen.add(n)
-        if not _cells_pass(self.schema, self.rows):
-            # the row-major scan names the first bad row exactly as before
-            width = len(self.schema)
-            for i, row in enumerate(self.rows, start=1):
-                if len(row) != width:
-                    raise DataError(
-                        f"table {self.name!r} row {i}: expected {width} values, got {len(row)}"
-                    )
-                for spec, value in zip(self.schema, row):
-                    _check_cell(spec, value, i)
+        if not _columns_pass(self.schema, self.columns):
+            # the row-major scan names the first bad row
+            _scan_rows(self.name, self.schema, zip(*self.columns))
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
 
     @property
@@ -190,8 +224,10 @@ class RelationalTable:
         return tuple(s.name for s in self.schema)
 
     @property
-    def n_rows(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[tuple[Atom, ...], ...]:
+        if not self.columns:
+            return ((),) * self.n_rows
+        return tuple(zip(*self.columns))
 
     def index_of(self, attribute: str) -> int:
         try:
@@ -205,8 +241,7 @@ class RelationalTable:
         return self.schema[self.index_of(attribute)]
 
     def column(self, attribute: str) -> tuple[Atom, ...]:
-        i = self.index_of(attribute)
-        return tuple(row[i] for row in self.rows)
+        return self.columns[self.index_of(attribute)]
 
 
 @dataclass(frozen=True)
@@ -405,55 +440,24 @@ def bitmap_encode(table: RelationalTable) -> BitmapTable:
 
     items: list[Item] = []
     hits: list[list[int]] = []
-    slot: dict[tuple[str, str], int] = {}
-
-    for pos, spec in enumerate(table.schema):
+    for spec, column in zip(table.schema, table.columns):
         if spec.domain is not None:
             values: list[str] = list(spec.domain)
             allowed = set(values)
-            for i, row in enumerate(table.rows, start=1):
-                if row[pos] not in allowed:
+            for i, value in enumerate(column, start=1):
+                if value not in allowed:
                     raise DataError(
-                        f"row {i}: value {row[pos]!r} of attribute {spec.name!r} "
+                        f"row {i}: value {value!r} of attribute {spec.name!r} "
                         "is outside its declared domain"
                     )
         else:
-            values = list(dict.fromkeys(row[pos] for row in table.rows))
+            values = list(dict.fromkeys(column))
+        hits_of: dict[str, list[int]] = {}
         for v in values:
-            slot[(spec.name, v)] = len(items)
             items.append(Item(id=len(items), attribute=spec.name, value=v))
-            hits.append([])
-
-    for j, row in enumerate(table.rows):
-        for pos, spec in enumerate(table.schema):
-            hits[slot[(spec.name, row[pos])]].append(j)
+            hits.append(hits_of.setdefault(v, []))
+        for j, value in enumerate(column):
+            hits_of[value].append(j)
 
     columns = tuple(int_from_bit_positions(h, table.n_rows) for h in hits)
     return BitmapTable(items=tuple(items), columns=columns, universe_size=table.n_rows)
-
-
-def table_from_bitmap(bitmap: BitmapTable, name: str = "decoded") -> RelationalTable:
-    """Reconstruct the categorical source table from a one-hot bitmap.
-
-    For each object and attribute there must be exactly one set bit; used to
-    check the encode/decode round trip.
-    """
-    attr_order: list[str] = list(dict.fromkeys(it.attribute for it in bitmap.items))
-    by_attr: dict[str, list[int]] = {a: [] for a in attr_order}
-    for i, it in enumerate(bitmap.items):
-        by_attr[it.attribute].append(i)
-
-    rows: list[tuple[str, ...]] = []
-    for j in range(bitmap.universe_size):
-        row: list[str] = []
-        for a in attr_order:
-            hits = [i for i in by_attr[a] if (bitmap.columns[i] >> j) & 1]
-            if len(hits) != 1:
-                raise DataError(
-                    f"object {j}: attribute {a!r} has {len(hits)} set bits, expected 1"
-                )
-            row.append(bitmap.items[hits[0]].value)
-        rows.append(tuple(row))
-
-    schema = tuple(AttributeSpec(name=a) for a in attr_order)
-    return RelationalTable(name=name, schema=schema, rows=tuple(rows))

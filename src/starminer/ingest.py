@@ -10,9 +10,9 @@ downstream.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from itertools import product
-from operator import itemgetter
+from itertools import product, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -20,6 +20,8 @@ from .datamodel import Atom, AttributeSpec, RelationalTable
 from .errors import DataError, SchemaError
 
 _MAX_LISTED_ORPHANS = 20
+# Data lines split at once by load_csv; bounds the cell strings alive at a time.
+_CHUNK_LINES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -53,55 +55,6 @@ class JoinSpec:
             seen.add(pair)
 
 
-@dataclass(frozen=True)
-class MappingFunction:
-    """Finite lookup table mapping source attribute tuples to target tuples.
-
-    Covers one-to-one through many-to-many: a source tuple mapped to several
-    target tuples multiplies rows on application. Duplicate (source, target)
-    pairs are collapsed at construction. Target values must be strings; the
-    mined general table is categorical, and numeric targets would need bins
-    that a mapping table cannot carry.
-    """
-
-    source_attrs: tuple[str, ...]
-    target_attrs: tuple[str, ...]
-    mapping: tuple[tuple[tuple[Atom, ...], tuple[str, ...]], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "source_attrs", tuple(self.source_attrs))
-        object.__setattr__(self, "target_attrs", tuple(self.target_attrs))
-        if not self.source_attrs or not self.target_attrs:
-            raise SchemaError("mapping function needs source and target attributes")
-        norm: list[tuple[tuple[Atom, ...], tuple[str, ...]]] = []
-        seen: set[tuple[tuple[Atom, ...], tuple[str, ...]]] = set()
-        for src, tgt in self.mapping:
-            src = tuple(src)
-            tgt = tuple(tgt)
-            if len(src) != len(self.source_attrs):
-                raise SchemaError(f"mapping entry {src!r}: source arity mismatch")
-            if len(tgt) != len(self.target_attrs):
-                raise SchemaError(f"mapping entry {src!r}: target arity mismatch")
-            for v in tgt:
-                if not isinstance(v, str):
-                    raise SchemaError(
-                        f"mapping entry {src!r}: target value {v!r} is not a string"
-                    )
-            pair = (src, tgt)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            norm.append(pair)
-        object.__setattr__(self, "mapping", tuple(norm))
-        by_source: dict[tuple[Atom, ...], list[tuple[str, ...]]] = {}
-        for src, tgt in norm:
-            by_source.setdefault(src, []).append(tgt)
-        object.__setattr__(self, "_by_source", by_source)
-
-    def targets_for(self, source: tuple[Atom, ...]) -> list[tuple[str, ...]] | None:
-        return self._by_source.get(tuple(source))  # type: ignore[attr-defined]
-
-
 def _read_text(path: Path, header_only: bool = False) -> str:
     """The file's text, or only its first line, decoded as UTF-8.
 
@@ -120,6 +73,23 @@ def _read_text(path: Path, header_only: bool = False) -> str:
         raise DataError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 so that a reader, or a crash, sees
+    either the old file or the complete new one.
+
+    The text goes to a temporary name in the same directory, which
+    ``os.replace`` then renames over ``path``; on any failure the temporary
+    file is removed.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_header(path: str | Path) -> list[str]:
@@ -142,11 +112,17 @@ def load_csv(
     The header must match the schema names in order. Cells of quantitative
     attributes are parsed as numbers; parse failures report the 1-based data
     row number. The table is named ``name``, by default the file's stem.
+
+    Lines are split a chunk at a time into column slices, and each column
+    keeps one object per distinct value: equal cells share one ``str`` (or,
+    for a quantitative column, one ``float``).
     """
     path = Path(path)
     schema = tuple(schema)
     text = _read_text(path)
     lines = text.splitlines()
+    has_quote = '"' in text
+    del text
     if not lines:
         raise DataError(f"{path}: empty file, expected a header row")
 
@@ -157,38 +133,61 @@ def load_csv(
             f"{path}: header mismatch: expected {expected}, got {header}"
         )
 
-    body = lines[1:]
     # Rows before the first quoted one are parsed, so that an earlier bad row
     # is still the one reported.
-    quoted = None
-    if '"' in text:
-        quoted = next((i for i, line in enumerate(body) if '"' in line), None)
-        body = body[:quoted]
+    end = len(lines)
+    if has_quote:
+        end = next((i for i in range(1, end) if '"' in lines[i]), end)
     width = len(schema)
-    numeric = [j for j, spec in enumerate(schema) if not spec.is_categorical()]
-    rows: list[tuple[Atom, ...]] = []
-    for i, line in enumerate(body, start=1):
-        cells: list[Atom] = line.split(",")  # type: ignore[assignment]
-        if len(cells) != width:
-            raise DataError(f"{path} row {i}: expected {width} values, got {len(cells)}")
-        for j in numeric:
-            try:
-                cells[j] = float(cells[j])
-            except ValueError:
-                raise DataError(
-                    f"{path} row {i}: cannot parse {cells[j]!r} as a number for "
-                    f"attribute {schema[j].name!r}"
-                ) from None
-        rows.append(tuple(cells))
-    if quoted is not None:
+    pools: list[dict[str, str]] = [{} for _ in schema]
+    parts: list[list[str]] = [[] for _ in schema]
+    for start in range(1, end, _CHUNK_LINES):
+        chunk = lines[start : min(start + _CHUNK_LINES, end)]
+        # a line splits into width cells exactly when it has width - 1 commas
+        if set(map(str.count, chunk, repeat(","))) != {width - 1}:
+            raise _first_row_error(path, schema, lines[1:end])
+        flat = ",".join(chunk).split(",")
+        for j, (pool, part) in enumerate(zip(pools, parts)):
+            cells = flat[j::width]
+            part.extend(map(pool.setdefault, cells, cells))
+    columns: list[Iterable[Atom]] = []
+    for spec, pool, part in zip(schema, pools, parts):
+        if spec.is_categorical():
+            columns.append(part)
+            continue
+        try:
+            number = {cell: float(cell) for cell in pool}
+        except ValueError:
+            raise _first_row_error(path, schema, lines[1:end]) from None
+        columns.append(map(number.__getitem__, part))
+    if end < len(lines):
         raise DataError(
-            f"{path} row {quoted + 1}: quoted values are not supported; this format "
+            f"{path} row {end}: quoted values are not supported; this format "
             "forbids delimiters inside values"
         )
 
     return RelationalTable(
-        name=path.stem if name is None else name, schema=schema, rows=tuple(rows)
+        name=path.stem if name is None else name, schema=schema, columns=columns
     )
+
+
+def _first_row_error(path: Path, schema: tuple[AttributeSpec, ...], body: list[str]) -> DataError:
+    """The error for the first data line with the wrong number of cells or a
+    quantitative cell that is not a number. The caller has seen one."""
+    numeric = [j for j, spec in enumerate(schema) if not spec.is_categorical()]
+    for i, line in enumerate(body, start=1):
+        cells = line.split(",")
+        if len(cells) != len(schema):
+            return DataError(f"{path} row {i}: expected {len(schema)} values, got {len(cells)}")
+        for j in numeric:
+            try:
+                float(cells[j])
+            except ValueError:
+                return DataError(
+                    f"{path} row {i}: cannot parse {cells[j]!r} as a number for "
+                    f"attribute {schema[j].name!r}"
+                )
+    raise AssertionError("no bad row in a body that failed its bulk checks")
 
 
 def join_tables(
@@ -210,28 +209,24 @@ def join_tables(
         raise SchemaError(f"unknown fact table {spec.fact_table!r}")
     fact = by_name[spec.fact_table]
 
-    link_info: list[tuple[int, RelationalTable, dict[Atom, list[int]]]] = []
+    # (fact key column, dimension, {dimension key: its row indices}) per link
+    link_info: list[tuple[tuple[Atom, ...], RelationalTable, dict[Atom, list[int]]]] = []
     for fact_key, dim_name, dim_key in spec.links:
-        fact_pos = fact.index_of(fact_key)
+        keys = fact.column(fact_key)
         if dim_name not in by_name:
             raise SchemaError(f"unknown dimension table {dim_name!r}")
         dim = by_name[dim_name]
-        dim_pos = dim.index_of(dim_key)
         index: dict[Atom, list[int]] = {}
-        for r, row in enumerate(dim.rows):
-            index.setdefault(row[dim_pos], []).append(r)
-        link_info.append((fact_pos, dim, index))
+        for r, key in enumerate(dim.column(dim_key)):
+            index.setdefault(key, []).append(r)
+        link_info.append((keys, dim, index))
 
     orphans: list[tuple[str, Atom]] = []
-    if any(
-        not set(map(itemgetter(fact_pos), fact.rows)) <= index.keys()
-        for fact_pos, _, index in link_info
-    ):
+    if any(not set(keys) <= index.keys() for keys, _, index in link_info):
         # name the orphans in fact-row order, then link order
         orphan_seen: set[tuple[str, Atom]] = set()
-        for row in fact.rows:
-            for (fact_pos, dim, index) in link_info:
-                key = row[fact_pos]
+        for row_keys in zip(*(keys for keys, _, _ in link_info)):
+            for key, (_, dim, index) in zip(row_keys, link_info):
                 if key not in index and (dim.name, key) not in orphan_seen:
                     orphan_seen.add((dim.name, key))
                     orphans.append((dim.name, key))
@@ -260,58 +255,37 @@ def join_tables(
                 "joined dimension"
             )
 
-    out_rows: Iterable[tuple[Atom, ...]]
+    columns: list[Iterable[Atom]] = []
     if all(len(rs) == 1 for _, _, index in link_info for rs in index.values()):
-        # Each fact row meets exactly one row of every dimension, so each
-        # output column is one lookup streamed over the fact rows.
-        columns: list[Iterable[Atom]] = []
+        # Each fact row meets exactly one row of every dimension: fact
+        # columns pass through, and each dimension column is its fact key
+        # column mapped through a {key: value} dict.
         for source, pos in resolved:
             if source is None:
-                columns.append(map(itemgetter(pos), fact.rows))
+                columns.append(fact.columns[pos])
             else:
-                fact_pos, dim, index = link_info[source]
-                value_of = {key: dim.rows[r][pos] for key, (r,) in index.items()}
-                columns.append(map(value_of.__getitem__, map(itemgetter(fact_pos), fact.rows)))
-        out_rows = zip(*columns)
+                keys, dim, index = link_info[source]
+                values = dim.columns[pos]
+                value_of = {key: values[r] for key, (r,) in index.items()}
+                columns.append(map(value_of.__getitem__, keys))
     else:
-        out_rows = []
-        for row in fact.rows:
-            match_lists = [index[row[fact_pos]] for fact_pos, _, index in link_info]
-            for combo in product(*match_lists):
-                out_row: list[Atom] = []
-                for source, pos in resolved:
-                    if source is None:
-                        out_row.append(row[pos])
-                    else:
-                        dim = link_info[source][1]
-                        out_row.append(dim.rows[combo[source]][pos])
-                out_rows.append(tuple(out_row))
+        # Expand each fact row into one output row per combination of its
+        # matching dimension rows, as row indices, then gather every column.
+        fact_rows: list[int] = []
+        dim_rows: list[list[int]] = [[] for _ in link_info]
+        for i, row_keys in enumerate(zip(*(keys for keys, _, _ in link_info))):
+            matches = [index[key] for key, (_, _, index) in zip(row_keys, link_info)]
+            for combo in product(*matches):
+                fact_rows.append(i)
+                for rows, r in zip(dim_rows, combo):
+                    rows.append(r)
+        for source, pos in resolved:
+            if source is None:
+                columns.append(map(fact.columns[pos].__getitem__, fact_rows))
+            else:
+                columns.append(map(link_info[source][1].columns[pos].__getitem__, dim_rows[source]))
 
-    return RelationalTable(name="general", schema=tuple(out_schema), rows=tuple(out_rows))
-
-
-def apply_mapping_function(
-    table: RelationalTable, fn: MappingFunction
-) -> RelationalTable:
-    """Append the mapping's target columns, multiplying rows for one-to-many
-    entries. A source tuple that occurs in the data but not in the mapping is
-    an error naming the tuple."""
-    positions = [table.index_of(a) for a in fn.source_attrs]
-    new_schema = table.schema + tuple(AttributeSpec(name=a) for a in fn.target_attrs)
-
-    out_rows: list[tuple[Atom, ...]] = []
-    for i, row in enumerate(table.rows, start=1):
-        source = tuple(row[p] for p in positions)
-        targets = fn.targets_for(source)
-        if targets is None:
-            raise DataError(
-                f"row {i}: source tuple {source!r} has no entry in the mapping "
-                f"over {fn.source_attrs}"
-            )
-        for tgt in targets:
-            out_rows.append(row + tgt)
-
-    return RelationalTable(name=table.name, schema=new_schema, rows=tuple(out_rows))
+    return RelationalTable(name="general", schema=tuple(out_schema), columns=columns)
 
 
 def discretize(table: RelationalTable, attr: str) -> RelationalTable:
@@ -319,7 +293,7 @@ def discretize(table: RelationalTable, attr: str) -> RelationalTable:
 
     Bins are inclusive-lower/exclusive-upper. A value outside every bin is an
     error with its row number; an already-categorical attribute is an error,
-    never a silent no-op.
+    never a silent no-op. Each distinct value is labelled once.
     """
     pos = table.index_of(attr)
     spec = table.schema[pos]
@@ -330,23 +304,22 @@ def discretize(table: RelationalTable, attr: str) -> RelationalTable:
         )
     assert spec.bins is not None
 
+    column = table.columns[pos]
     label_of: dict[Atom, str] = {}
-    out_rows: list[tuple[Atom, ...]] = []
-    for i, row in enumerate(table.rows, start=1):
-        value = row[pos]
-        label = label_of.get(value)
-        if label is None:
-            for b in spec.bins:
-                if b.contains(float(value)):
-                    label = label_of[value] = b.label
-                    break
-            else:
-                raise DataError(
-                    f"row {i}: value {value!r} of attribute {attr!r} falls outside "
-                    "every declared bin"
-                )
-        out_rows.append(row[:pos] + (label,) + row[pos + 1 :])
+    # distinct values in first-occurrence order, so the first value outside
+    # every bin is also the first such row
+    for value in dict.fromkeys(column):
+        for b in spec.bins:
+            if b.contains(float(value)):
+                label_of[value] = b.label
+                break
+        else:
+            raise DataError(
+                f"row {column.index(value) + 1}: value {value!r} of attribute {attr!r} "
+                "falls outside every declared bin"
+            )
 
-    new_spec = AttributeSpec(name=attr)
-    new_schema = table.schema[:pos] + (new_spec,) + table.schema[pos + 1 :]
-    return RelationalTable(name=table.name, schema=new_schema, rows=tuple(out_rows))
+    columns = list(table.columns)
+    columns[pos] = map(label_of.__getitem__, column)
+    schema = table.schema[:pos] + (AttributeSpec(name=attr),) + table.schema[pos + 1 :]
+    return RelationalTable(name=table.name, schema=schema, columns=columns)

@@ -9,12 +9,14 @@ dimension/value pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .datamodel import RelationalTable
 from .errors import DataError, SchemaError
+from .ingest import write_text_atomic
 from .mining import FrequentItemset
 
 Pair = tuple[str, str]
@@ -77,17 +79,27 @@ class MapCodeRegistry:
         return lines
 
     def write_csv(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self.csv_lines()) + "\n", encoding="utf-8")
+        """Write :meth:`csv_lines` to ``path``, replacing any old file whole."""
+        write_text_atomic(Path(path), "\n".join(self.csv_lines()) + "\n")
 
 
 @dataclass(frozen=True)
 class MdTable:
-    """(key value, code) pairs in first-encounter order, duplicates collapsed."""
+    """(key value, code) pairs in first-encounter order, duplicates collapsed,
+    held as a key column and a code column; ``rows`` derives the pairs."""
 
-    rows: tuple[tuple[str, str], ...]
+    keys: tuple[str, ...]
+    codes: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
+        object.__setattr__(self, "keys", tuple(self.keys))
+        object.__setattr__(self, "codes", tuple(self.codes))
+        if len(self.keys) != len(self.codes):
+            raise SchemaError("md table needs one code per key")
+
+    @property
+    def rows(self) -> tuple[tuple[str, str], ...]:
+        return tuple(zip(self.keys, self.codes))
 
 
 @dataclass(frozen=True)
@@ -125,9 +137,10 @@ def combine_dims(
 ) -> tuple[MapCodeRegistry, MdTable]:
     """Assign codes to selected-dimension combinations and emit key/code pairs.
 
-    One pass looks up or creates each row's code and emits the (key value,
-    code) pair. ``filters`` restricts rows to those whose value for each
-    filtered dimension is in the allowed set.
+    Codes go to the distinct value combinations in first-encounter order;
+    each row then maps through them to its (key value, code) pair.
+    ``filters`` restricts rows to those whose value for each filtered
+    dimension is in the allowed set.
     """
     selected = tuple(selected_dims)
     if not selected:
@@ -151,25 +164,18 @@ def combine_dims(
                 f"attribute {d!r} is not categorical; discretize it before combining"
             )
 
-    registry = MapCodeRegistry(selected)
-    # The registry is asked only for combos not met before; ``pick`` gives a
-    # value for one selected dimension and a tuple for several, which is
-    # consistent within this call and so serves as the cache key.
-    pick = itemgetter(*sel_pos)
-    code_of: dict[object, str] = {}
-    pairs: dict[tuple[str, str], None] = {}
-    for row in general.rows:
-        for pos, allowed in filt:
-            if row[pos] not in allowed:
-                break
-        else:
-            combo = pick(row)
-            code = code_of.get(combo)
-            if code is None:
-                code = code_of[combo] = registry.encode([row[p] for p in sel_pos])
-            pairs[row[key_pos], code] = None
+    keys = general.columns[key_pos]
+    chosen = [general.columns[p] for p in sel_pos]
+    if filt:
+        masks = [map(allowed.__contains__, general.columns[pos]) for pos, allowed in filt]
+        keep = list(map(all, zip(*masks)))
+        keys = tuple(compress(keys, keep))
+        chosen = [tuple(compress(column, keep)) for column in chosen]
 
-    return registry, MdTable(rows=tuple(pairs))
+    registry = MapCodeRegistry(selected)
+    code_of = {combo: registry.encode(combo) for combo in dict.fromkeys(zip(*chosen))}
+    pairs = dict.fromkeys(zip(keys, map(code_of.__getitem__, zip(*chosen))))
+    return registry, MdTable(keys=map(itemgetter(0), pairs), codes=map(itemgetter(1), pairs))
 
 
 def transform_map_code(

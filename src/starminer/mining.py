@@ -141,13 +141,13 @@ class MiningStats:
         }
 
 
-# MdTable lives in mapcode; group_by_key accepts anything with .rows of
-# (key, code) pairs to keep this module importable on its own.
+# MdTable lives in mapcode; group_by_key accepts anything with aligned .keys
+# and .codes columns to keep this module importable on its own.
 def group_by_key(md) -> TransactionView:
     """Collect distinct key values in first-occurrence order and union each
     key's codes into one set (duplicate pairs collapse)."""
     codes_for: dict[str, list[str]] = {}
-    for key, code in md.rows:
+    for key, code in zip(md.keys, md.codes):
         codes_for.setdefault(key, []).append(code)
     return TransactionView.from_groups(codes_for.items())
 
@@ -215,11 +215,16 @@ def _count_slice(
     cands: Sequence[tuple[str, ...]],
     parent_mask: dict[tuple[str, ...], int],
     single_mask: dict[str, int],
+    threshold: int,
 ) -> list[tuple[tuple[str, ...], int, int]]:
+    """``(candidate, mask, count)`` for each frequent candidate, in order; an
+    infrequent candidate's mask is dropped as soon as it is counted."""
     out = []
     for cand in cands:
         mask = parent_mask[cand[:-1]] & single_mask[cand[-1]]
-        out.append((cand, mask, mask.bit_count()))
+        count = mask.bit_count()
+        if count >= threshold:
+            out.append((cand, mask, count))
     return out
 
 
@@ -276,25 +281,24 @@ def fi_gen(
             break
 
         if workers == 1 or len(candidates) < 64:
-            counted = _count_slice(candidates, level_masks, single_mask)
+            frequent = _count_slice(candidates, level_masks, single_mask, threshold)
         else:
             step = math.ceil(len(candidates) / workers)
             slices = [candidates[i : i + step] for i in range(0, len(candidates), step)]
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 parts = list(
-                    pool.map(lambda s: _count_slice(s, level_masks, single_mask), slices)
+                    pool.map(
+                        lambda s: _count_slice(s, level_masks, single_mask, threshold), slices
+                    )
                 )
-            counted = [entry for part in parts for entry in part]
+            frequent = [entry for part in parts for entry in part]
 
         next_level: list[tuple[str, ...]] = []
         next_masks: dict[tuple[str, ...], int] = {}
-        for cand, mask, count in counted:
-            if count >= threshold:
-                next_level.append(cand)
-                next_masks[cand] = mask
-                result.append(
-                    FrequentItemset(items=cand, support_count=count, support=count / n)
-                )
+        for cand, mask, count in frequent:
+            next_level.append(cand)
+            next_masks[cand] = mask
+            result.append(FrequentItemset(items=cand, support_count=count, support=count / n))
         current = next_level
         level_masks = next_masks
 

@@ -16,11 +16,11 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .datamodel import QUANTITATIVE, AttributeSpec, RelationalTable
 from .errors import AgreementError, SchemaError
-from .ingest import JoinSpec, discretize, join_tables, load_csv, read_header
+from .ingest import JoinSpec, discretize, join_tables, load_csv, read_header, write_text_atomic
 from .mapcode import DecodedItemset, MapCodeRegistry, combine_dims, transform_map_code
 from .mining import (
     FrequentItemset,
@@ -121,11 +121,82 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        """Build a config from JSON-shaped data (lists where tuples go).
+
+        Each field's type and shape is checked first; a bad field is a
+        ValueError that names it.
+        """
+        unknown = set(data) - set(_FIELD_SHAPES)
         if unknown:
             raise ValueError(f"config has unknown fields: {sorted(unknown)}")
-        return cls(**{k: v for k, v in data.items()})
+        for name, value in data.items():
+            fits, shape = _FIELD_SHAPES[name]
+            if not fits(value):
+                raise ValueError(f"config field {name!r} must be {shape}, got {value!r}")
+        return cls(**data)
+
+
+def _is_str(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    # JSON's NaN literal parses to a float that no threshold or bound can use
+    return _is_int(value) or (isinstance(value, float) and value == value)
+
+
+def _optional(fits: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda value: value is None or fits(value)
+
+
+def _list_of(fits: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda value: isinstance(value, (list, tuple)) and all(map(fits, value))
+
+
+def _tuple_of(*parts: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda value: (
+        isinstance(value, (list, tuple))
+        and len(value) == len(parts)
+        and all(fits(v) for fits, v in zip(parts, value))
+    )
+
+
+_PAIR = _tuple_of(_is_str, _is_str)
+_THRESHOLD = (_optional(lambda v: _is_str(v) or _is_number(v)), "a decimal string, a number or null")
+# (check, expected shape in words) for every RunConfig field
+_FIELD_SHAPES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "out_dir": (_is_str, "a string"),
+    "fact": (_optional(_is_str), "a string or null"),
+    "dims": (_list_of(_PAIR), "a list of [name, path] pairs"),
+    "joins": (
+        _list_of(_tuple_of(_is_str, _is_str, _is_str)),
+        "a list of [fact_key, dimension, dimension_key] triples",
+    ),
+    "projected": (_optional(_list_of(_PAIR)), "null or a list of [table, attribute] pairs"),
+    "key_dim": (_optional(_is_str), "a string or null"),
+    "selected_dims": (_list_of(_is_str), "a list of strings"),
+    "filters": (_list_of(_PAIR), "a list of [dimension, value] pairs"),
+    "bins": (
+        _list_of(_tuple_of(_is_str, _list_of(_tuple_of(_is_str, _is_number, _is_number)))),
+        "a list of [attribute, [[label, low, high], ...]] pairs",
+    ),
+    "minsup": _THRESHOLD,
+    "minconf": _THRESHOLD,
+    "algorithm": (_is_str, "a string"),
+    "repeatable_dims": (_list_of(_is_str), "a list of strings"),
+    "synth_rows": (_optional(_is_int), "an integer or null"),
+    "synth_customers": (_is_int, "an integer"),
+    "synth_products": (_is_int, "an integer"),
+    "synth_times": (_is_int, "an integer"),
+    "synth_channels": (_is_int, "an integer"),
+    "synth_skew": (_is_number, "a number"),
+    "seed": (_optional(_is_int), "an integer or null"),
+    "workers": (_is_int, "an integer"),
+}
 
 
 @dataclass
@@ -425,15 +496,20 @@ def _write_artifacts(config: RunConfig, out: Path, result: PipelineResult) -> No
             json.dumps(result.report.to_json_dict(), sort_keys=True, indent=2) + "\n"
         )
 
-    for name, content in files.items():
-        path = out / name
-        path.write_text(content, encoding="utf-8")
-        result.files[name] = path
+    # Each file replaces its old version whole; a failed write leaves every
+    # file either as the previous run left it or as this run wrote it.
+    try:
+        for name, content in files.items():
+            path = out / name
+            write_text_atomic(path, content)
+            result.files[name] = path
 
-    if result.registry is not None:
-        registry_path = out / "registry.csv"
-        result.registry.write_csv(registry_path)
-        result.files["registry.csv"] = registry_path
+        if result.registry is not None:
+            registry_path = out / "registry.csv"
+            result.registry.write_csv(registry_path)
+            result.files["registry.csv"] = registry_path
+    except OSError as exc:
+        raise ValueError(f"cannot write artifacts to {out}: {exc.strerror}") from None
 
 
 def run_benchmark(config: RunConfig) -> BenchReport:

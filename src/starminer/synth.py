@@ -60,13 +60,20 @@ class SynthSpec:
             raise SchemaError("skew must be >= 0")
 
 
+def _zipf_weight(rank: int, skew: float) -> float:
+    try:
+        return 1.0 / (rank**skew)
+    except OverflowError:  # rank**skew is past the float range, so its inverse is ~0
+        return 0.0
+
+
 def _zipf_draw(rng: random.Random, population: list[str], skew: float) -> Callable[[], str]:
     """A function drawing one element with weight ``1 / rank**skew``.
 
     A draw is ``rng.choices(population, weights)[0]`` with the weights
     accumulated once, not per call: the same one ``rng.random()`` and bisect.
     """
-    cum = list(accumulate(1.0 / (rank**skew) for rank in range(1, len(population) + 1)))
+    cum = list(accumulate(_zipf_weight(rank, skew) for rank in range(1, len(population) + 1)))
     total = cum[-1] + 0.0
     hi = len(population) - 1
     uniform = rng.random

@@ -10,7 +10,6 @@ from starminer.datamodel import (
     bitmap_encode,
     build_information_system,
     partition_by_attributes,
-    table_from_bitmap,
 )
 from starminer.errors import DataError, SchemaError
 
@@ -64,6 +63,28 @@ def test_row_arity_and_cell_kinds_validated():
     numeric = AttributeSpec("v", kind=QUANTITATIVE, bins=(("all", 0, 100),))
     with pytest.raises(DataError):
         RelationalTable(name="t", schema=(numeric,), rows=(("oops",),))
+
+
+def test_table_from_columns_equals_table_from_rows():
+    schema = (AttributeSpec("a"), AttributeSpec("n", kind=QUANTITATIVE, bins=(("all", 0, 9),)))
+    by_rows = RelationalTable(name="t", schema=schema, rows=(("x", 1.0), ("y", 2)))
+    by_columns = RelationalTable(name="t", schema=schema, columns=(("x", "y"), (1.0, 2)))
+    assert by_rows == by_columns
+    assert by_columns.rows == (("x", 1.0), ("y", 2))
+    assert by_columns.column("n") == (1.0, 2)
+    assert RelationalTable(name="t", schema=schema, columns=((), ())).n_rows == 0
+
+
+def test_table_needs_one_source_and_equal_columns():
+    schema = (AttributeSpec("a"), AttributeSpec("b"))
+    with pytest.raises(TypeError):
+        RelationalTable(name="t", schema=schema)
+    with pytest.raises(TypeError):
+        RelationalTable(name="t", schema=schema, rows=(), columns=((), ()))
+    with pytest.raises(SchemaError, match="equal length"):
+        RelationalTable(name="t", schema=schema, columns=(("x", "y"), ("z",)))
+    with pytest.raises(SchemaError, match="equal length"):
+        RelationalTable(name="t", schema=schema, columns=(("x",),))
 
 
 # --- information systems ----------------------------------------------------
@@ -231,15 +252,31 @@ def test_bitmap_one_hot_per_attribute(table):
             assert sum((bm.columns[i] >> j) & 1 for i in cols) == 1
 
 
+def decode_bitmap(bitmap):
+    """Rows rebuilt from a one-hot bitmap: for each object, the value of the
+    one set item of every attribute, in item order."""
+    attrs = list(dict.fromkeys(it.attribute for it in bitmap.items))
+    rows = []
+    for j in range(bitmap.universe_size):
+        row = []
+        for a in attrs:
+            hits = [it.value for it, col in zip(bitmap.items, bitmap.columns)
+                    if it.attribute == a and (col >> j) & 1]
+            assert len(hits) == 1
+            row.append(hits[0])
+        rows.append(tuple(row))
+    return attrs, tuple(rows)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_tables())
 def test_bitmap_round_trip(table):
     # Cell-for-cell reconstruction: an empty table encodes to zero items, so
     # attribute names are only recoverable when rows exist.
-    decoded = table_from_bitmap(bitmap_encode(table))
-    assert decoded.rows == table.rows
+    attrs, rows = decode_bitmap(bitmap_encode(table))
+    assert rows == table.rows
     if table.n_rows:
-        assert decoded.attribute_names == table.attribute_names
+        assert tuple(attrs) == table.attribute_names
 
 
 @settings(max_examples=60, deadline=None)

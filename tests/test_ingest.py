@@ -4,8 +4,6 @@ from starminer.datamodel import QUANTITATIVE, AttributeSpec, RelationalTable
 from starminer.errors import DataError, SchemaError
 from starminer.ingest import (
     JoinSpec,
-    MappingFunction,
-    apply_mapping_function,
     discretize,
     join_tables,
     load_csv,
@@ -177,55 +175,6 @@ def test_join_unknown_projection_table():
     spec = JoinSpec(fact_table="fact", links=(), projected_attrs=(("ghost", "v"),))
     with pytest.raises(SchemaError, match="ghost"):
         join_tables([fact], spec)
-
-
-# --- mapping functions ----------------------------------------------------------
-
-def test_mapping_one_to_one():
-    t = table("t", ["city"], (("Melb",),))
-    fn = MappingFunction(("city",), ("region",), ((("Melb",), ("VIC",)),))
-    out = apply_mapping_function(t, fn)
-    assert out.attribute_names == ("city", "region")
-    assert out.rows == (("Melb", "VIC"),)
-
-
-def test_mapping_two_target_columns():
-    t = table("t", ["sku"], (("s1",),))
-    fn = MappingFunction(("sku",), ("cat", "subcat"), ((("s1",), ("food", "dairy")),))
-    out = apply_mapping_function(t, fn)
-    assert out.rows == (("s1", "food", "dairy"),)
-
-
-def test_mapping_one_to_many_multiplies_rows():
-    # enumerate mapping by hand: Syd maps to two regions
-    t = table("t", ["city"], (("Syd",),))
-    fn = MappingFunction(
-        ("city",),
-        ("region",),
-        ((("Melb",), ("VIC",)), (("Syd",), ("NSW-a",)), (("Syd",), ("NSW-b",))),
-    )
-    out = apply_mapping_function(t, fn)
-    assert out.rows == (("Syd", "NSW-a"), ("Syd", "NSW-b"))
-
-
-def test_mapping_missing_source_tuple_named():
-    t = table("t", ["city"], (("Perth",),))
-    fn = MappingFunction(("city",), ("region",), ((("Melb",), ("VIC",)),))
-    with pytest.raises(DataError, match="Perth"):
-        apply_mapping_function(t, fn)
-
-
-def test_mapping_duplicate_pairs_deduplicated():
-    fn = MappingFunction(
-        ("city",), ("region",),
-        ((("Melb",), ("VIC",)), (("Melb",), ("VIC",))),
-    )
-    assert fn.mapping == ((("Melb",), ("VIC",)),)
-
-
-def test_mapping_rejects_numeric_targets():
-    with pytest.raises(SchemaError):
-        MappingFunction(("city",), ("pop",), ((("Melb",), (5_000_000,)),))
 
 
 # --- discretization --------------------------------------------------------------

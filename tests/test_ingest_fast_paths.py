@@ -12,11 +12,12 @@ import math
 import tempfile
 from itertools import product
 from pathlib import Path
+from unittest.mock import patch
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from starminer import datamodel
+from starminer import datamodel, ingest
 from starminer.datamodel import (
     QUANTITATIVE,
     AttributeSpec,
@@ -246,7 +247,12 @@ CAT = KIND_SPEC["cat"](1)
 @example(((NUM, CAT), [(1.0, 5), (math.nan, "a")]))
 def test_bulk_validation_matches_cell_scan(table):
     schema, rows = table
-    assert outcome(lambda: build(schema, rows)) == outcome(lambda: scan_cells("t", schema, rows))
+    expected = outcome(lambda: scan_cells("t", schema, rows))
+    assert outcome(lambda: build(schema, rows)) == expected
+    if schema and all(len(row) == len(schema) for row in rows):
+        columns = list(zip(*rows)) if rows else [()] * len(schema)
+        built = outcome(lambda: RelationalTable(name="t", schema=schema, columns=columns).rows)
+        assert built == expected
 
 
 def test_plain_table_skips_the_cell_scan(monkeypatch):
@@ -279,19 +285,51 @@ BAD_LINES = st.sampled_from(
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(body=st.lists(st.one_of(GOOD_LINES, BAD_LINES), max_size=6), trailing_newline=st.booleans())
-@example(body=["t1,x,Melb", 't1,1,"Melb"'], trailing_newline=True)
-@example(body=['t1,1,"Melb"', "t1,x,Melb"], trailing_newline=True)
-@example(body=["t1,1,Melb", "t1,1", 't1,1,"Melb"'], trailing_newline=False)
-@example(body=["t1,1,Melb", ""], trailing_newline=True)
-def test_load_csv_matches_line_parser(body, trailing_newline):
+@given(
+    body=st.lists(st.one_of(GOOD_LINES, BAD_LINES), max_size=6),
+    trailing_newline=st.booleans(),
+    chunk=st.integers(1, 4),
+)
+@example(body=["t1,x,Melb", 't1,1,"Melb"'], trailing_newline=True, chunk=4)
+@example(body=['t1,1,"Melb"', "t1,x,Melb"], trailing_newline=True, chunk=4)
+@example(body=["t1,1,Melb", "t1,1", 't1,1,"Melb"'], trailing_newline=False, chunk=4)
+@example(body=["t1,1,Melb", ""], trailing_newline=True, chunk=4)
+@example(body=["t1,1,Melb", "t2,2.5,Perth", "t1,x,Melb", "t1,1"], trailing_newline=True, chunk=2)
+def test_load_csv_matches_line_parser(body, trailing_newline, chunk):
+    # chunks of 1 to 4 lines put chunk boundaries between every pair of rows
     text = "\n".join(["tid,qty,city", *body]) + ("\n" if trailing_newline else "")
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, patch.object(ingest, "_CHUNK_LINES", chunk):
         path = Path(tmp) / "fact.csv"
         path.write_text(text, encoding="utf-8")
         fast = outcome(lambda: load_csv(path, LOAD_SCHEMA).rows)
         slow = outcome(lambda: scan_load_csv(path, LOAD_SCHEMA))
     assert fast == slow
+
+
+def one_object_per_value(column):
+    return len(set(map(id, column))) == len(set(column))
+
+
+def test_columns_hold_one_object_per_distinct_value(tmp_path):
+    fact = tmp_path / "fact.csv"
+    fact.write_text(
+        "tid,qty,city\n" + "".join(f"t{i % 7},{i % 3}.5,{('Melb', 'Perth')[i % 2]}\n" for i in range(50)),
+        encoding="utf-8",
+    )
+    dim = tmp_path / "city.csv"
+    dim.write_text("city,state\nMelb,VIC\nPerth,WA\n", encoding="utf-8")
+    with patch.object(ingest, "_CHUNK_LINES", 8):
+        loaded = load_csv(fact, LOAD_SCHEMA)
+        city = load_csv(dim, (AttributeSpec("city"), AttributeSpec("state")))
+    general = join_tables(
+        [loaded, city],
+        JoinSpec(fact_table="fact", links=(("city", "city", "city"),),
+                 projected_attrs=(("fact", "tid"), ("fact", "qty"), ("city", "state"))),
+    )
+    binned = discretize(general, "qty")
+    for table in (loaded, general, binned):
+        assert table.n_rows == 50
+        assert all(map(one_object_per_value, table.columns))
 
 
 # --- discretize -------------------------------------------------------------
@@ -344,6 +382,10 @@ def test_discretize_matches_bin_search(values, pos):
 )
 @example(fact_keys=[("a", "x")], p_keys=["a", "a"], q_keys=["x"], projection=[("p", "pv")], width=1)
 @example(fact_keys=[("d", "z"), ("d", "x")], p_keys=["a"], q_keys=["x"], projection=[("fact", "tid")], width=1)
+@example(  # every dimension key unique: the one-to-one mapping path
+    fact_keys=[("a", "x"), ("b", "y"), ("c", "x"), ("a", "y")], p_keys=["c", "a", "b"], q_keys=["y", "x"],
+    projection=[("q", "qv"), ("fact", "tid"), ("p", "pv"), ("fact", "pk")], width=4,
+)
 def test_join_matches_product_loop(fact_keys, p_keys, q_keys, projection, width):
     def table(name, names, rows):
         return RelationalTable(name=name, schema=tuple(AttributeSpec(n) for n in names), rows=tuple(rows))
@@ -378,5 +420,5 @@ def test_combine_dims_and_group_by_key_match_loops(rows, n_selected, filters):
     lines, md_rows = scan_combine_dims(general, "K", selected, filters)
     assert (registry.csv_lines(), md.rows) == (lines, md_rows)
 
-    view = group_by_key(MdTable(rows=md.rows + md.rows[:3]))
+    view = group_by_key(MdTable(keys=md.keys + md.keys[:3], codes=md.codes + md.codes[:3]))
     assert (view.groups, view.code_universe) == scan_group_by_key(md)

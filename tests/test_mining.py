@@ -9,6 +9,7 @@ from starminer.errors import DataError
 from starminer.mapcode import MdTable
 from starminer.mining import (
     TransactionView,
+    _count_slice,
     apriori_baseline,
     brute_force_frequent,
     build_item_extents,
@@ -44,7 +45,7 @@ def by_items(itemsets):
 # --- group_by_key -------------------------------------------------------------
 
 def test_group_by_key_unions_codes_per_key():
-    md = MdTable(rows=(("t1", "0001"), ("t1", "0002"), ("t2", "0001")))
+    md = MdTable(keys=("t1", "t1", "t2"), codes=("0001", "0002", "0001"))
     view = group_by_key(md)
     assert view.groups == (
         ("t1", frozenset({"0001", "0002"})),
@@ -54,13 +55,13 @@ def test_group_by_key_unions_codes_per_key():
 
 
 def test_group_by_key_empty():
-    view = group_by_key(MdTable(rows=()))
+    view = group_by_key(MdTable(keys=(), codes=()))
     assert view.groups == ()
     assert view.code_universe == ()
 
 
 def test_group_by_key_duplicate_pairs_keep_set_semantics():
-    md = MdTable(rows=(("t1", "0001"), ("t1", "0001")))
+    md = MdTable(keys=("t1", "t1"), codes=("0001", "0001"))
     view = group_by_key(md)
     assert view.groups == (("t1", frozenset({"0001"})),)
 
@@ -150,6 +151,13 @@ def test_fi_gen_parallel_matches_serial():
     assert [(f.items, f.support_count) for f in serial] == [
         (f.items, f.support_count) for f in parallel
     ]
+
+
+def test_count_slice_keeps_only_frequent_candidates_in_order():
+    masks = {("a",): 0b1111, ("b",): 0b0111}
+    singles = {"b": 0b0111, "c": 0b0001, "d": 0b1110}
+    counted = _count_slice([("a", "b"), ("a", "c"), ("a", "d"), ("b", "d")], masks, singles, 2)
+    assert counted == [(("a", "b"), 0b0111, 3), (("a", "d"), 0b1110, 3), (("b", "d"), 0b0110, 2)]
 
 
 def test_exact_threshold_at_sub_percent_minsup():

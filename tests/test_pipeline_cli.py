@@ -1,10 +1,14 @@
+import errno
 import json
+import os
 import random
 
 import pytest
 
 from starminer.cli import main
+from starminer.datamodel import RelationalTable
 from starminer.errors import AgreementError
+from starminer.mapcode import MdTable
 from starminer.pipeline import RunConfig, run_benchmark, run_pipeline
 
 
@@ -422,3 +426,72 @@ def test_cli_load_failures_are_classified_one_liners(tmp_path, capsys, fact_byte
         assert err.count("\n") == 1
     else:
         assert err == ""
+
+
+# --- column storage and artifact writes --------------------------------------
+
+STAR_FLAGS = [
+    "--synth", "300", "--seed", "5",
+    "--join", "customer_id:customer:customer_id", "--join", "product_id:product:product_id",
+    "--join", "time_id:times:time_id", "--join", "channel_id:channel:channel_id",
+    "--bins", "year=y1998:1998:1999,y1999:1999:2000,y2000on:2000:2010",
+    "--filter", "year=y1998", "--filter", "year=y2000on",
+    "--key-dim", "tid", "--combine-dims", "age_group,product_name", "--minsup", "0.02",
+]
+
+
+@pytest.mark.parametrize("dim_rows", ["a,x\nb,y\n", "a,x\na,z\nb,y\n", None],
+                         ids=["one-to-one", "duplicate-keys", "synth-star"])
+def test_cli_never_builds_row_tuples(tmp_path, monkeypatch, dim_rows):
+    def forbidden(self):
+        raise AssertionError("a pipeline stage read the row view")
+
+    monkeypatch.setattr(RelationalTable, "rows", property(forbidden))
+    monkeypatch.setattr(MdTable, "rows", property(forbidden))
+    if dim_rows is None:
+        flags = STAR_FLAGS
+    else:
+        fact = tmp_path / "fact.csv"
+        fact.write_text("tid,A,B\nt1,a,5\nt1,b,50\nt2,a,5\nt3,b,7\n", encoding="utf-8")
+        dim = tmp_path / "dim.csv"
+        dim.write_text("A,C\n" + dim_rows, encoding="utf-8")
+        flags = ["--fact", str(fact), "--dim", f"d={dim}", "--join", "A:d:A",
+                 "--bins", "B=lo:0:10,hi:10:100", "--filter", "B=lo",
+                 "--key-dim", "tid", "--combine-dims", "B,C", "--minsup", "0.3"]
+    code = run_cli(*flags, "--minconf", "0.5", "--algorithm", "both", "--out", str(tmp_path / "out"))
+    assert code == 0
+
+
+def test_failed_artifact_write_leaves_each_file_old_or_new(tmp_path, monkeypatch):
+    baskets = tmp_path / "baskets.csv"
+    baskets.write_text("TID,item\n1,a\n1,b\n2,a\n2,b\n3,a\n", encoding="utf-8")
+
+    def config(out, minsup, **extra):
+        return RunConfig(out_dir=str(tmp_path / out), fact=str(baskets), key_dim="TID",
+                         selected_dims=("item",), repeatable_dims=("item",),
+                         minsup=minsup, minconf="0.5", **extra)
+
+    def artifacts(out):
+        return {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+
+    run_pipeline(config("out", "0.9"))
+    old = artifacts("out")
+    run_pipeline(config("fresh", "0.5", algorithm="both"))
+    new = artifacts("fresh")
+
+    replace, written = os.replace, []
+
+    def third_replace_fails(src, dst):
+        written.append(os.path.basename(dst))
+        if len(written) == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", third_replace_fails)
+    with pytest.raises(ValueError, match="cannot write artifacts"):
+        run_pipeline(config("out", "0.5", algorithm="both"))
+    after = artifacts("out")
+    assert set(after) == set(old)  # no temporary file is left behind
+    assert all(old[name] != new[name] for name in written)
+    assert [after[name] for name in written] == [new[written[0]], new[written[1]], old[written[2]]]
+    assert all(after[name] in (old[name], new[name]) for name in after)
