@@ -349,9 +349,6 @@ class BitmapTable:
                     f"bitmap column for item {item.name!r} exceeds universe size "
                     f"{self.universe_size}"
                 )
-        object.__setattr__(
-            self, "_by_key", {(it.attribute, it.value): i for i, it in enumerate(self.items)}
-        )
 
     def support_count(self, index: int) -> int:
         return self.columns[index].bit_count()
@@ -363,12 +360,6 @@ class BitmapTable:
     def column_bits(self, index: int) -> list[int]:
         col = self.columns[index]
         return [(col >> j) & 1 for j in range(self.universe_size)]
-
-    def index_of(self, attribute: str, value: str) -> int:
-        try:
-            return self._by_key[(attribute, value)]  # type: ignore[attr-defined]
-        except KeyError:
-            raise SchemaError(f"bitmap has no item for ({attribute!r}, {value!r})") from None
 
 
 def int_from_bit_positions(positions: Iterable[int], n_bits: int) -> int:

@@ -1,16 +1,16 @@
 """Combined-dimension mapping codes.
 
 Every distinct value combination of the selected dimensions gets one short
-decimal code; the (key value, code) pairs form the table the miner groups
-into transactions, and after mining the codes expand back into their
-dimension/value pairs.
+decimal code. Each kept row becomes one (key value, code) pair, held as a key
+column and a code column. The miner groups those columns by code, where a
+repeated pair only repeats a group index, so pairs are not deduplicated here.
+After mining, the codes expand back into their dimension/value pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -85,8 +85,9 @@ class MapCodeRegistry:
 
 @dataclass(frozen=True)
 class MdTable:
-    """(key value, code) pairs in first-encounter order, duplicates collapsed,
-    held as a key column and a code column; ``rows`` derives the pairs."""
+    """One (key value, code) pair per kept row, in row order, held as a key
+    column and a code column; a pair may repeat. ``rows`` derives the
+    distinct pairs in first-encounter order."""
 
     keys: tuple[str, ...]
     codes: tuple[str, ...]
@@ -99,7 +100,7 @@ class MdTable:
 
     @property
     def rows(self) -> tuple[tuple[str, str], ...]:
-        return tuple(zip(self.keys, self.codes))
+        return tuple(dict.fromkeys(zip(self.keys, self.codes)))
 
 
 @dataclass(frozen=True)
@@ -138,9 +139,9 @@ def combine_dims(
     """Assign codes to selected-dimension combinations and emit key/code pairs.
 
     Codes go to the distinct value combinations in first-encounter order;
-    each row then maps through them to its (key value, code) pair.
-    ``filters`` restricts rows to those whose value for each filtered
-    dimension is in the allowed set.
+    each kept row then maps through them to its (key value, code) pair, so
+    the table holds one pair per kept row. ``filters`` restricts rows to
+    those whose value for each filtered dimension is in the allowed set.
     """
     selected = tuple(selected_dims)
     if not selected:
@@ -168,14 +169,13 @@ def combine_dims(
     chosen = [general.columns[p] for p in sel_pos]
     if filt:
         masks = [map(allowed.__contains__, general.columns[pos]) for pos, allowed in filt]
-        keep = list(map(all, zip(*masks)))
+        keep = list(masks[0] if len(masks) == 1 else map(all, zip(*masks)))
         keys = tuple(compress(keys, keep))
         chosen = [tuple(compress(column, keep)) for column in chosen]
 
     registry = MapCodeRegistry(selected)
     code_of = {combo: registry.encode(combo) for combo in dict.fromkeys(zip(*chosen))}
-    pairs = dict.fromkeys(zip(keys, map(code_of.__getitem__, zip(*chosen))))
-    return registry, MdTable(keys=map(itemgetter(0), pairs), codes=map(itemgetter(1), pairs))
+    return registry, MdTable(keys=keys, codes=map(code_of.__getitem__, zip(*chosen)))
 
 
 def transform_map_code(

@@ -1,10 +1,17 @@
 """Frequent-itemset engines over keyed transaction groups.
 
+A :class:`TransactionView` stores the groups by code, in the vertical layout
+of Zaki's "Scalable algorithms for association mining": for each code, the
+indices of the groups that carry it. :func:`group_by_key` builds it from the
+(key, code) columns without a container per group; the per-group code sets
+the scanning miners need are derived from it once, on first use.
+
 Three miners share one output contract and are cross-checked in the tests:
 
-* :func:`fi_gen` scans the groups once to build a bit-vector extent per code
-  (the equivalence class of groups agreeing on "code present"), then counts
-  every higher-level candidate by intersecting extents. One full scan total.
+* :func:`fi_gen` makes one pass over the view to build a bit-vector extent
+  per code (the equivalence class of groups agreeing on "code present"), then
+  counts every higher-level candidate by intersecting extents. One full scan
+  total.
 * :func:`apriori_baseline` is the classic level-wise miner: each level with a
   non-empty candidate set rescans every group and looks up the group's
   k-subsets among the candidates.
@@ -23,16 +30,24 @@ decimal repr), and an itemset is frequent iff its count reaches
 from __future__ import annotations
 
 import math
+import re
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .datamodel import BitmapTable, Item, int_from_bit_positions
+from .datamodel import int_from_bit_positions
 from .errors import DataError
+
+
+# Fraction("1e-N") computes 10**N, so an exponent of eleven digits hangs it.
+# Bound it by Python's limit on int-string digits, far past any usable value.
+_MAX_EXPONENT = sys.int_info.default_max_str_digits
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def exact_fraction(x: float | str | Fraction | int) -> Fraction:
@@ -40,7 +55,8 @@ def exact_fraction(x: float | str | Fraction | int) -> Fraction:
 
     Floats go through ``str()`` so that 0.0045 means 9/2000, not the nearest
     binary double; thresholds at values like 0.45% would otherwise be off by
-    one on large group counts.
+    one on large group counts. A string whose decimal exponent is beyond
+    ``±_MAX_EXPONENT`` is a ValueError.
     """
     if isinstance(x, Fraction):
         return x
@@ -50,9 +66,18 @@ def exact_fraction(x: float | str | Fraction | int) -> Fraction:
         return Fraction(x)
     if isinstance(x, float):
         if math.isnan(x) or math.isinf(x):
-            raise ValueError(f"threshold {x!r} is not finite")
+            raise ValueError(f"{x!r} is not finite")
         return Fraction(str(x))
-    return Fraction(str(x).strip())
+    text = str(x).strip()
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > _MAX_EXPONENT or int(digits or "0") > _MAX_EXPONENT:
+            raise ValueError(f"{text!r} has a decimal exponent beyond ±{_MAX_EXPONENT}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{text!r} is not a number") from None
 
 
 def _validate_minsup(minsup: float | str | Fraction) -> Fraction:
@@ -68,35 +93,66 @@ def support_threshold(minsup: float | str | Fraction, n_groups: int) -> int:
     return max(1, math.ceil(f * n_groups))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransactionView:
-    """Key-dimension groups and the code set each group carries.
+    """Key-dimension groups, stored by code.
 
-    Groups keep first-occurrence order; ``code_universe`` is the sorted list
-    of every code present in any group, derived from the groups.
+    ``keys`` holds the distinct group keys in first-occurrence order, so group
+    ``j`` is ``keys[j]``. ``members[c]`` lists the indices of the groups that
+    carry code ``c``; a list may repeat an index, so a support is never read
+    off a list's length. ``code_universe`` is the sorted list of the codes
+    ``members`` holds. ``group_sets``, each group's code set, is derived on
+    first use and cached for the miners that scan groups; ``groups`` pairs
+    the sets with their keys. Views are equal when their groups are.
     """
 
-    groups: tuple[tuple[str, frozenset[str]], ...]
+    keys: tuple[str, ...]
+    members: Mapping[str, Sequence[int]]
     code_universe: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        groups = tuple((k, frozenset(c)) for k, c in self.groups)
-        if len(set(map(itemgetter(0), groups))) != len(groups):
+        object.__setattr__(self, "keys", tuple(self.keys))
+        if len(frozenset(self.keys)) != len(self.keys):
             raise DataError("transaction view has duplicate key values")
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(
-            self, "code_universe", tuple(sorted(frozenset().union(*map(itemgetter(1), groups))))
-        )
+        object.__setattr__(self, "code_universe", tuple(sorted(self.members)))
 
     @classmethod
     def from_groups(
         cls, groups: Iterable[tuple[str, Iterable[str]]]
     ) -> "TransactionView":
-        return cls(groups=groups)  # type: ignore[arg-type]
+        keys: list[str] = []
+        members: dict[str, list[int]] = {}
+        for j, (key, codes) in enumerate(groups):
+            keys.append(key)
+            for c in codes:
+                members.setdefault(c, []).append(j)
+        return cls(keys=keys, members=members)  # type: ignore[arg-type]
 
     @property
     def n_groups(self) -> int:
-        return len(self.groups)
+        return len(self.keys)
+
+    @cached_property
+    def group_sets(self) -> tuple[frozenset[str], ...]:
+        """Each group's code set, in group order; a repeated index collapses."""
+        codes_of: list = [[] for _ in self.keys]
+        for code, indices in self.members.items():
+            for j in indices:
+                codes_of[j].append(code)
+        # each list is replaced by its set as soon as it is converted, so the
+        # lists and the sets are not all alive at once
+        for j, codes in enumerate(codes_of):
+            codes_of[j] = frozenset(codes)
+        return tuple(codes_of)
+
+    @cached_property
+    def groups(self) -> tuple[tuple[str, frozenset[str]], ...]:
+        return tuple(zip(self.keys, self.group_sets))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TransactionView):
+            return NotImplemented
+        return self.groups == other.groups
 
 
 @dataclass(frozen=True)
@@ -144,34 +200,36 @@ class MiningStats:
 # MdTable lives in mapcode; group_by_key accepts anything with aligned .keys
 # and .codes columns to keep this module importable on its own.
 def group_by_key(md) -> TransactionView:
-    """Collect distinct key values in first-occurrence order and union each
-    key's codes into one set (duplicate pairs collapse)."""
-    codes_for: dict[str, list[str]] = {}
-    for key, code in zip(md.keys, md.codes):
-        codes_for.setdefault(key, []).append(code)
-    return TransactionView.from_groups(codes_for.items())
+    """Number the distinct key values in first-occurrence order, then append
+    each pair's key number to its code's list.
+
+    No per-group container is built; a repeated pair repeats an index.
+    """
+    keys = tuple(dict.fromkeys(md.keys))
+    index = dict(zip(keys, range(len(keys))))
+    members: dict[str, list[int]] = {}
+    for code, j in zip(md.codes, map(index.__getitem__, md.keys)):
+        try:
+            members[code].append(j)
+        except KeyError:
+            members[code] = [j]
+    return TransactionView(keys=keys, members=members)
 
 
 def build_item_extents(
     view: TransactionView, stats: MiningStats | None = None
-) -> BitmapTable:
-    """One pass over the groups producing a bit vector per code.
+) -> dict[str, int]:
+    """One pass over the view producing a bit vector per code.
 
-    Bit ``j`` of code ``c``'s column is set iff group ``j`` carries ``c``:
-    each column is the extent of the two-block partition that "has c" induces
-    on the groups.
+    Bit ``j`` of code ``c``'s mask is set iff group ``j`` carries ``c``: each
+    mask is the extent of the two-block partition that "has c" induces on the
+    groups. Codes come in ``code_universe`` order.
     """
-    hits: dict[str, list[int]] = {c: [] for c in view.code_universe}
-    for j, (_, codes) in enumerate(view.groups):
-        for c in codes:
-            hits[c].append(j)
+    n = view.n_groups
+    extents = {c: int_from_bit_positions(view.members[c], n) for c in view.code_universe}
     if stats is not None:
         stats.full_scans_of_groups += 1
-    items = tuple(
-        Item(id=i, attribute="code", value=c) for i, c in enumerate(view.code_universe)
-    )
-    columns = tuple(int_from_bit_positions(hits[c], view.n_groups) for c in view.code_universe)
-    return BitmapTable(items=items, columns=columns, universe_size=view.n_groups)
+    return extents
 
 
 def _next_candidates(
@@ -253,10 +311,7 @@ def fi_gen(
     n = view.n_groups
     threshold = support_threshold(f, n)
 
-    extents = build_item_extents(view, stats)
-    single_mask = {
-        item.value: col for item, col in zip(extents.items, extents.columns)
-    }
+    single_mask = build_item_extents(view, stats)
 
     result: list[FrequentItemset] = []
     stats.candidates_generated += len(view.code_universe)
@@ -353,7 +408,7 @@ def apriori_baseline(
 
     n = view.n_groups
     threshold = support_threshold(f, n)
-    group_sets = [codes for _, codes in view.groups]
+    group_sets = view.group_sets
 
     result: list[FrequentItemset] = []
 
@@ -416,7 +471,7 @@ def brute_force_frequent(
         )
     n = view.n_groups
     threshold = support_threshold(minsup, n)
-    group_sets = [codes for _, codes in view.groups]
+    group_sets = view.group_sets
 
     result: list[FrequentItemset] = []
     universe = list(view.code_universe)

@@ -90,6 +90,10 @@ class RunConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.synth_rows is not None:
+            # SynthSpec checks the same bounds, but as a data error
+            for name, low in _SYNTH_LOWER_BOUNDS.items():
+                if getattr(self, name) < low:
+                    raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
             if self.seed is None:
                 raise ValueError("synthetic data generation requires a seed")
             if self.fact is not None or self.dims:
@@ -106,8 +110,8 @@ class RunConfig:
             for name, value in (("minsup", self.minsup), ("minconf", self.minconf)):
                 try:
                     frac = exact_fraction(value)
-                except (ValueError, ZeroDivisionError):
-                    raise ValueError(f"{name} is not a number: {value!r}") from None
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from None
                 if not 0 < frac <= 1:
                     raise ValueError(f"{name} must be in (0, 1], got {value!r}")
 
@@ -196,6 +200,17 @@ _FIELD_SHAPES: dict[str, tuple[Callable[[Any], bool], str]] = {
     "synth_skew": (_is_number, "a number"),
     "seed": (_optional(_is_int), "an integer or null"),
     "workers": (_is_int, "an integer"),
+}
+
+
+# the least value SynthSpec accepts for each generator field
+_SYNTH_LOWER_BOUNDS = {
+    "synth_rows": 0,
+    "synth_customers": 1,
+    "synth_products": 1,
+    "synth_times": 1,
+    "synth_channels": 1,
+    "synth_skew": 0,
 }
 
 

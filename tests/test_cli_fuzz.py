@@ -149,11 +149,11 @@ PLAUSIBLE = {
     "selected_dims": [["A"], ["A", "B"], ["C"], [], "product_name", "A"],
     "filters": [[], [["A", "a"]], [["A", "a", "b"]], [["A"]]],
     "bins": [[], [["B", [["lo", 0, 10], ["hi", 10, 100]]]], [["B", [["lo", 0]]]], [["B", "lo:0:10"]]],
-    "minsup": ["0.5", 0.5, "1", "0", "x", 1, None],
-    "minconf": ["0.5", 0.5, "1", "2", None],
+    "minsup": ["0.5", 0.5, "1", "0", "x", 1, None, "1e-99999999999"],
+    "minconf": ["0.5", 0.5, "1", "2", None, "5E+99999999999"],
     "algorithm": ["rshar", "both", "apriori", "x"],
     "repeatable_dims": [[], ["A"], 7, "A"],
-    "synth_rows": [None, 0, 20, "100", 2.5],
+    "synth_rows": [None, 0, 20, "100", 2.5, -5],
     "synth_customers": [1, 5, 0],
     "synth_products": [1, 5, 0],
     "synth_times": [1, 5, 0],
@@ -215,6 +215,11 @@ MINING = {"out_dir": "{out}", "fact": "{fact}", "key_dim": "tid", "selected_dims
 @example(doc={**MINING, "filters": [["A", "a", "b"]]})
 @example(doc={"out_dir": "{out}", "synth_rows": 10, "seed": 1, "synth_products": 0})
 @example(doc={"out_dir": "{out}", "synth_rows": 10, "seed": 1, "synth_skew": 1e308})
+@example(doc={"out_dir": "{out}", "synth_rows": -5, "seed": 1})
+@example(doc={"out_dir": "{out}", "synth_rows": 10, "seed": 1, "synth_skew": -1})
+@example(doc={"out_dir": "{out}", "synth_rows": 10, "seed": 1, "synth_customers": 0, "key_dim": "tid"})
+@example(doc={**MINING, "minsup": "1e-99999999999"})
+@example(doc={**MINING, "minconf": "1E+99999999999"})
 def test_cli_on_arbitrary_config_documents_exits_with_a_one_line_message(doc):
     with tempfile.TemporaryDirectory() as tmp:
         code, message = run_config(tmp, doc)

@@ -407,10 +407,10 @@ def test_build_item_extents_matches_shift_or(n_groups, seed):
         (f"g{j}", rng.sample(codes, rng.randint(0, len(codes)))) for j in range(n_groups)
     )
     stats = MiningStats()
-    bm = build_item_extents(view, stats)
-    assert bm.columns == shift_or_extents(view)
-    assert [it.value for it in bm.items] == list(view.code_universe)
-    assert bm.universe_size == n_groups
+    extents = build_item_extents(view, stats)
+    assert tuple(extents.values()) == shift_or_extents(view)
+    assert tuple(extents) == view.code_universe
+    assert all(mask < 1 << n_groups for mask in extents.values())
     assert stats.full_scans_of_groups == 1
 
 

@@ -28,7 +28,14 @@ from starminer.datamodel import (
 from starminer.errors import DataError
 from starminer.ingest import JoinSpec, discretize, join_tables, load_csv
 from starminer.mapcode import MapCodeRegistry, MdTable, combine_dims
-from starminer.mining import group_by_key
+from starminer.mining import (
+    TransactionView,
+    apriori_baseline,
+    brute_force_frequent,
+    build_item_extents,
+    fi_gen,
+    group_by_key,
+)
 
 HUGE = 10**400  # finite, but math.isfinite(HUGE) raises OverflowError
 
@@ -170,7 +177,7 @@ def scan_combine_dims(general, key_dim, selected, filters):
 
 def scan_group_by_key(md):
     order, codes_for = [], {}
-    for key, code in md.rows:
+    for key, code in zip(md.keys, md.codes):
         if key not in codes_for:
             order.append(key)
             codes_for[key] = set()
@@ -422,3 +429,49 @@ def test_combine_dims_and_group_by_key_match_loops(rows, n_selected, filters):
 
     view = group_by_key(MdTable(keys=md.keys + md.keys[:3], codes=md.codes + md.codes[:3]))
     assert (view.groups, view.code_universe) == scan_group_by_key(md)
+
+
+@st.composite
+def shuffled_pairs(draw):
+    """(key, code) pairs over a few keys and codes, some repeated, shuffled."""
+    pairs = draw(st.lists(st.tuples(st.sampled_from(["k1", "k2", "k3", "k4", "k5", "k6"]),
+                                    st.sampled_from(["0001", "0002", "0003", "0004", "0005"])),
+                          max_size=20))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=8))
+    return draw(st.permutations(pairs))
+
+
+def supports(itemsets):
+    return sorted((fi.items, fi.support_count, fi.support) for fi in itemsets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=shuffled_pairs(),
+    empty_keys=st.lists(st.sampled_from(["e1", "e2", "e3"]), unique=True),
+    minsup=st.sampled_from(["0.1", "0.25", "0.5", "1"]),
+)
+@example(pairs=[("k1", "0001"), ("k1", "0001")], empty_keys=["e1"], minsup="0.5")
+def test_group_by_key_by_code_matches_set_per_key_loop(pairs, empty_keys, minsup):
+    md = MdTable(keys=[k for k, _ in pairs], codes=[c for _, c in pairs])
+    view = group_by_key(md)
+    groups, universe = scan_group_by_key(md)
+    assert (view.groups, view.code_universe, view.n_groups) == (groups, universe, len(groups))
+
+    extents = build_item_extents(view)
+    assert tuple(extents) == universe
+    for code, mask in extents.items():
+        carriers = [j for j, (_, codes) in enumerate(groups) if code in codes]
+        assert mask == sum(1 << j for j in carriers)
+
+    with_empty = groups + tuple((key, frozenset()) for key in empty_keys)
+    round_trip = TransactionView.from_groups(with_empty)
+    assert round_trip.groups == with_empty
+    assert round_trip.n_groups == len(with_empty)
+    assert TransactionView.from_groups(groups) == view
+
+    for v in (view, round_trip):
+        oracle = supports(brute_force_frequent(v, minsup))
+        assert supports(fi_gen(v, minsup)[0]) == oracle
+        assert supports(apriori_baseline(v, minsup)[0]) == oracle

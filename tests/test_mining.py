@@ -77,22 +77,18 @@ def test_view_derives_sorted_universe_and_rejects_duplicate_keys():
 
 def test_extents_read_off_groups():
     view = TransactionView.from_groups([("t1", {"a", "b"}), ("t2", {"a"})])
-    bm = build_item_extents(view)
-    assert bm.column_bits(bm.index_of("code", "a")) == [1, 1]
-    assert bm.column_bits(bm.index_of("code", "b")) == [1, 0]
+    assert build_item_extents(view) == {"a": 0b11, "b": 0b01}
 
 
 def test_extents_empty_view():
-    bm = build_item_extents(TransactionView.from_groups([]))
-    assert bm.items == ()
+    assert build_item_extents(TransactionView.from_groups([])) == {}
 
 
 def test_extent_hand_construction():
     view = TransactionView.from_groups(
         [("g0", {"c"}), ("g1", set()), ("g2", set()), ("g3", {"c"})]
     )
-    bm = build_item_extents(view)
-    assert bm.column_bits(0) == [1, 0, 0, 1]
+    assert build_item_extents(view) == {"c": 0b1001}
 
 
 def test_extents_count_one_scan():
@@ -278,8 +274,7 @@ def test_bitmap_support_identity(seed):
     view = random_view(rng, max_codes=6, max_groups=20)
     if not view.code_universe:
         return
-    bm = build_item_extents(view)
-    masks = {it.value: col for it, col in zip(bm.items, bm.columns)}
+    masks = build_item_extents(view)
     universe = list(view.code_universe)
     for size in (1, 2, 3):
         if size > len(universe):

@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from starminer.cli import main
 from starminer.datamodel import RelationalTable
 from starminer.errors import AgreementError
 from starminer.mapcode import MdTable
+from starminer.mining import TransactionView
 from starminer.pipeline import RunConfig, run_benchmark, run_pipeline
 
 
@@ -241,6 +243,50 @@ def test_cli_minsup_zero_rejected_before_any_work(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("option", ["minsup", "minconf"])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_cli_threshold_with_a_huge_exponent_is_a_usage_error_naming_it(tmp_path, capsys, option, via_config):
+    values = {"minsup": "0.5", "minconf": "0.5", option: "1e-99999999999"}
+    fact = write_people_csv(tmp_path)
+    out = str(tmp_path / "out")
+    if via_config:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"out_dir": out, "fact": str(fact), "key_dim": "TID",
+                                      "selected_dims": ["age"], **values}), encoding="utf-8")
+        argv = ["--config", str(config)]
+    else:
+        argv = ["--fact", str(fact), "--key-dim", "TID", "--combine-dims", "age", "--out", out,
+                "--minsup", values["minsup"], "--minconf", values["minconf"]]
+    start = time.perf_counter()
+    code = run_cli(*argv)
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"starminer: usage error: {option}: ")
+    assert "exponent" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("synth_rows", -5), ("synth_customers", 0), ("synth_products", 0), ("synth_times", 0),
+     ("synth_channels", -1), ("synth_skew", -0.5)],
+)
+def test_synth_size_out_of_range_is_a_usage_error_naming_it(tmp_path, capsys, field, value):
+    config = tmp_path / "run.json"
+    doc = {"out_dir": str(tmp_path / "out"), "synth_rows": 10, "seed": 1, field: value}
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("--config", str(config)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"starminer: usage error: {field} must be >= ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out" / "data").exists()
+
+
+def test_cli_negative_synth_rows_is_a_usage_error(tmp_path, capsys):
+    assert run_cli("--synth", "-5", "--seed", "1", "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith("starminer: usage error: synth_rows must be >= 0")
+
+
 def test_cli_requires_out(tmp_path):
     assert run_cli("--synth", "10", "--seed", "1") == 1
 
@@ -459,6 +505,16 @@ def test_cli_never_builds_row_tuples(tmp_path, monkeypatch, dim_rows):
                  "--bins", "B=lo:0:10,hi:10:100", "--filter", "B=lo",
                  "--key-dim", "tid", "--combine-dims", "B,C", "--minsup", "0.3"]
     code = run_cli(*flags, "--minconf", "0.5", "--algorithm", "both", "--out", str(tmp_path / "out"))
+    assert code == 0
+
+
+def test_rshar_run_builds_no_per_group_container(tmp_path, monkeypatch):
+    def forbidden(self):
+        raise AssertionError("the rshar path derived per-group code sets")
+
+    monkeypatch.setattr(TransactionView, "group_sets", property(forbidden))
+    monkeypatch.setattr(TransactionView, "groups", property(forbidden))
+    code = run_cli(*STAR_FLAGS, "--minconf", "0.5", "--out", str(tmp_path / "out"))
     assert code == 0
 
 
