@@ -12,13 +12,9 @@ from .datamodel import (
     AttributeSpec,
     Bin,
     BitmapTable,
-    EquivalenceClassPartition,
-    InformationSystem,
     Item,
     RelationalTable,
     bitmap_encode,
-    build_information_system,
-    partition_by_attributes,
 )
 from .errors import AgreementError, DataError, SchemaError, StarMinerError
 from .ingest import (
@@ -46,7 +42,7 @@ from .mining import (
     group_by_key,
     support_threshold,
 )
-from .pipeline import BenchReport, PipelineResult, RunConfig, run_benchmark, run_pipeline
+from .pipeline import BenchReport, PipelineResult, RunConfig, run_pipeline
 from .rules import AssociationRule, DimensionPolicy, format_rule, gen_rules
 from .synth import SynthSpec, generate_sales
 
@@ -62,9 +58,7 @@ __all__ = [
     "DataError",
     "DecodedItemset",
     "DimensionPolicy",
-    "EquivalenceClassPartition",
     "FrequentItemset",
-    "InformationSystem",
     "Item",
     "JoinSpec",
     "MapCodeRegistry",
@@ -80,7 +74,6 @@ __all__ = [
     "apriori_baseline",
     "bitmap_encode",
     "brute_force_frequent",
-    "build_information_system",
     "build_item_extents",
     "combine_dims",
     "discretize",
@@ -92,8 +85,6 @@ __all__ = [
     "group_by_key",
     "join_tables",
     "load_csv",
-    "partition_by_attributes",
-    "run_benchmark",
     "run_pipeline",
     "support_threshold",
     "transform_map_code",

@@ -89,7 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, help="RNG seed (required with --synth)")
     p.add_argument("--out", metavar="DIR", help="output directory")
-    p.add_argument("--workers", type=int, help="parallel support-counting workers (default 1)")
+    p.add_argument(
+        "--workers",
+        type=int,
+        help="parallel support-counting threads (default 1, capped at the CPU count)",
+    )
     return p
 
 

@@ -1,8 +1,7 @@
-"""Core tabular, bitmap, and equivalence-class data structures.
+"""Core tabular and bitmap data structures.
 
-Everything here is immutable after construction, so instances can be shared
-with parallel workers without locking. Builders validate their invariants
-eagerly and raise :class:`SchemaError` or :class:`DataError`.
+Everything here is immutable after construction. Builders validate their
+invariants eagerly and raise :class:`SchemaError` or :class:`DataError`.
 """
 
 from __future__ import annotations
@@ -245,68 +244,6 @@ class RelationalTable:
 
 
 @dataclass(frozen=True)
-class InformationSystem:
-    """A universe of objects with a total value function over attributes.
-
-    ``values`` is row-aligned with ``universe``: ``values[i][j]`` is the value
-    of attribute ``attributes[j]`` on object ``universe[i]``. Totality (no
-    missing cells) is guaranteed by construction.
-    """
-
-    universe: tuple[int, ...]
-    attributes: tuple[str, ...]
-    values: tuple[tuple[Atom, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "universe", tuple(self.universe))
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "values", tuple(tuple(r) for r in self.values))
-        if len(set(self.universe)) != len(self.universe):
-            raise SchemaError("information system: duplicate object ids")
-        if len(set(self.attributes)) != len(self.attributes):
-            raise SchemaError("information system: duplicate attribute names")
-        if len(self.values) != len(self.universe):
-            raise SchemaError("information system: one value row required per object")
-        for row in self.values:
-            if len(row) != len(self.attributes):
-                raise SchemaError("information system: value row arity mismatch")
-        object.__setattr__(self, "_obj_pos", {o: i for i, o in enumerate(self.universe)})
-        object.__setattr__(self, "_attr_pos", {a: j for j, a in enumerate(self.attributes)})
-
-    def value(self, obj: int, attribute: str) -> Atom:
-        try:
-            i = self._obj_pos[obj]  # type: ignore[attr-defined]
-        except KeyError:
-            raise SchemaError(f"unknown object id {obj!r}") from None
-        try:
-            j = self._attr_pos[attribute]  # type: ignore[attr-defined]
-        except KeyError:
-            raise SchemaError(f"unknown attribute {attribute!r}") from None
-        return self.values[i][j]
-
-
-@dataclass(frozen=True)
-class EquivalenceClassPartition:
-    """Indiscernibility partition of a universe under an attribute set.
-
-    Classes are disjoint, cover the universe, and are listed in order of
-    their first-occurring member; members are in universe order.
-    """
-
-    attribute_set: frozenset[str]
-    classes: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "attribute_set", frozenset(self.attribute_set))
-        object.__setattr__(self, "classes", tuple(tuple(c) for c in self.classes))
-
-    def refines(self, coarser: "EquivalenceClassPartition") -> bool:
-        """True if every class here is contained in some class of ``coarser``."""
-        coarse = [set(c) for c in coarser.classes]
-        return all(any(set(c) <= big for big in coarse) for c in self.classes)
-
-
-@dataclass(frozen=True)
 class Item:
     """One (attribute, value) pair with a dense id.
 
@@ -350,13 +287,6 @@ class BitmapTable:
                     f"{self.universe_size}"
                 )
 
-    def support_count(self, index: int) -> int:
-        return self.columns[index].bit_count()
-
-    def positions(self, index: int) -> tuple[int, ...]:
-        col = self.columns[index]
-        return tuple(j for j in range(self.universe_size) if (col >> j) & 1)
-
     def column_bits(self, index: int) -> list[int]:
         col = self.columns[index]
         return [(col >> j) & 1 for j in range(self.universe_size)]
@@ -373,45 +303,6 @@ def int_from_bit_positions(positions: Iterable[int], n_bits: int) -> int:
     for j in positions:
         buf[j >> 3] |= 1 << (j & 7)
     return int.from_bytes(buf, "little")
-
-
-def build_information_system(table: RelationalTable) -> InformationSystem:
-    """View a table as objects 0..r-1 with a total value function.
-
-    Object identity is the row index; attribute order follows the schema.
-    """
-    return InformationSystem(
-        universe=tuple(range(table.n_rows)),
-        attributes=table.attribute_names,
-        values=table.rows,
-    )
-
-
-def partition_by_attributes(
-    sys: InformationSystem, attrs: Iterable[str]
-) -> EquivalenceClassPartition:
-    """Group objects that agree on every attribute in ``attrs``.
-
-    Classes come out in order of their first-occurring member, members in
-    universe order.
-    """
-    wanted = list(dict.fromkeys(attrs))
-    if not wanted:
-        raise SchemaError("partition requires at least one attribute")
-    for a in wanted:
-        if a not in sys.attributes:
-            raise SchemaError(f"unknown attribute {a!r}")
-    # Key on values in declared attribute order for determinism.
-    member = set(wanted)
-    positions = [j for j, a in enumerate(sys.attributes) if a in member]
-    groups: dict[tuple[Atom, ...], list[int]] = {}
-    for i, obj in enumerate(sys.universe):
-        key = tuple(sys.values[i][p] for p in positions)
-        groups.setdefault(key, []).append(obj)
-    return EquivalenceClassPartition(
-        attribute_set=frozenset(wanted),
-        classes=tuple(tuple(members) for members in groups.values()),
-    )
 
 
 def bitmap_encode(table: RelationalTable) -> BitmapTable:

@@ -67,9 +67,6 @@ class MapCodeRegistry:
     def __len__(self) -> int:
         return len(self._code_by_combo)
 
-    def __contains__(self, code: str) -> bool:
-        return code in self._combo_by_code
-
     def csv_lines(self) -> list[str]:
         """Audit export: one ``code,dim=value;dim=value`` line per entry."""
         lines = ["code,combo"]

@@ -30,6 +30,7 @@ decimal repr), and an itemset is frequent iff its count reaches
 from __future__ import annotations
 
 import math
+import os
 import re
 import sys
 import time
@@ -80,10 +81,15 @@ def exact_fraction(x: float | str | Fraction | int) -> Fraction:
         raise ValueError(f"{text!r} is not a number") from None
 
 
-def _validate_minsup(minsup: float | str | Fraction) -> Fraction:
-    f = exact_fraction(minsup)
+def threshold_in_range(name: str, value: float | str | Fraction) -> Fraction:
+    """``value`` as an exact fraction in (0, 1]; a ValueError naming the
+    option ``name`` otherwise."""
+    try:
+        f = exact_fraction(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
     if not 0 < f <= 1:
-        raise ValueError(f"minsup must be in (0, 1], got {minsup!r}")
+        raise ValueError(f"{name} must be in (0, 1], got {value!r}")
     return f
 
 
@@ -300,11 +306,14 @@ def fi_gen(
     the extent build, so ``full_scans_of_groups`` is always 1.
 
     ``workers`` > 1 splits candidate counting into contiguous slices handled
-    by a thread pool; output is byte-identical to the serial run.
+    by a thread pool of at most ``os.cpu_count()`` threads; output is
+    byte-identical to the serial run.
     """
-    f = _validate_minsup(minsup)
+    f = threshold_in_range("minsup", minsup)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    # one thread per slice, so an uncapped count could start a thread per candidate
+    workers = min(workers, os.cpu_count() or 1)
     stats = MiningStats()
     start = time.perf_counter()
 
@@ -402,7 +411,7 @@ def apriori_baseline(
     the number of levels that had a non-empty candidate set, which is the
     depth of the explored lattice.
     """
-    f = _validate_minsup(minsup)
+    f = threshold_in_range("minsup", minsup)
     stats = MiningStats()
     start = time.perf_counter()
 

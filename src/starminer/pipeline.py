@@ -26,9 +26,9 @@ from .mining import (
     FrequentItemset,
     MiningStats,
     apriori_baseline,
-    exact_fraction,
     fi_gen,
     group_by_key,
+    threshold_in_range,
 )
 from .rules import AssociationRule, DimensionPolicy, format_percent, format_rule, gen_rules
 from .synth import SynthSpec, generate_sales
@@ -105,15 +105,18 @@ class RunConfig:
                 raise ValueError("mining requires a fact table (or synth mode)")
             if not self.selected_dims:
                 raise ValueError("mining requires at least one combined dimension")
+            # combine_dims and JoinSpec check the same, but as schema errors
+            if len(set(self.selected_dims)) != len(self.selected_dims):
+                raise ValueError(f"selected_dims contains duplicates: {list(self.selected_dims)}")
+            if self.key_dim in self.selected_dims:
+                raise ValueError(f"key_dim {self.key_dim!r} cannot also be in selected_dims")
+            links = [(fact_key, dim) for fact_key, dim, _ in self.joins]
+            if len(set(links)) != len(links):
+                raise ValueError(f"joins links one fact key to one dimension twice: {links}")
             if self.minsup is None or self.minconf is None:
                 raise ValueError("mining requires both minsup and minconf")
-            for name, value in (("minsup", self.minsup), ("minconf", self.minconf)):
-                try:
-                    frac = exact_fraction(value)
-                except ValueError as exc:
-                    raise ValueError(f"{name}: {exc}") from None
-                if not 0 < frac <= 1:
-                    raise ValueError(f"{name} must be in (0, 1], got {value!r}")
+            threshold_in_range("minsup", self.minsup)
+            threshold_in_range("minconf", self.minconf)
 
     def to_dict(self) -> dict[str, Any]:
         def unwrap(value: Any) -> Any:
@@ -441,7 +444,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     decoded = transform_map_code(itemsets, registry)
     result.decoded = decoded
-    policy = DimensionPolicy.from_repeatable(config.repeatable_dims)
+    policy = DimensionPolicy(repeatable=config.repeatable_dims)
     rules = gen_rules(decoded, config.minconf, policy)
     result.rules = rules
 
@@ -526,11 +529,3 @@ def _write_artifacts(config: RunConfig, out: Path, result: PipelineResult) -> No
     except OSError as exc:
         raise ValueError(f"cannot write artifacts to {out}: {exc.strerror}") from None
 
-
-def run_benchmark(config: RunConfig) -> BenchReport:
-    """Run both algorithms on one dataset and return the comparison report."""
-    if config.algorithm != "both":
-        raise ValueError("run_benchmark requires algorithm='both'")
-    result = run_pipeline(config)
-    assert result.report is not None
-    return result.report

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DataError
 from .mapcode import DecodedItemset, Pair
-from .mining import exact_fraction
+from .mining import threshold_in_range
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,7 @@ class DimensionPolicy:
 
     Dimensions default to ``single``; list the repeatable ones explicitly
     (classically the purchase predicate, while time or location stay single).
+    ``repeatable`` may be any iterable of names; it is frozen on construction.
     """
 
     repeatable: frozenset[str] = frozenset()
@@ -32,18 +33,11 @@ class DimensionPolicy:
     def __post_init__(self) -> None:
         object.__setattr__(self, "repeatable", frozenset(self.repeatable))
 
-    @classmethod
-    def from_repeatable(cls, dims: Iterable[str]) -> "DimensionPolicy":
-        return cls(repeatable=frozenset(dims))
-
-    def is_repeatable(self, dimension: str) -> bool:
-        return dimension in self.repeatable
-
     def allows(self, pairs: Sequence[Pair]) -> bool:
         counts: dict[str, int] = {}
         for dim, _ in pairs:
             counts[dim] = counts.get(dim, 0) + 1
-        return all(n == 1 or self.is_repeatable(d) for d, n in counts.items())
+        return all(n == 1 or d in self.repeatable for d, n in counts.items())
 
 
 @dataclass(frozen=True)
@@ -121,9 +115,7 @@ def gen_rules(
     Output is sorted by support descending, then confidence descending, then
     lexicographically.
     """
-    conf_min = exact_fraction(minconf)
-    if not 0 < conf_min <= 1:
-        raise ValueError(f"minconf must be in (0, 1], got {minconf!r}")
+    conf_min = threshold_in_range("minconf", minconf)
     if policy is None:
         policy = DimensionPolicy()
     # full / ante < num / den, cross-multiplied: exact without a Fraction per split

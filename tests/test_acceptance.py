@@ -148,7 +148,7 @@ def test_criterion_3_hybrid_rule_reproduction():
         rules = gen_rules(
             transform_map_code(itemsets, registry),
             "0.8",
-            DimensionPolicy.from_repeatable(["Buy"]),
+            DimensionPolicy(repeatable=["Buy"]),
         )
         target = [
             r
@@ -227,7 +227,7 @@ def test_criterion_6_anti_monotonicity(bank_mined, table3_run):
 
 def test_criterion_7_rule_soundness_and_completeness(dataset_bank, bank_mined):
     with criterion(7, "rules equal brute-force split enumeration"):
-        policy = DimensionPolicy.from_repeatable(["item"])
+        policy = DimensionPolicy(repeatable=["item"])
         for (view, minsup), mined in zip(dataset_bank, bank_mined):
             decoded = [
                 DecodedItemset(

@@ -8,8 +8,6 @@ from starminer.datamodel import (
     Bin,
     RelationalTable,
     bitmap_encode,
-    build_information_system,
-    partition_by_attributes,
 )
 from starminer.errors import DataError, SchemaError
 
@@ -87,76 +85,6 @@ def test_table_needs_one_source_and_equal_columns():
         RelationalTable(name="t", schema=schema, columns=(("x",),))
 
 
-# --- information systems ----------------------------------------------------
-
-def test_information_system_from_three_row_age_table():
-    sys = build_information_system(age_table())
-    assert sys.universe == (0, 1, 2)
-    assert sys.attributes == ("age",)
-    assert sys.value(0, "age") == "Young"
-    assert sys.value(1, "age") == "Middle"
-    assert sys.value(2, "age") == "Middle"
-
-
-def test_information_system_empty_table():
-    t = RelationalTable(name="t", schema=(AttributeSpec("age"),), rows=())
-    sys = build_information_system(t)
-    assert sys.universe == ()
-    assert sys.attributes == ("age",)
-    assert sys.values == ()
-
-
-def test_information_system_singleton():
-    t = RelationalTable(
-        name="t", schema=(AttributeSpec("a"), AttributeSpec("b")), rows=(("x", "y"),)
-    )
-    sys = build_information_system(t)
-    assert sys.universe == (0,)
-    assert sys.value(0, "a") == "x"
-    assert sys.value(0, "b") == "y"
-
-
-# --- equivalence classes -----------------------------------------------------
-
-def test_partition_three_row_age():
-    sys = build_information_system(age_table())
-    part = partition_by_attributes(sys, {"age"})
-    assert part.classes == ((0,), (1, 2))
-
-
-def test_partition_all_attributes_of_duplicate_free_table():
-    t = RelationalTable(
-        name="t",
-        schema=(AttributeSpec("a"), AttributeSpec("b")),
-        rows=(("x", "p"), ("x", "q"), ("y", "p")),
-    )
-    part = partition_by_attributes(build_information_system(t), {"a", "b"})
-    assert part.classes == ((0,), (1,), (2,))
-
-
-def test_partition_six_object_colors():
-    # hand group-by: colors r,r,g,g,r,g
-    t = RelationalTable(
-        name="t",
-        schema=(AttributeSpec("color"),),
-        rows=(("r",), ("r",), ("g",), ("g",), ("r",), ("g",)),
-    )
-    part = partition_by_attributes(build_information_system(t), {"color"})
-    assert part.classes == ((0, 1, 4), (2, 3, 5))
-
-
-def test_partition_unknown_attribute_named_in_error():
-    sys = build_information_system(age_table())
-    with pytest.raises(SchemaError, match="bogus"):
-        partition_by_attributes(sys, {"bogus"})
-
-
-def test_partition_requires_attributes():
-    sys = build_information_system(age_table())
-    with pytest.raises(SchemaError):
-        partition_by_attributes(sys, set())
-
-
 # --- bitmap encoding ---------------------------------------------------------
 
 def test_bitmap_encode_age_column():
@@ -187,7 +115,7 @@ def test_bitmap_encode_two_attrs_all_combos():
     assert bm.column_bits(1) == [0, 0, 1, 1]
     assert bm.column_bits(2) == [1, 0, 1, 0]
     assert bm.column_bits(3) == [0, 1, 0, 1]
-    assert all(bm.support_count(i) == 2 for i in range(4))
+    assert all(bm.columns[i].bit_count() == 2 for i in range(4))
 
 
 def test_bitmap_encode_rejects_quantitative_and_points_to_discretize():
@@ -226,21 +154,6 @@ def small_tables(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_tables(), st.data())
-def test_partition_refinement(table, data):
-    sys = build_information_system(table)
-    names = list(sys.attributes)
-    small = data.draw(st.sets(st.sampled_from(names), min_size=1, max_size=len(names)))
-    extra = data.draw(st.sets(st.sampled_from(names), max_size=len(names)))
-    big = small | extra
-    if table.n_rows == 0:
-        return
-    fine = partition_by_attributes(sys, big)
-    coarse = partition_by_attributes(sys, small)
-    assert fine.refines(coarse)
-
-
-@settings(max_examples=60, deadline=None)
 @given(small_tables())
 def test_bitmap_one_hot_per_attribute(table):
     bm = bitmap_encode(table)
@@ -273,24 +186,13 @@ def decode_bitmap(bitmap):
 def test_bitmap_round_trip(table):
     # Cell-for-cell reconstruction: an empty table encodes to zero items, so
     # attribute names are only recoverable when rows exist.
-    attrs, rows = decode_bitmap(bitmap_encode(table))
+    bm = bitmap_encode(table)
+    attrs, rows = decode_bitmap(bm)
     assert rows == table.rows
     if table.n_rows:
         assert tuple(attrs) == table.attribute_names
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_tables())
-def test_single_attribute_classes_match_item_extents(table):
-    if table.n_rows == 0:
-        return
-    sys = build_information_system(table)
-    bm = bitmap_encode(table)
+    # with no declared domain, each attribute's items come in first-occurrence
+    # order of its column
     for attr in table.attribute_names:
-        part = partition_by_attributes(sys, {attr})
-        extents = [
-            set(bm.positions(i))
-            for i, it in enumerate(bm.items)
-            if it.attribute == attr
-        ]
-        assert [set(c) for c in part.classes] == extents
+        values = [it.value for it in bm.items if it.attribute == attr]
+        assert values == list(dict.fromkeys(table.column(attr)))

@@ -73,7 +73,7 @@ def test_rule_counts_recountable_on_the_view():
     view = group_by_key(md)
     itemsets, _ = fi_gen(view, "0.2")
     decoded = transform_map_code(itemsets, registry)
-    policy = DimensionPolicy.from_repeatable(["d1", "d2"])
+    policy = DimensionPolicy(repeatable=["d1", "d2"])
     pair_sets_to_codes = {
         d.pair_set: frozenset(fi.items) for fi, d in zip(itemsets, decoded)
     }

@@ -200,8 +200,8 @@ def outcome(fn, *args):
 
 POLICIES = (
     DimensionPolicy(),
-    DimensionPolicy.from_repeatable(["B"]),
-    DimensionPolicy.from_repeatable(["A", "B"]),
+    DimensionPolicy(repeatable=["B"]),
+    DimensionPolicy(repeatable=["A", "B"]),
 )
 
 
@@ -296,7 +296,7 @@ def test_corrupt_list_raises_on_subset_lookup_path():
     ]
     assert uses_subset_lookup(frequent) == [True]
     with pytest.raises(DataError, match="corrupt"):
-        gen_rules(frequent, 0.5, DimensionPolicy.from_repeatable(["item"]))
+        gen_rules(frequent, 0.5, DimensionPolicy(repeatable=["item"]))
 
 
 # --- apriori level counting ------------------------------------------------

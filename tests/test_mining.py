@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starminer import mining
 from starminer.errors import DataError
 from starminer.mapcode import MdTable
 from starminer.mining import (
@@ -124,9 +125,9 @@ def test_fi_gen_empty_view():
     assert stats.full_scans_of_groups == 1
 
 
-@pytest.mark.parametrize("bad", [0, -0.1, 1.2, "0", "1.5"])
+@pytest.mark.parametrize("bad", [0, -0.1, 1.2, "0", "1.5", "x", float("nan")])
 def test_fi_gen_minsup_out_of_range(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^minsup\b"):
         fi_gen(FOUR_GROUPS, bad)
 
 
@@ -147,6 +148,38 @@ def test_fi_gen_parallel_matches_serial():
     assert [(f.items, f.support_count) for f in serial] == [
         (f.items, f.support_count) for f in parallel
     ]
+
+
+def test_fi_gen_pool_is_capped_at_the_cpu_count(monkeypatch):
+    pools = []
+
+    class SerialPool:
+        # records the pool size and the slices; maps in the calling thread
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.slices = 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, slices):
+            slices = list(slices)
+            self.slices += len(slices)
+            return map(fn, slices)
+
+    monkeypatch.setattr(mining, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(mining.os, "cpu_count", lambda: 4)
+    # 12 codes in every group: 66 candidates at level 2, enough to use the pool
+    codes = [f"{i:04d}" for i in range(1, 13)]
+    view = TransactionView.from_groups((f"g{j}", codes) for j in range(5))
+    capped, _ = fi_gen(view, 1, workers=100_000)
+    assert pools and all(p.max_workers == 4 and p.slices <= 4 for p in pools)
+    serial, _ = fi_gen(view, 1)
+    assert capped == serial
 
 
 def test_count_slice_keeps_only_frequent_candidates_in_order():

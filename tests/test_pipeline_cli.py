@@ -11,7 +11,7 @@ from starminer.datamodel import RelationalTable
 from starminer.errors import AgreementError
 from starminer.mapcode import MdTable
 from starminer.mining import TransactionView
-from starminer.pipeline import RunConfig, run_benchmark, run_pipeline
+from starminer.pipeline import RunConfig, run_pipeline
 
 
 def write_people_csv(tmp_path):
@@ -79,10 +79,10 @@ def test_pipeline_both_agreement_and_report(tmp_path):
 
 
 def test_run_benchmark_requires_both(tmp_path):
-    with pytest.raises(ValueError):
-        run_benchmark(people_config(tmp_path, algorithm="rshar"))
-    report = run_benchmark(people_config(tmp_path, algorithm="both"))
-    assert report.agreement is True
+    # the comparison report exists only when both miners run
+    assert run_pipeline(people_config(tmp_path, algorithm="rshar")).report is None
+    report = run_pipeline(people_config(tmp_path, algorithm="both")).report
+    assert report is not None and report.agreement is True
     assert "agreement: yes" in report.console_table()
 
 
@@ -240,6 +240,27 @@ def test_cli_minsup_zero_rejected_before_any_work(tmp_path, capsys):
     )
     assert code == 1
     assert "minsup" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--combine-dims", "tid"], "key_dim"),
+        (["--combine-dims", "product_name,product_name"], "selected_dims"),
+        (["--combine-dims", "product_name", "--join", "product_id:product:product_id"], "joins"),
+    ],
+    ids=["key-dim-combined", "duplicate-dims", "duplicate-join"],
+)
+def test_cli_flag_conflicts_are_usage_errors_naming_the_field(tmp_path, capsys, flags, field):
+    code = run_cli(
+        "--synth", "100", "--seed", "1", "--key-dim", "tid",
+        "--join", "product_id:product:product_id", *flags,
+        "--minsup", "0.5", "--minconf", "0.5", "--out", str(tmp_path / "out"),
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("starminer: usage error: ") and field in err
     assert not (tmp_path / "out").exists()
 
 
