@@ -21,11 +21,10 @@ DISAGREEMENT_EXIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad flags; the CLI contract reserves 2 for
-    # data errors, so remap usage problems to exit code 1.
+    # argparse exits with 2 on bad flags and prints its usage block first; the
+    # CLI contract reserves 2 for data errors and gives every error one line.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+        self.exit(USAGE_EXIT, f"{self.prog}: usage error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,15 +10,15 @@ Three miners share one output contract and are cross-checked in the tests:
 
 * :func:`fi_gen` makes one pass over the view to build a bit-vector extent
   per code (the equivalence class of groups agreeing on "code present"), then
-  counts every higher-level candidate by intersecting extents. One full scan
-  total.
+  counts every candidate by intersecting extents. One full scan total.
 * :func:`apriori_baseline` is the classic level-wise miner: each level with a
   non-empty candidate set rescans every group and looks up the group's
   k-subsets among the candidates.
 * :func:`brute_force_frequent` enumerates every subset of a small universe by
   direct containment counting; it is the oracle the other two are held to.
 
-The two level-wise miners share candidate generation: :func:`_next_candidates`
+The two level-wise miners run the same lattice walk, :func:`_levelwise`, and
+differ only in how a level is counted. The walk's :func:`_next_candidates`
 joins each prefix class and applies Apriori's subset prune in one pass.
 
 Support thresholds use exact rational arithmetic: ``minsup`` may be a decimal
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .datamodel import int_from_bit_positions
 from .errors import DataError
@@ -275,6 +275,38 @@ def _next_candidates(
     return kept, joined, joined - len(kept)
 
 
+def _levelwise(
+    view: TransactionView,
+    threshold: int,
+    count_level: Callable[[list[tuple[str, ...]], int, int], list[tuple[tuple[str, ...], int]]],
+    stats: MiningStats,
+) -> list[FrequentItemset]:
+    """Apriori's lattice walk, shared by both level-wise miners.
+
+    Level 1 is every code in ``code_universe``; level k is
+    :func:`_next_candidates` of level k-1's frequent sets, and the walk stops
+    at the first empty level. ``count_level(candidates, k, threshold)``
+    returns ``(candidate, count)`` for each frequent candidate, in candidate
+    order: it is the only part in which the miners differ.
+    """
+    n = view.n_groups
+    result: list[FrequentItemset] = []
+    candidates = [(code,) for code in view.code_universe]
+    stats.candidates_generated += len(candidates)
+    k = 1
+    while candidates:
+        frequent = count_level(candidates, k, threshold)
+        result.extend(
+            FrequentItemset(items=cand, support_count=count, support=count / n)
+            for cand, count in frequent
+        )
+        candidates, joined, pruned = _next_candidates([cand for cand, _ in frequent])
+        stats.candidates_generated += joined
+        stats.candidates_pruned += pruned
+        k += 1
+    return result
+
+
 def _count_slice(
     cands: Sequence[tuple[str, ...]],
     parent_mask: dict[tuple[str, ...], int],
@@ -300,10 +332,10 @@ def fi_gen(
 ) -> tuple[list[FrequentItemset], MiningStats]:
     """Mine all itemsets with support >= minsup using bitmap intersections.
 
-    Level 1 reads the code extents; level k candidates come from
-    :func:`_next_candidates`, and each is counted as the population count
-    of the AND of its parent's mask with its last item's extent. No group scan happens after
-    the extent build, so ``full_scans_of_groups`` is always 1.
+    Each candidate of :func:`_levelwise` is counted as the population count
+    of the AND of its parent's mask with its last item's extent; the empty
+    parent of a level-1 candidate has every group's bit set. No group scan
+    happens after the extent build, so ``full_scans_of_groups`` is always 1.
 
     ``workers`` > 1 splits candidate counting into contiguous slices handled
     by a thread pool of at most ``os.cpu_count()`` threads; output is
@@ -317,55 +349,23 @@ def fi_gen(
     stats = MiningStats()
     start = time.perf_counter()
 
-    n = view.n_groups
-    threshold = support_threshold(f, n)
-
     single_mask = build_item_extents(view, stats)
+    masks: dict[tuple[str, ...], int] = {(): (1 << view.n_groups) - 1}
 
-    result: list[FrequentItemset] = []
-    stats.candidates_generated += len(view.code_universe)
-    level_masks: dict[tuple[str, ...], int] = {}
-    current: list[tuple[str, ...]] = []
-    for code in view.code_universe:
-        mask = single_mask[code]
-        count = mask.bit_count()
-        if count >= threshold:
-            itemset = (code,)
-            current.append(itemset)
-            level_masks[itemset] = mask
-            result.append(
-                FrequentItemset(items=itemset, support_count=count, support=count / n)
-            )
-
-    while current:
-        candidates, joined, pruned = _next_candidates(current)
-        stats.candidates_generated += joined
-        stats.candidates_pruned += pruned
-        if not candidates:
-            break
-
+    def count_level(candidates, k, threshold):
+        nonlocal masks
         if workers == 1 or len(candidates) < 64:
-            frequent = _count_slice(candidates, level_masks, single_mask, threshold)
+            frequent = _count_slice(candidates, masks, single_mask, threshold)
         else:
             step = math.ceil(len(candidates) / workers)
             slices = [candidates[i : i + step] for i in range(0, len(candidates), step)]
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(
-                        lambda s: _count_slice(s, level_masks, single_mask, threshold), slices
-                    )
-                )
-            frequent = [entry for part in parts for entry in part]
+                parts = pool.map(lambda s: _count_slice(s, masks, single_mask, threshold), slices)
+                frequent = [entry for part in parts for entry in part]
+        masks = {cand: mask for cand, mask, _ in frequent}
+        return [(cand, count) for cand, _, count in frequent]
 
-        next_level: list[tuple[str, ...]] = []
-        next_masks: dict[tuple[str, ...], int] = {}
-        for cand, mask, count in frequent:
-            next_level.append(cand)
-            next_masks[cand] = mask
-            result.append(FrequentItemset(items=cand, support_count=count, support=count / n))
-        current = next_level
-        level_masks = next_masks
-
+    result = _levelwise(view, support_threshold(f, view.n_groups), count_level, stats)
     stats.elapsed = time.perf_counter() - start
     return result, stats
 
@@ -405,61 +405,23 @@ def apriori_baseline(
 ) -> tuple[list[FrequentItemset], MiningStats]:
     """Classic level-wise miner: re-scan every group once per candidate level.
 
-    Level k is counted by :func:`_count_level`, which enumerates each group's
-    k-subsets rather than testing every candidate against every group.
-    Output is identical to :func:`fi_gen`; ``full_scans_of_groups`` equals
-    the number of levels that had a non-empty candidate set, which is the
-    depth of the explored lattice.
+    Each level of :func:`_levelwise`, the first included, is counted by
+    :func:`_count_level`, which enumerates each group's k-subsets rather than
+    testing every candidate against every group. Output is identical to
+    :func:`fi_gen`; ``full_scans_of_groups`` equals the number of levels that
+    had a non-empty candidate set, which is the depth of the explored lattice.
     """
     f = threshold_in_range("minsup", minsup)
     stats = MiningStats()
     start = time.perf_counter()
-
-    n = view.n_groups
-    threshold = support_threshold(f, n)
     group_sets = view.group_sets
 
-    result: list[FrequentItemset] = []
-
-    # Level 1: one scan counting every single code.
-    singles = list(view.code_universe)
-    stats.candidates_generated += len(singles)
-    current: list[tuple[str, ...]] = []
-    if singles:
+    def count_level(candidates, k, threshold):
         stats.full_scans_of_groups += 1
-        counts: dict[str, int] = {c: 0 for c in singles}
-        for codes in group_sets:
-            for c in codes:
-                counts[c] += 1
-        for c in singles:
-            if counts[c] >= threshold:
-                current.append((c,))
-                result.append(
-                    FrequentItemset(items=(c,), support_count=counts[c], support=counts[c] / n)
-                )
+        counts = _count_level(group_sets, candidates, k)
+        return [(cand, counts[cand]) for cand in candidates if counts[cand] >= threshold]
 
-    k = 2
-    while current:
-        candidates, joined, pruned = _next_candidates(current)
-        stats.candidates_generated += joined
-        stats.candidates_pruned += pruned
-        if not candidates:
-            break
-
-        stats.full_scans_of_groups += 1
-        counts2 = _count_level(group_sets, candidates, k)
-
-        next_level: list[tuple[str, ...]] = []
-        for cand in candidates:
-            count = counts2[cand]
-            if count >= threshold:
-                next_level.append(cand)
-                result.append(
-                    FrequentItemset(items=cand, support_count=count, support=count / n)
-                )
-        current = next_level
-        k += 1
-
+    result = _levelwise(view, support_threshold(f, view.n_groups), count_level, stats)
     stats.elapsed = time.perf_counter() - start
     return result, stats
 

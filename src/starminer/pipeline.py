@@ -110,9 +110,20 @@ class RunConfig:
                 raise ValueError(f"selected_dims contains duplicates: {list(self.selected_dims)}")
             if self.key_dim in self.selected_dims:
                 raise ValueError(f"key_dim {self.key_dim!r} cannot also be in selected_dims")
+            unknown = sorted(set(self.repeatable_dims) - set(self.selected_dims))
+            if unknown:
+                raise ValueError(f"repeatable_dims {unknown} are not in selected_dims")
             links = [(fact_key, dim) for fact_key, dim, _ in self.joins]
             if len(set(links)) != len(links):
                 raise ValueError(f"joins links one fact key to one dimension twice: {links}")
+            if self.synth_rows is None:
+                # load_csv names the fact table "fact"; JoinSpec finds tables by name
+                names = [name for name, _ in self.dims]
+                if len(set(names)) != len(names) or "fact" in names:
+                    raise ValueError(f"dims must name each table once, and none 'fact': {names}")
+                unknown = sorted({dim for _, dim, _ in self.joins} - set(names))
+                if unknown:
+                    raise ValueError(f"joins name dimensions that no dims entry provides: {unknown}")
             if self.minsup is None or self.minconf is None:
                 raise ValueError("mining requires both minsup and minconf")
             threshold_in_range("minsup", self.minsup)
@@ -337,8 +348,7 @@ def _derive_projection(
 def _load_inputs(config: RunConfig, out: Path) -> tuple[RelationalTable, list[RelationalTable]]:
     bins_by_attr = {attr: bins for attr, bins in config.bins}
 
-    def schema_for(path: Path) -> tuple[AttributeSpec, ...]:
-        header = read_header(path)
+    def schema_for(header: Sequence[str]) -> tuple[AttributeSpec, ...]:
         specs = []
         for name in header:
             if name in bins_by_attr:
@@ -365,8 +375,12 @@ def _load_inputs(config: RunConfig, out: Path) -> tuple[RelationalTable, list[Re
         fact_path = Path(config.fact)
         dim_paths = [(name, Path(p)) for name, p in config.dims]
 
-    fact = load_csv(fact_path, schema_for(fact_path), name="fact")
-    dims = [load_csv(p, schema_for(p), name=name) for name, p in dim_paths]
+    paths = [("fact", fact_path), *dim_paths]
+    headers = [read_header(p) for _, p in paths]
+    for attr in bins_by_attr:
+        if not any(attr in header for header in headers):
+            raise SchemaError(f"--bins attribute {attr!r} not found in any input table")
+    fact, *dims = (load_csv(p, schema_for(h), name=name) for (name, p), h in zip(paths, headers))
     return fact, dims
 
 

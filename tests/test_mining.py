@@ -328,6 +328,9 @@ def test_scan_count_law_random_views():
         _, fast = fi_gen(view, "0.1")
         frequent, slow = apriori_baseline(view, "0.1")
         assert fast.full_scans_of_groups == 1
+        # one lattice walk: the same candidates generated and pruned
+        assert fast.candidates_generated == slow.candidates_generated
+        assert fast.candidates_pruned == slow.candidates_pruned
         depth = max((fi.level for fi in frequent), default=0)
         if depth == 0:
             # no frequent singles: one scan if there was anything to count

@@ -243,19 +243,28 @@ def test_cli_minsup_zero_rejected_before_any_work(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+SYNTH = ["--synth", "100", "--seed", "1", "--join", "product_id:product:product_id"]
+# the files need not exist: the conflicts are rejected before anything is read
+EXPLICIT = ["--fact", "fact.csv", "--dim", "product=product.csv", "--combine-dims", "product_name"]
+
+
 @pytest.mark.parametrize(
     "flags, field",
     [
-        (["--combine-dims", "tid"], "key_dim"),
-        (["--combine-dims", "product_name,product_name"], "selected_dims"),
-        (["--combine-dims", "product_name", "--join", "product_id:product:product_id"], "joins"),
+        ([*SYNTH, "--combine-dims", "tid"], "key_dim"),
+        ([*SYNTH, "--combine-dims", "product_name,product_name"], "selected_dims"),
+        ([*SYNTH, "--combine-dims", "product_name", "--join", "product_id:product:product_id"], "joins"),
+        ([*SYNTH, "--combine-dims", "product_name", "--repeatable-dims", "nosuch"], "repeatable_dims"),
+        ([*EXPLICIT, "--dim", "product=other.csv"], "dims must"),
+        ([*EXPLICIT, "--dim", "fact=other.csv"], "dims must"),
+        ([*EXPLICIT, "--join", "product_id:nosuch:product_id"], "joins"),
     ],
-    ids=["key-dim-combined", "duplicate-dims", "duplicate-join"],
+    ids=["key-dim-combined", "duplicate-dims", "duplicate-join", "repeatable-not-combined",
+         "duplicate-dim-name", "dim-named-fact", "join-without-dim"],
 )
 def test_cli_flag_conflicts_are_usage_errors_naming_the_field(tmp_path, capsys, flags, field):
     code = run_cli(
-        "--synth", "100", "--seed", "1", "--key-dim", "tid",
-        "--join", "product_id:product:product_id", *flags,
+        "--key-dim", "tid", *flags,
         "--minsup", "0.5", "--minconf", "0.5", "--out", str(tmp_path / "out"),
     )
     err = capsys.readouterr().err
@@ -456,6 +465,19 @@ def test_cli_usage_error_exit_code_from_argparse(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--no-such-flag"], ["--synth", "x", "--out", "o"], ["--algorithm", "nope"], ["--dim"]],
+    ids=["unknown-flag", "synth-not-an-int", "unknown-algorithm", "dim-without-value"],
+)
+def test_cli_argparse_errors_are_one_line_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("starminer: usage error: ") and err.count("\n") == 1
+
+
 LOAD_FAILURES = [
     # (case, fact bytes, extra flags, exit code, stderr prefix after "starminer: ")
     ("latin1-body", b"TID,age\n1,Young\n2,\xe9l\xe8ve\n", [], 2, "data error: {fact}: not valid UTF-8"),
@@ -464,6 +486,8 @@ LOAD_FAILURES = [
     ("fact-is-dir", "dir", [], 2, "data error: {fact}: is a directory"),
     ("dim-is-dir", b"TID,age\n1,Young\n", ["--dim=x={tmp}", "--join=age:x:age"], 2, "data error: {tmp}: is a directory"),
     ("out-is-file", b"TID,age\n1,Young\n", ["--out={tmp}/taken"], 1, "usage error: cannot create output directory {tmp}/taken"),
+    ("bins-unknown-attribute", b"TID,age\n1,Young\n", ["--bins=agee=a:0:1"], 2,
+     "data error: --bins attribute 'agee' not found in any input table"),
     ("trailing-blank-line", b"TID,age\n1,Young\n\n", [], 2, "data error: {fact} row 2: expected 2 values, got 1"),
     ("bom", b"\xef\xbb\xbfTID,age\n1,Young\n2,Young\n", [], 0, ""),
 ]
