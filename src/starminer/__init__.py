@@ -42,7 +42,7 @@ from .mining import (
     group_by_key,
     support_threshold,
 )
-from .pipeline import BenchReport, PipelineResult, RunConfig, run_pipeline
+from .pipeline import PipelineResult, RunConfig, run_pipeline
 from .rules import AssociationRule, DimensionPolicy, format_rule, gen_rules
 from .synth import SynthSpec, generate_sales
 
@@ -52,7 +52,6 @@ __all__ = [
     "AgreementError",
     "AssociationRule",
     "AttributeSpec",
-    "BenchReport",
     "Bin",
     "BitmapTable",
     "DataError",

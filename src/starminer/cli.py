@@ -183,7 +183,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         config = config_from_args(args)
-        config.validate()
     except (ValueError, TypeError) as exc:
         print(f"starminer: usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
@@ -209,9 +208,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         f"codes: {result.codes}"
     )
     print(f"frequent itemsets: {len(result.itemsets)} | rules: {len(result.rules)}")
-    if result.report is not None:
-        print()
-        print(result.report.console_table())
+    if config.algorithm == "both":
+        header = f"{'algorithm':<10} {'scans':>6} {'candidates':>11} {'pruned':>7} {'itemsets':>9} {'seconds':>9}"
+        print(f"\n{header}\n{'-' * len(header)}")
+        for name, st in result.stats.items():
+            print(
+                f"{name:<10} {st.full_scans_of_groups:>6} {st.candidates_generated:>11} "
+                f"{st.candidates_pruned:>7} {len(result.itemsets):>9} {st.elapsed:>9.3f}"
+            )
+        # run_pipeline has raised AgreementError unless both found the same itemsets
+        print("agreement: yes")
+        speedup = result.stats["apriori"].elapsed / max(result.stats["rshar"].elapsed, 1e-9)
+        print(f"speedup (apriori/rshar wall time): {speedup:.2f}x")
     print(f"artifacts written to {config.out_dir}")
     return 0
 

@@ -12,8 +12,9 @@ Three miners share one output contract and are cross-checked in the tests:
   per code (the equivalence class of groups agreeing on "code present"), then
   counts every candidate by intersecting extents. One full scan total.
 * :func:`apriori_baseline` is the classic level-wise miner: each level with a
-  non-empty candidate set rescans every group and looks up the group's
-  k-subsets among the candidates.
+  non-empty candidate set rescans every group. Level 1 tallies the groups'
+  codes; each later level looks up the group's k-subsets among the
+  candidates.
 * :func:`brute_force_frequent` enumerates every subset of a small universe by
   direct containment counting; it is the oracle the other two are held to.
 
@@ -34,11 +35,12 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .datamodel import int_from_bit_positions
@@ -375,11 +377,15 @@ def _count_level(
 ) -> dict[tuple[str, ...], int]:
     """Count each sorted k-candidate in one pass over the groups.
 
-    A group's k-subsets of its codes that occur in some candidate are
-    enumerated and looked up, as Apriori's subset function does; a group with
-    more such subsets than there are candidates tests every candidate for
-    containment instead. Both ways give the same counts.
+    Level 1 is one tally of every group's codes. At a later level, a group's
+    k-subsets of its codes that occur in some candidate are enumerated and
+    looked up, as Apriori's subset function does; a group with more such
+    subsets than there are candidates tests every candidate for containment
+    instead. Both ways give the same counts.
     """
+    if k == 1:
+        tally = Counter(chain.from_iterable(group_sets))
+        return {cand: tally[cand[0]] for cand in candidates}
     counts = dict.fromkeys(candidates, 0)
     live = frozenset().union(*candidates)
     cand_sets: list[tuple[tuple[str, ...], frozenset[str]]] | None = None
@@ -406,8 +412,9 @@ def apriori_baseline(
     """Classic level-wise miner: re-scan every group once per candidate level.
 
     Each level of :func:`_levelwise`, the first included, is counted by
-    :func:`_count_level`, which enumerates each group's k-subsets rather than
-    testing every candidate against every group. Output is identical to
+    :func:`_count_level`: level 1 by one tally of the groups' codes, and each
+    later level by enumerating each group's k-subsets rather than testing
+    every candidate against every group. Output is identical to
     :func:`fi_gen`; ``full_scans_of_groups`` equals the number of levels that
     had a non-empty candidate set, which is the depth of the explored lattice.
     """

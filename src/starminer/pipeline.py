@@ -1,19 +1,20 @@
 """End-to-end orchestration: configuration, the mining pipeline, and the
-two-algorithm benchmark.
+two-algorithm comparison.
 
 A run loads (or synthesizes) the input tables, joins them into the general
 table, discretizes quantitative columns, assigns combined-dimension codes,
 groups by the key dimension, mines frequent itemsets, decodes them, and
 generates rules. Artifacts land in the output directory as human-readable
 text plus line-delimited JSON records, and every persisted file is a pure
-function of (seed, config): wall-clock timings appear on the console and in
-the in-memory report only.
+function of (seed, config): wall-clock timings stay in the in-memory
+``MiningStats`` and on the console.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -30,8 +31,8 @@ from .mining import (
     group_by_key,
     threshold_in_range,
 )
-from .rules import AssociationRule, DimensionPolicy, format_percent, format_rule, gen_rules
-from .synth import SynthSpec, generate_sales
+from .rules import AssociationRule, DimensionPolicy, format_pairs, format_percent, format_rule, gen_rules
+from .synth import DIMENSION_TABLES, SynthSpec, generate_sales
 
 ALGORITHMS = ("rshar", "apriori", "both")
 
@@ -121,9 +122,12 @@ class RunConfig:
                 names = [name for name, _ in self.dims]
                 if len(set(names)) != len(names) or "fact" in names:
                     raise ValueError(f"dims must name each table once, and none 'fact': {names}")
-                unknown = sorted({dim for _, dim, _ in self.joins} - set(names))
-                if unknown:
-                    raise ValueError(f"joins name dimensions that no dims entry provides: {unknown}")
+                source = "no dims entry provides"
+            else:
+                names, source = DIMENSION_TABLES, "synth does not make"
+            unknown = sorted({dim for _, dim, _ in self.joins} - set(names))
+            if unknown:
+                raise ValueError(f"joins name dimensions that {source}: {unknown}")
             if self.minsup is None or self.minconf is None:
                 raise ValueError("mining requires both minsup and minconf")
             threshold_in_range("minsup", self.minsup)
@@ -229,49 +233,6 @@ _SYNTH_LOWER_BOUNDS = {
 
 
 @dataclass
-class BenchReport:
-    """Per-algorithm instrumentation plus the agreement verdict.
-
-    ``elapsed`` and ``speedup`` stay out of the persisted JSON; every number
-    written to disk is recomputable from the itemset files.
-    """
-
-    groups: int
-    codes: int
-    minsup: str
-    per_algorithm: dict[str, dict[str, Any]]
-    agreement: bool
-    speedup: float | None
-
-    def to_json_dict(self) -> dict[str, Any]:
-        persisted = {
-            name: {k: v for k, v in info.items() if k != "elapsed"}
-            for name, info in self.per_algorithm.items()
-        }
-        return {
-            "groups": self.groups,
-            "codes": self.codes,
-            "minsup": self.minsup,
-            "algorithms": persisted,
-            "agreement": self.agreement,
-        }
-
-    def console_table(self) -> str:
-        header = f"{'algorithm':<10} {'scans':>6} {'candidates':>11} {'pruned':>7} {'itemsets':>9} {'seconds':>9}"
-        lines = [header, "-" * len(header)]
-        for name, info in self.per_algorithm.items():
-            lines.append(
-                f"{name:<10} {info['full_scans_of_groups']:>6} "
-                f"{info['candidates_generated']:>11} {info['candidates_pruned']:>7} "
-                f"{info['itemsets_total']:>9} {info['elapsed']:>9.3f}"
-            )
-        lines.append(f"agreement: {'yes' if self.agreement else 'NO'}")
-        if self.speedup is not None:
-            lines.append(f"speedup (apriori/rshar wall time): {self.speedup:.2f}x")
-        return "\n".join(lines)
-
-
-@dataclass
 class PipelineResult:
     """Everything a run produced, including the paths of written artifacts."""
 
@@ -283,30 +244,11 @@ class PipelineResult:
     rules: list[AssociationRule] = field(default_factory=list)
     stats: dict[str, MiningStats] = field(default_factory=dict)
     registry: MapCodeRegistry | None = None
-    report: BenchReport | None = None
     files: dict[str, Path] = field(default_factory=dict)
 
 
-def _levels(itemsets: Sequence[FrequentItemset]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for fi in itemsets:
-        key = str(fi.level)
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
-def _algo_info(itemsets: Sequence[FrequentItemset], stats: MiningStats) -> dict[str, Any]:
-    return {
-        **stats.counters(),
-        "itemsets_per_level": _levels(itemsets),
-        "itemsets_total": len(itemsets),
-        "elapsed": stats.elapsed,
-    }
-
-
 def _format_itemset(decoded: DecodedItemset) -> str:
-    body = " ∧ ".join(f'{d}("{v}")' for d, v in decoded.pairs)
-    return f"{body}  sup={format_percent(decoded.support)}% ({decoded.support_count})"
+    return f"{format_pairs(decoded.pairs)}  sup={format_percent(decoded.support)}% ({decoded.support_count})"
 
 
 def _jsonl(records: Sequence[dict[str, Any]]) -> str:
@@ -440,14 +382,12 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         outputs["apriori"] = apriori_baseline(view, config.minsup)
     result.stats = {name: stats for name, (_, stats) in outputs.items()}
 
-    agreement: bool | None = None
     if config.algorithm == "both":
         fingerprints = {
             name: sorted((fi.items, fi.support_count) for fi in itemsets)
             for name, (itemsets, _) in outputs.items()
         }
-        agreement = fingerprints["rshar"] == fingerprints["apriori"]
-        if not agreement:
+        if fingerprints["rshar"] != fingerprints["apriori"]:
             raise AgreementError(
                 "rshar and apriori disagree on the frequent itemsets; this is a bug"
             )
@@ -461,19 +401,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     policy = DimensionPolicy(repeatable=config.repeatable_dims)
     rules = gen_rules(decoded, config.minconf, policy)
     result.rules = rules
-
-    if config.algorithm == "both":
-        rshar_elapsed = max(result.stats["rshar"].elapsed, 1e-9)
-        result.report = BenchReport(
-            groups=view.n_groups,
-            codes=len(registry),
-            minsup=config.minsup,
-            per_algorithm={
-                name: _algo_info(its, st) for name, (its, st) in outputs.items()
-            },
-            agreement=bool(agreement),
-            speedup=result.stats["apriori"].elapsed / rshar_elapsed,
-        )
 
     _write_artifacts(config, out, result)
     return result
@@ -510,23 +437,33 @@ def _write_artifacts(config: RunConfig, out: Path, result: PipelineResult) -> No
         "rules.jsonl": _jsonl(rule_records),
     }
 
-    stats_doc: dict[str, Any] = {
-        "minsup": config.minsup,
-        "minconf": config.minconf,
-        "general_rows": result.general_rows,
-        "groups": result.groups,
-        "codes": result.codes,
-        "rules_total": len(result.rules),
-        "algorithms": {name: st.counters() for name, st in result.stats.items()},
-        "itemsets_per_level": _levels(result.itemsets),
+    # the agreement check has made both miners' itemsets equal to these
+    found = {
+        "itemsets_per_level": Counter(str(fi.level) for fi in result.itemsets),
         "itemsets_total": len(result.itemsets),
     }
-    files["stats.json"] = json.dumps(stats_doc, sort_keys=True, indent=2) + "\n"
-
-    if result.report is not None:
-        files["bench_report.json"] = (
-            json.dumps(result.report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-        )
+    docs: dict[str, dict[str, Any]] = {
+        "stats.json": {
+            "minsup": config.minsup,
+            "minconf": config.minconf,
+            "general_rows": result.general_rows,
+            "groups": result.groups,
+            "codes": result.codes,
+            "rules_total": len(result.rules),
+            "algorithms": {name: st.counters() for name, st in result.stats.items()},
+            **found,
+        }
+    }
+    if config.algorithm == "both":
+        docs["bench_report.json"] = {
+            "groups": result.groups,
+            "codes": result.codes,
+            "minsup": config.minsup,
+            "algorithms": {name: {**st.counters(), **found} for name, st in result.stats.items()},
+            "agreement": True,
+        }
+    for name, doc in docs.items():
+        files[name] = json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     # Each file replaces its old version whole; a failed write leaves every
     # file either as the previous run left it or as this run wrote it.

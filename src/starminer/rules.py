@@ -181,14 +181,17 @@ def format_percent(x: float) -> str:
     return f"{x * 100:.2f}".rstrip("0").rstrip(".")
 
 
+def format_pairs(pairs: Sequence[Pair]) -> str:
+    """Render pairs as ``dim("value") ∧ dim("value") ∧ …``."""
+    return " ∧ ".join(f'{d}("{v}")' for d, v in pairs)
+
+
 def format_rule(rule: AssociationRule) -> str:
     """Render a rule as ``dim("value") ∧ … → dim("value") ∧ … {sup=P%, conf=Q%}``.
 
     Percentages carry up to two decimals with trailing zeros trimmed.
     """
-    left = " ∧ ".join(f'{d}("{v}")' for d, v in rule.antecedent)
-    right = " ∧ ".join(f'{d}("{v}")' for d, v in rule.consequent)
     return (
-        f"{left} → {right} "
+        f"{format_pairs(rule.antecedent)} → {format_pairs(rule.consequent)} "
         f"{{sup={format_percent(rule.support)}%, conf={format_percent(rule.confidence)}%}}"
     )

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import SchemaError
+from .ingest import write_text_atomic
 
 AGE_GROUPS = ["18..25", "26..35", "36..45", "46..55", "56..65", "66..80"]
 CITIES = [
@@ -36,6 +37,8 @@ MONTHS = ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
 
 MAX_BASKET_LINES = 5
+# the dimension tables generate_sales writes, each as NAME.csv beside fact.csv
+DIMENSION_TABLES = ("customer", "product", "times", "channel")
 
 
 @dataclass(frozen=True)
@@ -90,13 +93,12 @@ def _product_names(n: int) -> list[str]:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    # Manual join keeps the strict no-quoting dialect honest.
-    for row in rows:
-        for cell in row:
-            if "," in cell or '"' in cell:
-                raise SchemaError(f"generated cell {cell!r} breaks the CSV dialect")
-    lines = [",".join(header)] + [",".join(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # Manual join keeps the strict no-quoting dialect honest: a cell holding a
+    # comma adds one to the text, and no cell may hold a quote.
+    text = "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+    if '"' in text or text.count(",") != (len(header) - 1) * (len(rows) + 1):
+        raise SchemaError(f"generated cells for {path.name} break the CSV dialect")
+    write_text_atomic(path, text)
 
 
 def generate_sales(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
@@ -154,13 +156,7 @@ def generate_sales(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
             product = draw_product()
             fact_rows.append([tid, customer, product, time_id, channel])
 
-    paths = {
-        "customer": out / "customer.csv",
-        "product": out / "product.csv",
-        "times": out / "times.csv",
-        "channel": out / "channel.csv",
-        "fact": out / "fact.csv",
-    }
+    paths = {name: out / f"{name}.csv" for name in (*DIMENSION_TABLES, "fact")}
     _write_csv(paths["customer"], ["customer_id", "age_group", "city"], customer_rows)
     _write_csv(paths["product"], ["product_id", "product_name", "category"], product_rows)
     _write_csv(paths["times"], ["time_id", "month", "year"], time_rows)

@@ -70,20 +70,53 @@ def test_pipeline_rejects_bad_thresholds(tmp_path):
 
 def test_pipeline_both_agreement_and_report(tmp_path):
     result = run_pipeline(people_config(tmp_path, algorithm="both"))
-    assert result.report is not None
-    assert result.report.agreement is True
+    assert list(result.stats) == ["rshar", "apriori"]
     report = json.loads((tmp_path / "out" / "bench_report.json").read_text())
     assert report["agreement"] is True
     assert report["algorithms"]["rshar"]["full_scans_of_groups"] == 1
+    for name, st in result.stats.items():
+        assert {k: report["algorithms"][name][k] for k in st.counters()} == st.counters()
     assert "elapsed" not in json.dumps(report)
 
 
-def test_run_benchmark_requires_both(tmp_path):
-    # the comparison report exists only when both miners run
-    assert run_pipeline(people_config(tmp_path, algorithm="rshar")).report is None
-    report = run_pipeline(people_config(tmp_path, algorithm="both")).report
-    assert report is not None and report.agreement is True
-    assert "agreement: yes" in report.console_table()
+def test_run_benchmark_requires_both(tmp_path, capsys):
+    # the comparison report and table exist only when both miners run
+    argv = ["--fact", str(write_people_csv(tmp_path)), "--key-dim", "TID", "--combine-dims", "age",
+            "--minsup", "0.5", "--minconf", "0.5", "--out", str(tmp_path / "out")]
+    assert main([*argv, "--algorithm", "rshar"]) == 0
+    assert "agreement" not in capsys.readouterr().out
+    assert not (tmp_path / "out" / "bench_report.json").exists()
+    assert main([*argv, "--algorithm", "both"]) == 0
+    out = capsys.readouterr().out
+    assert "agreement: yes" in out
+    rows = [line.split()[:5] for line in out.splitlines() if line.startswith(("rshar ", "apriori "))]
+    assert rows == [["rshar", "1", "2", "0", "1"], ["apriori", "1", "2", "0", "1"]]
+    report = json.loads((tmp_path / "out" / "bench_report.json").read_text())
+    assert report["agreement"] is True
+
+
+def test_miners_that_disagree_fail_the_run_before_any_artifact(tmp_path, monkeypatch, capsys):
+    import starminer.pipeline as pipeline_mod
+
+    mine = pipeline_mod.apriori_baseline
+
+    def drop_one(view, minsup):
+        itemsets, stats = mine(view, minsup)
+        return itemsets[1:], stats
+
+    monkeypatch.setattr(pipeline_mod, "apriori_baseline", drop_one)
+    with pytest.raises(AgreementError):
+        run_pipeline(people_config(tmp_path, algorithm="both"))
+    code = run_cli(
+        "--fact", str(write_people_csv(tmp_path)), "--key-dim", "TID", "--combine-dims", "age",
+        "--minsup", "0.5", "--minconf", "0.5", "--algorithm", "both",
+        "--out", str(tmp_path / "out"),
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("starminer: disagreement: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "stats.json").exists()
+    assert not (tmp_path / "out" / "bench_report.json").exists()
 
 
 def test_pipeline_deterministic_bytes_and_parallel_equivalence(tmp_path):
@@ -150,10 +183,14 @@ def test_pipeline_no_frequent_items_reports_zero_everything(tmp_path):
     result = run_pipeline(people_config(tmp_path, algorithm="both", minsup="0.9"))
     assert result.itemsets == []
     assert result.rules == []
-    assert result.report is not None and result.report.agreement is True
     stats = json.loads((tmp_path / "out" / "stats.json").read_text())
     assert stats["itemsets_total"] == 0
     assert stats["rules_total"] == 0
+    report = json.loads((tmp_path / "out" / "bench_report.json").read_text())
+    assert report["agreement"] is True
+    for algo in ("rshar", "apriori"):
+        assert report["algorithms"][algo]["itemsets_per_level"] == {}
+        assert report["algorithms"][algo]["itemsets_total"] == 0
 
 
 def test_report_numbers_recomputable_from_itemset_file(tmp_path):
@@ -258,9 +295,10 @@ EXPLICIT = ["--fact", "fact.csv", "--dim", "product=product.csv", "--combine-dim
         ([*EXPLICIT, "--dim", "product=other.csv"], "dims must"),
         ([*EXPLICIT, "--dim", "fact=other.csv"], "dims must"),
         ([*EXPLICIT, "--join", "product_id:nosuch:product_id"], "joins"),
+        ([*SYNTH, "--combine-dims", "product_name", "--join", "product_id:nosuch:product_id"], "joins"),
     ],
     ids=["key-dim-combined", "duplicate-dims", "duplicate-join", "repeatable-not-combined",
-         "duplicate-dim-name", "dim-named-fact", "join-without-dim"],
+         "duplicate-dim-name", "dim-named-fact", "join-without-dim", "join-synth-does-not-make"],
 )
 def test_cli_flag_conflicts_are_usage_errors_naming_the_field(tmp_path, capsys, flags, field):
     code = run_cli(

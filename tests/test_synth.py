@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from starminer import synth
@@ -93,3 +95,21 @@ def test_spec_validation():
         SynthSpec(seed=1, n_customers=0)
     with pytest.raises(SchemaError):
         SynthSpec(seed=1, n_fact_rows=-1)
+
+
+@pytest.mark.parametrize("city", ["Melb, VIC", 'Melb "North"'])
+def test_cell_that_breaks_the_dialect_is_a_schema_error(tmp_path, monkeypatch, city):
+    monkeypatch.setattr(synth, "CITIES", [city])
+    with pytest.raises(SchemaError, match="customer.csv"):
+        generate_sales(SynthSpec(seed=1, n_fact_rows=10), tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        generate_sales(SynthSpec(seed=1, n_fact_rows=10), tmp_path)
+    assert list(tmp_path.iterdir()) == []
