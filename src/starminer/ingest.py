@@ -2,26 +2,30 @@
 discretize quantitative attributes into categorical bins.
 
 CSV dialect is deliberately strict: UTF-8, header row, comma delimiter, and
-no quoting (files that quote delimiters inside values are rejected). Joins
-enforce referential integrity; a fact key with no dimension match is an
-error, never a silent row drop, because dropped rows corrupt support counts
-downstream.
+no quoting (files that quote delimiters inside values are rejected). A file
+is read one chunk of text at a time, and each of its columns becomes a tuple
+as soon as it is complete. Joins enforce referential integrity; a fact key
+with no dimension match is an error, never a silent row drop, because
+dropped rows corrupt support counts downstream.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .datamodel import Atom, AttributeSpec, RelationalTable
 from .errors import DataError, SchemaError
 
 _MAX_LISTED_ORPHANS = 20
-# Data lines split at once by load_csv; bounds the cell strings alive at a time.
-_CHUNK_LINES = 1 << 13
+# Characters of text load_csv reads at once. Larger chunks also scatter their
+# freed strings among the kept distinct values, which then stay resident.
+_CHUNK_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -55,16 +59,14 @@ class JoinSpec:
             seen.add(pair)
 
 
-def _read_text(path: Path, header_only: bool = False) -> str:
-    """The file's text, or only its first line, decoded as UTF-8.
-
-    A leading BOM is dropped (it would otherwise corrupt the first header
-    name with an invisible character). Every failure to open or decode the
-    file is a DataError that names it.
-    """
+@contextmanager
+def _open_text(path: Path) -> Iterator[TextIO]:
+    """The file open as UTF-8 text, less a leading BOM (which would corrupt
+    the first header name). Every failure to open or decode it is a
+    DataError that names it."""
     try:
         with path.open(encoding="utf-8-sig") as fh:
-            return fh.readline() if header_only else fh.read()
+            yield fh
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
     except IsADirectoryError:
@@ -98,7 +100,8 @@ def read_header(path: str | Path) -> list[str]:
     Only the first line is read, with the same decoding as :func:`load_csv`.
     """
     path = Path(path)
-    first = _read_text(path, header_only=True)
+    with _open_text(path) as fh:
+        first = fh.readline()
     if not first:
         raise DataError(f"{path}: empty file, expected a header row")
     return first.splitlines()[0].split(",")
@@ -113,81 +116,87 @@ def load_csv(
     attributes are parsed as numbers; parse failures report the 1-based data
     row number. The table is named ``name``, by default the file's stem.
 
-    Lines are split a chunk at a time into column slices, and each column
-    keeps one object per distinct value: equal cells share one ``str`` (or,
-    for a quantitative column, one ``float``).
+    The file is read one chunk of text at a time, each ending at a line end,
+    and each chunk's lines are split into column slices. A column keeps one
+    object per distinct value: equal cells share one ``str`` (or, for a
+    quantitative column, one ``float``). Once the last chunk is in, each
+    column list is turned into its tuple and released before the next.
     """
     path = Path(path)
     schema = tuple(schema)
-    text = _read_text(path)
-    lines = text.splitlines()
-    has_quote = '"' in text
-    del text
-    if not lines:
-        raise DataError(f"{path}: empty file, expected a header row")
-
-    expected = [s.name for s in schema]
-    header = lines[0].split(",")
-    if header != expected:
-        raise DataError(
-            f"{path}: header mismatch: expected {expected}, got {header}"
-        )
-
-    # Rows before the first quoted one are parsed, so that an earlier bad row
-    # is still the one reported.
-    end = len(lines)
-    if has_quote:
-        end = next((i for i in range(1, end) if '"' in lines[i]), end)
     width = len(schema)
     pools: list[dict[str, str]] = [{} for _ in schema]
     parts: list[list[str]] = [[] for _ in schema]
-    for start in range(1, end, _CHUNK_LINES):
-        chunk = lines[start : min(start + _CHUNK_LINES, end)]
-        # a line splits into width cells exactly when it has width - 1 commas
-        if set(map(str.count, chunk, repeat(","))) != {width - 1}:
-            raise _first_row_error(path, schema, lines[1:end])
-        flat = ",".join(chunk).split(",")
-        for j, (pool, part) in enumerate(zip(pools, parts)):
-            cells = flat[j::width]
-            part.extend(map(pool.setdefault, cells, cells))
-    columns: list[Iterable[Atom]] = []
-    for spec, pool, part in zip(schema, pools, parts):
-        if spec.is_categorical():
-            columns.append(part)
-            continue
-        try:
-            number = {cell: float(cell) for cell in pool}
-        except ValueError:
-            raise _first_row_error(path, schema, lines[1:end]) from None
-        columns.append(map(number.__getitem__, part))
-    if end < len(lines):
-        raise DataError(
-            f"{path} row {end}: quoted values are not supported; this format "
-            "forbids delimiters inside values"
-        )
-
+    with _open_text(path) as fh:
+        # a chunk ends at a "\n", where str.splitlines also ends a line
+        chunks = map(str.splitlines, iter(lambda: fh.read(_CHUNK_CHARS) + fh.readline(), ""))
+        # the header ends where splitlines says, which can be before the "\n"
+        lines = next(chunks, [""])
+        if lines[0].split(",") != [s.name for s in schema]:
+            raise _first_row_error(path, schema)
+        for lines in chain([lines[1:]], chunks):
+            joined = ",".join(lines)
+            # a line splits into width cells exactly when it has width - 1 commas
+            if '"' in joined or set(map(str.count, lines, repeat(","))) - {width - 1}:
+                raise _first_row_error(path, schema)
+            flat = joined.split(",") if lines else []  # the header's chunk may hold no row
+            for j, (pool, part) in enumerate(zip(pools, parts)):
+                cells = flat[j::width]
+                part.extend(map(pool.setdefault, cells, cells))
+    columns: list[tuple[Atom, ...]] = []
+    for spec in schema:
+        pool, part = pools.pop(0), parts.pop(0)
+        if not spec.is_categorical():
+            try:
+                number = {cell: float(cell) for cell in pool}
+            except ValueError:
+                raise _first_row_error(path, schema) from None
+            part = map(number.__getitem__, part)
+        columns.append(tuple(part))
     return RelationalTable(
         name=path.stem if name is None else name, schema=schema, columns=columns
     )
 
 
-def _first_row_error(path: Path, schema: tuple[AttributeSpec, ...], body: list[str]) -> DataError:
-    """The error for the first data line with the wrong number of cells or a
-    quantitative cell that is not a number. The caller has seen one."""
+def _first_row_error(path: Path, schema: tuple[AttributeSpec, ...]) -> DataError:
+    """The error for a file that failed one of :func:`load_csv`'s bulk checks,
+    found by streaming it again line by line: the header, then per row a
+    quote, the number of values and each number. The rest of the file is
+    still read, so text that is not UTF-8 is reported wherever it is."""
+    with _open_text(path) as fh:
+        error = next(_line_errors(path, schema, chain.from_iterable(map(str.splitlines, fh))), None)
+        deque(fh, maxlen=0)
+    if error is None:
+        raise AssertionError("no bad line in a file that failed its bulk checks")
+    return error
+
+
+def _line_errors(path: Path, schema: tuple[AttributeSpec, ...], lines: Iterator[str]) -> Iterator[DataError]:
+    """The errors of ``lines`` in file order; only the first one is read."""
+    header = next(lines, None)
+    expected = [s.name for s in schema]
+    if header is None:
+        yield DataError(f"{path}: empty file, expected a header row")
+    elif header.split(",") != expected:
+        yield DataError(f"{path}: header mismatch: expected {expected}, got {header.split(',')}")
     numeric = [j for j, spec in enumerate(schema) if not spec.is_categorical()]
-    for i, line in enumerate(body, start=1):
+    for i, line in enumerate(lines, start=1):
+        if '"' in line:
+            yield DataError(
+                f"{path} row {i}: quoted values are not supported; this format "
+                "forbids delimiters inside values"
+            )
         cells = line.split(",")
         if len(cells) != len(schema):
-            return DataError(f"{path} row {i}: expected {len(schema)} values, got {len(cells)}")
+            yield DataError(f"{path} row {i}: expected {len(schema)} values, got {len(cells)}")
         for j in numeric:
             try:
                 float(cells[j])
             except ValueError:
-                return DataError(
+                yield DataError(
                     f"{path} row {i}: cannot parse {cells[j]!r} as a number for "
                     f"attribute {schema[j].name!r}"
                 )
-    raise AssertionError("no bad row in a body that failed its bulk checks")
 
 
 def join_tables(

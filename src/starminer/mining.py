@@ -334,10 +334,10 @@ def fi_gen(
 ) -> tuple[list[FrequentItemset], MiningStats]:
     """Mine all itemsets with support >= minsup using bitmap intersections.
 
-    Each candidate of :func:`_levelwise` is counted as the population count
-    of the AND of its parent's mask with its last item's extent; the empty
-    parent of a level-1 candidate has every group's bit set. No group scan
-    happens after the extent build, so ``full_scans_of_groups`` is always 1.
+    A level-1 candidate's mask is its code's extent. Each later candidate of
+    :func:`_levelwise` is counted as the population count of the AND of its
+    parent's mask with its last item's extent. No group scan happens after
+    the extent build, so ``full_scans_of_groups`` is always 1.
 
     ``workers`` > 1 splits candidate counting into contiguous slices handled
     by a thread pool of at most ``os.cpu_count()`` threads; output is
@@ -352,11 +352,14 @@ def fi_gen(
     start = time.perf_counter()
 
     single_mask = build_item_extents(view, stats)
-    masks: dict[tuple[str, ...], int] = {(): (1 << view.n_groups) - 1}
+    masks: dict[tuple[str, ...], int] = {}
 
     def count_level(candidates, k, threshold):
         nonlocal masks
-        if workers == 1 or len(candidates) < 64:
+        if k == 1:  # a code's extent is its level-1 mask, used without a copy
+            singles = ((cand, single_mask[cand[0]]) for cand in candidates)
+            frequent = [(cand, m, n) for cand, m in singles if (n := m.bit_count()) >= threshold]
+        elif workers == 1 or len(candidates) < 64:
             frequent = _count_slice(candidates, masks, single_mask, threshold)
         else:
             step = math.ceil(len(candidates) / workers)

@@ -251,8 +251,11 @@ def _format_itemset(decoded: DecodedItemset) -> str:
     return f"{format_pairs(decoded.pairs)}  sup={format_percent(decoded.support)}% ({decoded.support_count})"
 
 
+_JSONL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _jsonl(records: Sequence[dict[str, Any]]) -> str:
-    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+    return "".join(_JSONL.encode(r) + "\n" for r in records)
 
 
 def _pairs_json(pairs: Sequence[tuple[str, str]]) -> list[dict[str, str]]:
