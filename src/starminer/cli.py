@@ -27,6 +27,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: usage error: {message}\n")
 
 
+def _names(raw: str) -> list[str]:
+    return [name for name in raw.split(",") if name]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="starminer",
@@ -41,34 +45,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dim",
         action="append",
-        default=[],
+        dest="dims",
         metavar="NAME=PATH",
         help="dimension table CSV (repeatable)",
     )
     p.add_argument(
         "--join",
         action="append",
-        default=[],
+        dest="joins",
         metavar="FACT_KEY:DIM:DIM_KEY",
         help="equi-join link from a fact key to a dimension key (repeatable)",
     )
     p.add_argument("--key-dim", metavar="ATTR", help="attribute whose values define transactions")
     p.add_argument(
         "--combine-dims",
+        dest="selected_dims",
+        type=_names,
         metavar="A,B,C",
         help="comma-separated dimensions merged into mapping codes",
     )
     p.add_argument(
         "--filter",
         action="append",
-        default=[],
+        dest="filters",
         metavar="DIM=VALUE",
         help="keep only rows with this dimension value (repeatable; same dim ORs)",
     )
     p.add_argument(
         "--bins",
         action="append",
-        default=[],
         metavar="ATTR=LABEL:LO:HI,...",
         help="discretization bins for a quantitative attribute (repeatable)",
     )
@@ -77,17 +82,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=ALGORITHMS, help="miner to run (default rshar)")
     p.add_argument(
         "--repeatable-dims",
+        type=_names,
         metavar="A,B",
         help="dimensions that may repeat with several values in one rule",
     )
     p.add_argument(
         "--synth",
+        dest="synth_rows",
         type=int,
         metavar="N_FACT_ROWS",
         help="generate synthetic sales data with this many fact rows",
     )
     p.add_argument("--seed", type=int, help="RNG seed (required with --synth)")
-    p.add_argument("--out", metavar="DIR", help="output directory")
+    p.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
     p.add_argument(
         "--workers",
         type=int,
@@ -120,6 +127,23 @@ def _parse_bins(raw: str) -> tuple[str, tuple[tuple[str, float, float], ...]]:
     return attr, tuple(bins)
 
 
+def _parse_join(raw: str) -> tuple[str, str, str]:
+    pieces = raw.split(":")
+    if len(pieces) != 3 or not all(pieces):
+        raise ValueError(f"--join expects FACT_KEY:DIM:DIM_KEY, got {raw!r}")
+    return tuple(pieces)
+
+
+# The repeatable flags whose values are parsed here rather than by argparse,
+# so that a bad one is a usage error with its own message.
+_FLAG_PARSERS = {
+    "dims": lambda raw: _parse_kv("--dim", raw),
+    "joins": _parse_join,
+    "filters": lambda raw: _parse_kv("--filter", raw),
+    "bins": _parse_bins,
+}
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     base: dict = {}
     if args.config:
@@ -133,43 +157,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if not isinstance(base, dict):
             raise ValueError("config file must hold a JSON object")
 
-    overrides: dict = {}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.fact is not None:
-        overrides["fact"] = args.fact
-    if args.dim:
-        overrides["dims"] = [_parse_kv("--dim", d) for d in args.dim]
-    if args.join:
-        joins = []
-        for j in args.join:
-            pieces = j.split(":")
-            if len(pieces) != 3 or not all(pieces):
-                raise ValueError(f"--join expects FACT_KEY:DIM:DIM_KEY, got {j!r}")
-            joins.append(tuple(pieces))
-        overrides["joins"] = joins
-    if args.key_dim is not None:
-        overrides["key_dim"] = args.key_dim
-    if args.combine_dims is not None:
-        overrides["selected_dims"] = [d for d in args.combine_dims.split(",") if d]
-    if args.filter:
-        overrides["filters"] = [_parse_kv("--filter", f) for f in args.filter]
-    if args.bins:
-        overrides["bins"] = [_parse_bins(b) for b in args.bins]
-    if args.minsup is not None:
-        overrides["minsup"] = args.minsup
-    if args.minconf is not None:
-        overrides["minconf"] = args.minconf
-    if args.algorithm is not None:
-        overrides["algorithm"] = args.algorithm
-    if args.repeatable_dims is not None:
-        overrides["repeatable_dims"] = [d for d in args.repeatable_dims.split(",") if d]
-    if args.synth is not None:
-        overrides["synth_rows"] = args.synth
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
+    # every flag's dest is the RunConfig field it sets
+    overrides = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
+    for name, parse in _FLAG_PARSERS.items():
+        if name in overrides:
+            overrides[name] = [parse(raw) for raw in overrides[name]]
 
     merged = {**base, **overrides}
     if "out_dir" not in merged:
@@ -183,7 +175,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         config = config_from_args(args)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"starminer: usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

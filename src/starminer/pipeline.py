@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .datamodel import QUANTITATIVE, AttributeSpec, RelationalTable
 from .errors import AgreementError, SchemaError
@@ -43,7 +45,9 @@ BinsConfig = tuple[tuple[str, tuple[tuple[str, float, float], ...]], ...]
 class RunConfig:
     """Everything one run needs; round-trips losslessly through a JSON dict.
 
-    ``minsup``/``minconf`` are decimal strings so thresholds stay exact.
+    Each field's annotation is its JSON shape: construction checks every
+    field against it and turns lists into tuples. ``minsup``/``minconf``
+    are best given as decimal strings, which keep thresholds exact.
     Synthetic-data runs set ``synth_rows`` (plus ``seed``) instead of
     ``fact``/``dims``; leaving ``key_dim`` unset turns such a run into pure
     data generation.
@@ -58,8 +62,8 @@ class RunConfig:
     selected_dims: tuple[str, ...] = ()
     filters: tuple[tuple[str, str], ...] = ()
     bins: BinsConfig = ()
-    minsup: str | None = None
-    minconf: str | None = None
+    minsup: str | float | None = None
+    minconf: str | float | None = None
     algorithm: str = "rshar"
     repeatable_dims: tuple[str, ...] = ()
     synth_rows: int | None = None
@@ -72,24 +76,21 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(tuple(d) for d in self.dims))
-        object.__setattr__(self, "joins", tuple(tuple(j) for j in self.joins))
-        if self.projected is not None:
-            object.__setattr__(self, "projected", tuple(tuple(p) for p in self.projected))
-        object.__setattr__(self, "selected_dims", tuple(self.selected_dims))
-        object.__setattr__(self, "filters", tuple(tuple(f) for f in self.filters))
-        object.__setattr__(
-            self,
-            "bins",
-            tuple((a, tuple(tuple(b) for b in bs)) for a, bs in self.bins),
-        )
-        object.__setattr__(self, "repeatable_dims", tuple(self.repeatable_dims))
+        for name, hint in _FIELD_HINTS.items():
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, _conform(value, hint))
+            except ValueError:
+                raise ValueError(f"config field {name!r} must be {_shape(hint)}, got {value!r}") from None
 
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        attrs = [attr for attr, _ in self.bins]
+        if len(set(attrs)) != len(attrs):
+            raise ValueError(f"bins declares an attribute more than once: {attrs}")
         if self.synth_rows is not None:
             # SynthSpec checks the same bounds, but as a data error
             for name, low in _SYNTH_LOWER_BOUNDS.items():
@@ -143,82 +144,55 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunConfig":
-        """Build a config from JSON-shaped data (lists where tuples go).
-
-        Each field's type and shape is checked first; a bad field is a
-        ValueError that names it.
-        """
-        unknown = set(data) - set(_FIELD_SHAPES)
+        """Build a config from JSON-shaped data (lists where tuples go)."""
+        unknown = set(data) - set(_FIELD_HINTS)
         if unknown:
             raise ValueError(f"config has unknown fields: {sorted(unknown)}")
-        for name, value in data.items():
-            fits, shape = _FIELD_SHAPES[name]
-            if not fits(value):
-                raise ValueError(f"config field {name!r} must be {shape}, got {value!r}")
         return cls(**data)
 
 
-def _is_str(value: Any) -> bool:
-    return isinstance(value, str)
+# computed once: resolving the string annotations costs far more than a check
+_FIELD_HINTS = typing.get_type_hints(RunConfig)
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _conform(value: Any, hint: Any) -> Any:
+    """``value`` checked against the annotation ``hint``, with every list made
+    a tuple; ValueError if it does not fit."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is types.UnionType:
+        for arm in args:
+            try:
+                return _conform(value, arm)
+            except ValueError:
+                pass
+    elif args:  # tuple[X, ...] or tuple[A, B, ...]
+        if isinstance(value, (list, tuple)):
+            if args[-1] is Ellipsis:
+                return tuple(_conform(v, args[0]) for v in value)
+            if len(value) == len(args):
+                return tuple(map(_conform, value, args))
+    elif isinstance(value, bool):
+        pass  # JSON's true/false are never integers or numbers
+    elif isinstance(value, hint) or (hint is float and isinstance(value, int)):
+        # JSON's NaN literal parses to a float that no threshold or bound can use
+        if value == value:
+            return value
+    raise ValueError(value)
 
 
-def _is_number(value: Any) -> bool:
-    # JSON's NaN literal parses to a float that no threshold or bound can use
-    return _is_int(value) or (isinstance(value, float) and value == value)
+_JSON_NAMES = {str: "string", int: "integer", float: "number", type(None): "null"}
 
 
-def _optional(fits: Callable[[Any], bool]) -> Callable[[Any], bool]:
-    return lambda value: value is None or fits(value)
-
-
-def _list_of(fits: Callable[[Any], bool]) -> Callable[[Any], bool]:
-    return lambda value: isinstance(value, (list, tuple)) and all(map(fits, value))
-
-
-def _tuple_of(*parts: Callable[[Any], bool]) -> Callable[[Any], bool]:
-    return lambda value: (
-        isinstance(value, (list, tuple))
-        and len(value) == len(parts)
-        and all(fits(v) for fits, v in zip(parts, value))
-    )
-
-
-_PAIR = _tuple_of(_is_str, _is_str)
-_THRESHOLD = (_optional(lambda v: _is_str(v) or _is_number(v)), "a decimal string, a number or null")
-# (check, expected shape in words) for every RunConfig field
-_FIELD_SHAPES: dict[str, tuple[Callable[[Any], bool], str]] = {
-    "out_dir": (_is_str, "a string"),
-    "fact": (_optional(_is_str), "a string or null"),
-    "dims": (_list_of(_PAIR), "a list of [name, path] pairs"),
-    "joins": (
-        _list_of(_tuple_of(_is_str, _is_str, _is_str)),
-        "a list of [fact_key, dimension, dimension_key] triples",
-    ),
-    "projected": (_optional(_list_of(_PAIR)), "null or a list of [table, attribute] pairs"),
-    "key_dim": (_optional(_is_str), "a string or null"),
-    "selected_dims": (_list_of(_is_str), "a list of strings"),
-    "filters": (_list_of(_PAIR), "a list of [dimension, value] pairs"),
-    "bins": (
-        _list_of(_tuple_of(_is_str, _list_of(_tuple_of(_is_str, _is_number, _is_number)))),
-        "a list of [attribute, [[label, low, high], ...]] pairs",
-    ),
-    "minsup": _THRESHOLD,
-    "minconf": _THRESHOLD,
-    "algorithm": (_is_str, "a string"),
-    "repeatable_dims": (_list_of(_is_str), "a list of strings"),
-    "synth_rows": (_optional(_is_int), "an integer or null"),
-    "synth_customers": (_is_int, "an integer"),
-    "synth_products": (_is_int, "an integer"),
-    "synth_times": (_is_int, "an integer"),
-    "synth_channels": (_is_int, "an integer"),
-    "synth_skew": (_is_number, "a number"),
-    "seed": (_optional(_is_int), "an integer or null"),
-    "workers": (_is_int, "an integer"),
-}
+def _shape(hint: Any) -> str:
+    """The JSON shape that ``_conform`` accepts for ``hint``, in words."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is types.UnionType:
+        return " or ".join(map(_shape, args))
+    if not args:
+        return _JSON_NAMES[hint]
+    if args[-1] is Ellipsis:
+        return f"[{_shape(args[0])}, ...]"
+    return f"[{', '.join(map(_shape, args))}]"
 
 
 # the least value SynthSpec accepts for each generator field
@@ -254,8 +228,12 @@ def _format_itemset(decoded: DecodedItemset) -> str:
 _JSONL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _jsonl(records: Sequence[dict[str, Any]]) -> str:
+def _jsonl(records: Iterable[dict[str, Any]]) -> str:
     return "".join(_JSONL.encode(r) + "\n" for r in records)
+
+
+def _json_doc(doc: dict[str, Any]) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _pairs_json(pairs: Sequence[tuple[str, str]]) -> list[dict[str, str]]:
@@ -290,7 +268,7 @@ def _derive_projection(
     return tuple(projected)
 
 
-def _load_inputs(config: RunConfig, out: Path) -> tuple[RelationalTable, list[RelationalTable]]:
+def _load_inputs(config: RunConfig, paths: Mapping[str, Path]) -> tuple[RelationalTable, list[RelationalTable]]:
     bins_by_attr = {attr: bins for attr, bins in config.bins}
 
     def schema_for(header: Sequence[str]) -> tuple[AttributeSpec, ...]:
@@ -302,30 +280,11 @@ def _load_inputs(config: RunConfig, out: Path) -> tuple[RelationalTable, list[Re
                 specs.append(AttributeSpec(name=name))
         return tuple(specs)
 
-    if config.synth_rows is not None:
-        spec = SynthSpec(
-            seed=config.seed if config.seed is not None else 0,
-            n_fact_rows=config.synth_rows,
-            n_customers=config.synth_customers,
-            n_products=config.synth_products,
-            n_times=config.synth_times,
-            n_channels=config.synth_channels,
-            skew=config.synth_skew,
-        )
-        paths = generate_sales(spec, out / "data")
-        fact_path = paths["fact"]
-        dim_paths = [(name, p) for name, p in paths.items() if name != "fact"]
-    else:
-        assert config.fact is not None
-        fact_path = Path(config.fact)
-        dim_paths = [(name, Path(p)) for name, p in config.dims]
-
-    paths = [("fact", fact_path), *dim_paths]
-    headers = [read_header(p) for _, p in paths]
+    headers = {name: read_header(p) for name, p in paths.items()}
     for attr in bins_by_attr:
-        if not any(attr in header for header in headers):
+        if not any(attr in header for header in headers.values()):
             raise SchemaError(f"--bins attribute {attr!r} not found in any input table")
-    fact, *dims = (load_csv(p, schema_for(h), name=name) for (name, p), h in zip(paths, headers))
+    fact, *dims = (load_csv(paths[name], schema_for(h), name=name) for name, h in headers.items())
     return fact, dims
 
 
@@ -339,14 +298,26 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         raise ValueError(f"cannot create output directory {out}: {exc.strerror}") from None
     result = PipelineResult()
 
-    fact, dims = _load_inputs(config, out)
     if config.synth_rows is not None:
-        result.files.update(
-            {f"data/{t.name}": Path(config.out_dir) / "data" / f"{t.name}.csv" for t in (fact, *dims)}
+        spec = SynthSpec(
+            seed=config.seed if config.seed is not None else 0,
+            n_fact_rows=config.synth_rows,
+            n_customers=config.synth_customers,
+            n_products=config.synth_products,
+            n_times=config.synth_times,
+            n_channels=config.synth_channels,
+            skew=config.synth_skew,
         )
+        written = generate_sales(spec, out / "data")
+        paths = {"fact": written["fact"], **written}
+        result.files.update({f"data/{name}": path for name, path in paths.items()})
+    else:
+        assert config.fact is not None
+        paths = {"fact": Path(config.fact), **{name: Path(p) for name, p in config.dims}}
     if config.key_dim is None:
         return result  # generation-only run
 
+    fact, dims = _load_inputs(config, paths)
     needed = [config.key_dim, *config.selected_dims, *(d for d, _ in config.filters)]
     projected = config.projected or _derive_projection(fact, dims, needed)
     join_spec = JoinSpec(fact_table="fact", links=config.joins, projected_attrs=projected)
@@ -410,43 +381,48 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
 
 def _write_artifacts(config: RunConfig, out: Path, result: PipelineResult) -> None:
-    # decoded itemsets are 1:1 with the mined code itemsets; carrying the
-    # codes makes every stats number recomputable from this file
-    itemset_records = [
-        {
-            "items": _pairs_json(d.pairs),
-            "codes": list(fi.items),
-            "level": d.level,
-            "support_count": d.support_count,
-            "support": d.support,
-        }
-        for fi, d in zip(result.itemsets, result.decoded)
-    ]
-    rule_records = [
-        {
-            "antecedent": _pairs_json(r.antecedent),
-            "consequent": _pairs_json(r.consequent),
-            "support_count": r.support_count,
-            "antecedent_count": r.antecedent_count,
-            "support": r.support,
-            "confidence": r.confidence,
-        }
-        for r in result.rules
-    ]
-    files = {
-        "itemsets.txt": "".join(_format_itemset(d) + "\n" for d in result.decoded),
-        "itemsets.jsonl": _jsonl(itemset_records),
-        "rules.txt": "".join(format_rule(r) + "\n" for r in result.rules),
-        "rules.jsonl": _jsonl(rule_records),
-    }
+    # Each file replaces its old version whole; a failed write leaves every
+    # file either as the previous run left it or as this run wrote it. Each
+    # file is rendered just before it is written, so only one file's text
+    # and records are alive at a time.
+    def write(name: str, content: str) -> None:
+        path = out / name
+        write_text_atomic(path, content)
+        result.files[name] = path
 
-    # the agreement check has made both miners' itemsets equal to these
-    found = {
-        "itemsets_per_level": Counter(str(fi.level) for fi in result.itemsets),
-        "itemsets_total": len(result.itemsets),
-    }
-    docs: dict[str, dict[str, Any]] = {
-        "stats.json": {
+    try:
+        write("itemsets.txt", "".join(_format_itemset(d) + "\n" for d in result.decoded))
+        # decoded itemsets are 1:1 with the mined code itemsets; carrying the
+        # codes makes every stats number recomputable from this file
+        write("itemsets.jsonl", _jsonl(
+            {
+                "items": _pairs_json(d.pairs),
+                "codes": list(fi.items),
+                "level": d.level,
+                "support_count": d.support_count,
+                "support": d.support,
+            }
+            for fi, d in zip(result.itemsets, result.decoded)
+        ))
+        write("rules.txt", "".join(format_rule(r) + "\n" for r in result.rules))
+        write("rules.jsonl", _jsonl(
+            {
+                "antecedent": _pairs_json(r.antecedent),
+                "consequent": _pairs_json(r.consequent),
+                "support_count": r.support_count,
+                "antecedent_count": r.antecedent_count,
+                "support": r.support,
+                "confidence": r.confidence,
+            }
+            for r in result.rules
+        ))
+
+        # the agreement check has made both miners' itemsets equal to these
+        found = {
+            "itemsets_per_level": Counter(str(fi.level) for fi in result.itemsets),
+            "itemsets_total": len(result.itemsets),
+        }
+        write("stats.json", _json_doc({
             "minsup": config.minsup,
             "minconf": config.minconf,
             "general_rows": result.general_rows,
@@ -455,26 +431,15 @@ def _write_artifacts(config: RunConfig, out: Path, result: PipelineResult) -> No
             "rules_total": len(result.rules),
             "algorithms": {name: st.counters() for name, st in result.stats.items()},
             **found,
-        }
-    }
-    if config.algorithm == "both":
-        docs["bench_report.json"] = {
-            "groups": result.groups,
-            "codes": result.codes,
-            "minsup": config.minsup,
-            "algorithms": {name: {**st.counters(), **found} for name, st in result.stats.items()},
-            "agreement": True,
-        }
-    for name, doc in docs.items():
-        files[name] = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-    # Each file replaces its old version whole; a failed write leaves every
-    # file either as the previous run left it or as this run wrote it.
-    try:
-        for name, content in files.items():
-            path = out / name
-            write_text_atomic(path, content)
-            result.files[name] = path
+        }))
+        if config.algorithm == "both":
+            write("bench_report.json", _json_doc({
+                "groups": result.groups,
+                "codes": result.codes,
+                "minsup": config.minsup,
+                "algorithms": {name: {**st.counters(), **found} for name, st in result.stats.items()},
+                "agreement": True,
+            }))
 
         if result.registry is not None:
             registry_path = out / "registry.csv"
@@ -482,4 +447,3 @@ def _write_artifacts(config: RunConfig, out: Path, result: PipelineResult) -> No
             result.files["registry.csv"] = registry_path
     except OSError as exc:
         raise ValueError(f"cannot write artifacts to {out}: {exc.strerror}") from None
-

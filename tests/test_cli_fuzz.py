@@ -230,7 +230,8 @@ def test_cli_on_arbitrary_config_documents_exits_with_a_one_line_message(doc):
     "field, value",
     [("synth_rows", "100"), ("selected_dims", "product_name"), ("joins", 5),
      ("seed", "x"), ("out_dir", 5), ("repeatable_dims", 7), ("filters", [["A", "a", "b"]]),
-     ("synth_skew", math.nan)],
+     ("synth_skew", math.nan), ("seed", True), ("minsup", True), ("synth_rows", 1.0), ("fact", 5),
+     ("dims", [["a", "b", "c"]]), ("bins", [["y", [["l", 0]]]])],
 )
 def test_config_field_of_the_wrong_shape_is_a_usage_error_naming_it(field, value):
     doc = {**MINING, "synth_rows": None, field: value}

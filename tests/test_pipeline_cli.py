@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import os
@@ -6,7 +7,7 @@ import time
 
 import pytest
 
-from starminer.cli import main
+from starminer.cli import build_parser, main
 from starminer.datamodel import RelationalTable
 from starminer.errors import AgreementError
 from starminer.mapcode import MdTable
@@ -264,6 +265,16 @@ def test_config_rejects_unknown_fields():
         RunConfig.from_dict({"out_dir": "x", "bogus": 1})
 
 
+def test_constructing_a_config_checks_each_field_shape():
+    with pytest.raises(ValueError, match=r"^config field 'dims' must be \[\[string, string\], \.\.\.\], got 5$"):
+        RunConfig(out_dir="o", dims=5)
+
+
+def test_every_flag_sets_a_config_field():
+    dests = {action.dest for action in build_parser()._actions} - {"help", "config"}
+    assert dests <= {f.name for f in dataclasses.fields(RunConfig)}
+
+
 # --- CLI ---------------------------------------------------------------------
 
 def run_cli(*argv):
@@ -296,9 +307,12 @@ EXPLICIT = ["--fact", "fact.csv", "--dim", "product=product.csv", "--combine-dim
         ([*EXPLICIT, "--dim", "fact=other.csv"], "dims must"),
         ([*EXPLICIT, "--join", "product_id:nosuch:product_id"], "joins"),
         ([*SYNTH, "--combine-dims", "product_name", "--join", "product_id:nosuch:product_id"], "joins"),
+        ([*SYNTH, "--combine-dims", "product_name,year", "--bins", "year=old:1990:2000,new:2000:2100",
+          "--bins", "year=all:1000:3000"], "bins"),
     ],
     ids=["key-dim-combined", "duplicate-dims", "duplicate-join", "repeatable-not-combined",
-         "duplicate-dim-name", "dim-named-fact", "join-without-dim", "join-synth-does-not-make"],
+         "duplicate-dim-name", "dim-named-fact", "join-without-dim", "join-synth-does-not-make",
+         "repeated-bins-attribute"],
 )
 def test_cli_flag_conflicts_are_usage_errors_naming_the_field(tmp_path, capsys, flags, field):
     code = run_cli(
@@ -421,6 +435,21 @@ def test_cli_synth_only_generates_data(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "out" / "data" / "fact.csv").exists()
     assert "generated synthetic data" in capsys.readouterr().out
+
+
+def test_generation_only_run_reads_nothing_back(tmp_path, monkeypatch):
+    import starminer.pipeline as pipeline_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a generation-only run read its CSVs back")
+
+    monkeypatch.setattr(pipeline_mod, "load_csv", forbidden)
+    monkeypatch.setattr(pipeline_mod, "read_header", forbidden)
+    assert run_cli("--synth", "50", "--seed", "3", "--out", str(tmp_path / "out")) == 0
+    result = run_pipeline(RunConfig(out_dir=str(tmp_path / "again"), synth_rows=50, seed=3))
+    data = tmp_path / "again" / "data"
+    assert result.files == {f"data/{name}": data / f"{name}.csv"
+                            for name in ("fact", "customer", "product", "times", "channel")}
 
 
 def test_cli_synth_requires_seed(tmp_path):
