@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        help="parallel support-counting threads (default 1, capped at the CPU count)",
+        help="accepted and ignored: support counting runs on one thread (must be >= 1)",
     )
     return p
 

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .datamodel import RelationalTable
 from .errors import DataError, SchemaError
-from .ingest import write_text_atomic
 from .mining import FrequentItemset
 
 Pair = tuple[str, str]
@@ -74,10 +72,6 @@ class MapCodeRegistry:
             rendered = ";".join(f"{d}={v}" for d, v in zip(self.selected_dims, combo))
             lines.append(f"{code},{rendered}")
         return lines
-
-    def write_csv(self, path: str | Path) -> None:
-        """Write :meth:`csv_lines` to ``path``, replacing any old file whole."""
-        write_text_atomic(Path(path), "\n".join(self.csv_lines()) + "\n")
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,10 @@ decimal repr), and an itemset is frequent iff its count reaches
 from __future__ import annotations
 
 import math
-import os
 import re
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -309,23 +307,6 @@ def _levelwise(
     return result
 
 
-def _count_slice(
-    cands: Sequence[tuple[str, ...]],
-    parent_mask: dict[tuple[str, ...], int],
-    single_mask: dict[str, int],
-    threshold: int,
-) -> list[tuple[tuple[str, ...], int, int]]:
-    """``(candidate, mask, count)`` for each frequent candidate, in order; an
-    infrequent candidate's mask is dropped as soon as it is counted."""
-    out = []
-    for cand in cands:
-        mask = parent_mask[cand[:-1]] & single_mask[cand[-1]]
-        count = mask.bit_count()
-        if count >= threshold:
-            out.append((cand, mask, count))
-    return out
-
-
 def fi_gen(
     view: TransactionView,
     minsup: float | str | Fraction,
@@ -339,15 +320,10 @@ def fi_gen(
     parent's mask with its last item's extent. No group scan happens after
     the extent build, so ``full_scans_of_groups`` is always 1.
 
-    ``workers`` > 1 splits candidate counting into contiguous slices handled
-    by a thread pool of at most ``os.cpu_count()`` threads; output is
-    byte-identical to the serial run.
+    Counting runs on the calling thread: AND and ``bit_count`` hold the
+    interpreter lock, so threads only slowed it. ``workers`` is ignored.
     """
     f = threshold_in_range("minsup", minsup)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    # one thread per slice, so an uncapped count could start a thread per candidate
-    workers = min(workers, os.cpu_count() or 1)
     stats = MiningStats()
     start = time.perf_counter()
 
@@ -357,16 +333,11 @@ def fi_gen(
     def count_level(candidates, k, threshold):
         nonlocal masks
         if k == 1:  # a code's extent is its level-1 mask, used without a copy
-            singles = ((cand, single_mask[cand[0]]) for cand in candidates)
-            frequent = [(cand, m, n) for cand, m in singles if (n := m.bit_count()) >= threshold]
-        elif workers == 1 or len(candidates) < 64:
-            frequent = _count_slice(candidates, masks, single_mask, threshold)
+            counted = ((cand, single_mask[cand[0]]) for cand in candidates)
         else:
-            step = math.ceil(len(candidates) / workers)
-            slices = [candidates[i : i + step] for i in range(0, len(candidates), step)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = pool.map(lambda s: _count_slice(s, masks, single_mask, threshold), slices)
-                frequent = [entry for part in parts for entry in part]
+            counted = ((cand, masks[cand[:-1]] & single_mask[cand[-1]]) for cand in candidates)
+        # an infrequent candidate's mask is dropped as soon as it is counted
+        frequent = [(cand, m, n) for cand, m in counted if (n := m.bit_count()) >= threshold]
         masks = {cand: mask for cand, mask, _ in frequent}
         return [(cand, count) for cand, _, count in frequent]
 

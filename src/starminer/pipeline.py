@@ -73,7 +73,7 @@ class RunConfig:
     synth_channels: int = 60
     synth_skew: float = 1.0
     seed: int | None = None
-    workers: int = 1
+    workers: int = 1  # accepted and ignored: support counting runs on one thread
 
     def __post_init__(self) -> None:
         for name, hint in _FIELD_HINTS.items():
@@ -91,6 +91,10 @@ class RunConfig:
         attrs = [attr for attr, _ in self.bins]
         if len(set(attrs)) != len(attrs):
             raise ValueError(f"bins declares an attribute more than once: {attrs}")
+        try:
+            _binned_specs(self.bins)
+        except SchemaError as exc:
+            raise ValueError(f"bins: {exc}") from None
         if self.synth_rows is not None:
             # SynthSpec checks the same bounds, but as a data error
             for name, low in _SYNTH_LOWER_BOUNDS.items():
@@ -258,7 +262,7 @@ def _derive_projection(
             continue
         owners = [t.name for t in dims if attr in t.attribute_names]
         if not owners:
-            raise SchemaError(f"attribute {attr!r} not found in any input table")
+            raise SchemaError(f"attribute {attr!r} is in neither the fact table nor a joined dimension")
         if len(owners) > 1:
             raise SchemaError(
                 f"attribute {attr!r} is ambiguous (in tables {owners}); declare an "
@@ -268,23 +272,24 @@ def _derive_projection(
     return tuple(projected)
 
 
+def _binned_specs(bins: BinsConfig) -> dict[str, AttributeSpec]:
+    """Each binned attribute's quantitative spec; a malformed bin list is a SchemaError."""
+    return {attr: AttributeSpec(name=attr, kind=QUANTITATIVE, bins=b) for attr, b in bins}
+
+
 def _load_inputs(config: RunConfig, paths: Mapping[str, Path]) -> tuple[RelationalTable, list[RelationalTable]]:
-    bins_by_attr = {attr: bins for attr, bins in config.bins}
-
-    def schema_for(header: Sequence[str]) -> tuple[AttributeSpec, ...]:
-        specs = []
-        for name in header:
-            if name in bins_by_attr:
-                specs.append(AttributeSpec(name=name, kind=QUANTITATIVE, bins=bins_by_attr[name]))
-            else:
-                specs.append(AttributeSpec(name=name))
-        return tuple(specs)
-
+    binned = _binned_specs(config.bins)
     headers = {name: read_header(p) for name, p in paths.items()}
-    for attr in bins_by_attr:
+    for attr in binned:
         if not any(attr in header for header in headers.values()):
             raise SchemaError(f"--bins attribute {attr!r} not found in any input table")
-    fact, *dims = (load_csv(paths[name], schema_for(h), name=name) for name, h in headers.items())
+    # every header is read for the --bins check, but only joined dimensions load
+    joined = {"fact", *(dim for _, dim, _ in config.joins)}
+    fact, *dims = (
+        load_csv(paths[name], tuple(binned.get(a) or AttributeSpec(name=a) for a in h), name=name)
+        for name, h in headers.items()
+        if name in joined
+    )
     return fact, dims
 
 
@@ -351,7 +356,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     assert config.minsup is not None and config.minconf is not None
     outputs: dict[str, tuple[list[FrequentItemset], MiningStats]] = {}
     if config.algorithm in ("rshar", "both"):
-        outputs["rshar"] = fi_gen(view, config.minsup, workers=config.workers)
+        outputs["rshar"] = fi_gen(view, config.minsup)
     if config.algorithm in ("apriori", "both"):
         outputs["apriori"] = apriori_baseline(view, config.minsup)
     result.stats = {name: stats for name, (_, stats) in outputs.items()}
@@ -442,8 +447,6 @@ def _write_artifacts(config: RunConfig, out: Path, result: PipelineResult) -> No
             }))
 
         if result.registry is not None:
-            registry_path = out / "registry.csv"
-            result.registry.write_csv(registry_path)
-            result.files["registry.csv"] = registry_path
+            write("registry.csv", "\n".join(result.registry.csv_lines()) + "\n")
     except OSError as exc:
         raise ValueError(f"cannot write artifacts to {out}: {exc.strerror}") from None

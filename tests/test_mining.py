@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starminer import mining
 from starminer.errors import DataError
 from starminer.mapcode import MdTable
 from starminer.mining import (
     TransactionView,
-    _count_slice,
     apriori_baseline,
     brute_force_frequent,
     build_item_extents,
@@ -135,58 +133,6 @@ def test_fi_gen_output_order_level_then_lex():
     itemsets, _ = fi_gen(FOUR_GROUPS, 0.5)
     keys = [(fi.level, fi.items) for fi in itemsets]
     assert keys == sorted(keys)
-
-
-def test_fi_gen_parallel_matches_serial():
-    rng = random.Random(3)
-    codes = [f"{i:04d}" for i in range(1, 10)]
-    view = TransactionView.from_groups(
-        (f"g{j}", rng.sample(codes, rng.randint(0, 6))) for j in range(80)
-    )
-    serial, _ = fi_gen(view, 0.1, workers=1)
-    parallel, _ = fi_gen(view, 0.1, workers=3)
-    assert [(f.items, f.support_count) for f in serial] == [
-        (f.items, f.support_count) for f in parallel
-    ]
-
-
-def test_fi_gen_pool_is_capped_at_the_cpu_count(monkeypatch):
-    pools = []
-
-    class SerialPool:
-        # records the pool size and the slices; maps in the calling thread
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.slices = 0
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, slices):
-            slices = list(slices)
-            self.slices += len(slices)
-            return map(fn, slices)
-
-    monkeypatch.setattr(mining, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(mining.os, "cpu_count", lambda: 4)
-    # 12 codes in every group: 66 candidates at level 2, enough to use the pool
-    codes = [f"{i:04d}" for i in range(1, 13)]
-    view = TransactionView.from_groups((f"g{j}", codes) for j in range(5))
-    capped, _ = fi_gen(view, 1, workers=100_000)
-    assert pools and all(p.max_workers == 4 and p.slices <= 4 for p in pools)
-    serial, _ = fi_gen(view, 1)
-    assert capped == serial
-
-
-def test_count_slice_keeps_only_frequent_candidates_in_order():
-    masks = {("a",): 0b1111, ("b",): 0b0111}
-    singles = {"b": 0b0111, "c": 0b0001, "d": 0b1110}
-    counted = _count_slice([("a", "b"), ("a", "c"), ("a", "d"), ("b", "d")], masks, singles, 2)
-    assert counted == [(("a", "b"), 0b0111, 3), (("a", "d"), 0b1110, 3), (("b", "d"), 0b0110, 2)]
 
 
 def test_exact_threshold_at_sub_percent_minsup():

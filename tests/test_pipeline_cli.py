@@ -1,8 +1,10 @@
 import dataclasses
 import errno
 import json
+import math
 import os
 import random
+import threading
 import time
 
 import pytest
@@ -121,7 +123,7 @@ def test_miners_that_disagree_fail_the_run_before_any_artifact(tmp_path, monkeyp
 
 
 def test_pipeline_deterministic_bytes_and_parallel_equivalence(tmp_path):
-    def run(out_name, workers):
+    def run(out_name):
         cfg = RunConfig(
             out_dir=str(tmp_path / out_name),
             synth_rows=600,
@@ -133,7 +135,6 @@ def test_pipeline_deterministic_bytes_and_parallel_equivalence(tmp_path):
             minconf="0.5",
             algorithm="both",
             repeatable_dims=("product_name",),
-            workers=workers,
         )
         result = run_pipeline(cfg)
         return {
@@ -141,11 +142,30 @@ def test_pipeline_deterministic_bytes_and_parallel_equivalence(tmp_path):
             for name, path in sorted(result.files.items())
         }
 
-    first = run("one", 1)
-    second = run("two", 1)
-    parallel = run("three", 4)
-    assert {k: v for k, v in first.items()} == {k: v for k, v in second.items()}
-    assert {k: v for k, v in first.items()} == {k: v for k, v in parallel.items()}
+    assert run("one") == run("two")
+
+
+def test_workers_flag_starts_no_thread_and_changes_no_byte(tmp_path, monkeypatch):
+    def no_threads(self):
+        raise AssertionError("support counting started a thread")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+
+    def run(out_name, workers):
+        out = tmp_path / out_name
+        assert run_cli(
+            "--synth", "600", "--seed", "13", "--join", "product_id:product:product_id",
+            "--key-dim", "tid", "--combine-dims", "product_name", "--minsup", "0.02",
+            "--minconf", "0.5", "--workers", workers, "--out", str(out),
+        ) == 0
+        return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    serial, four = run("one", "1"), run("four", "4")
+    assert serial == four
+    # level 2 joins every pair of frequent singles, enough for the old pool to start
+    singles = json.loads(four["stats.json"])["itemsets_per_level"]["1"]
+    assert math.comb(singles, 2) >= 64
 
 
 def test_pipeline_with_bins_discretizes_before_combining(tmp_path):
@@ -237,6 +257,31 @@ def test_explicit_projection_resolves_ambiguous_attribute(tmp_path):
     }
 
 
+def test_unjoined_dimension_file_is_never_loaded(tmp_path, capsys):
+    fact = tmp_path / "fact.csv"
+    fact.write_text("tid,cust\nt1,c1\nt2,c2\nt3,c1\n", encoding="utf-8")
+    cust = tmp_path / "cust.csv"
+    cust.write_text("cust_id,age\nc1,Young\nc2,Old\n", encoding="utf-8")
+    extra = tmp_path / "extra.csv"
+    extra.write_text('store_id,name\ns1,"North"\n', encoding="utf-8")  # load_csv rejects the quote
+
+    def run(out_name, *extra_flags):
+        out = tmp_path / out_name
+        assert run_cli(
+            "--fact", str(fact), "--dim", f"customer={cust}", *extra_flags,
+            "--join", "cust:customer:cust_id", "--key-dim", "tid", "--combine-dims", "age",
+            "--minsup", "0.3", "--minconf", "0.5", "--out", str(out),
+        ) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    assert run("with", "--dim", f"store={extra}") == run("without")
+    # an attribute that only the unjoined dimension has resolves to nothing
+    assert run_cli("--fact", str(fact), "--dim", f"store={extra}", "--key-dim", "tid",
+                   "--combine-dims", "name", "--minsup", "0.3", "--minconf", "0.5",
+                   "--out", str(tmp_path / "name")) == 2
+    assert "'name' is in neither the fact table nor a joined dimension" in capsys.readouterr().err
+
+
 def test_config_round_trips_through_dict(tmp_path):
     cfg = RunConfig(
         out_dir="out",
@@ -323,6 +368,27 @@ def test_cli_flag_conflicts_are_usage_errors_naming_the_field(tmp_path, capsys, 
     assert code == 1
     assert err.startswith("starminer: usage error: ") and field in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "bins",
+    ["year=a:2000:1990", "year=a:1990:2001,b:2000:2100", "year=a:1990:2000,a:2000:2100", None],
+    ids=["inverted", "overlapping", "repeated-label", "config-with-no-bins"],
+)
+def test_malformed_bins_are_usage_errors_before_synth_writes(tmp_path, capsys, bins):
+    out = tmp_path / "out"
+    flags = ["--synth", "2000", "--seed", "1", "--join", "time_id:times:time_id", "--key-dim", "tid",
+             "--combine-dims", "year", "--minsup", "0.05", "--minconf", "0.5", "--out", str(out)]
+    if bins is None:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"bins": [["year", []]]}), encoding="utf-8")
+        flags += ["--config", str(config)]
+    else:
+        flags += ["--bins", bins]
+    assert run_cli(*flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("starminer: usage error: bins: ") and err.count("\n") == 1
+    assert not (out / "data").exists()
 
 
 @pytest.mark.parametrize("option", ["minsup", "minconf"])
