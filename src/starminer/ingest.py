@@ -11,6 +11,7 @@ dropped rows corrupt support counts downstream.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from contextlib import contextmanager
@@ -98,13 +99,17 @@ def read_header(path: str | Path) -> list[str]:
     """The attribute names in a strict CSV file's header row.
 
     Only the first line is read, with the same decoding as :func:`load_csv`.
+    The names must be non-empty and distinct.
     """
     path = Path(path)
     with _open_text(path) as fh:
         first = fh.readline()
     if not first:
         raise DataError(f"{path}: empty file, expected a header row")
-    return first.splitlines()[0].split(",")
+    names = first.splitlines()[0].split(",")
+    if "" in names or len(set(names)) != len(names):
+        raise DataError(f"{path}: header names must be non-empty and distinct, got {names}")
+    return names
 
 
 def load_csv(
@@ -113,7 +118,7 @@ def load_csv(
     """Parse a strict CSV file against a declared schema.
 
     The header must match the schema names in order. Cells of quantitative
-    attributes are parsed as numbers; parse failures report the 1-based data
+    attributes are parsed as finite numbers; failures report the 1-based data
     row number. The table is named ``name``, by default the file's stem.
 
     The file is read one chunk of text at a time, each ending at a line end,
@@ -151,6 +156,8 @@ def load_csv(
                 number = {cell: float(cell) for cell in pool}
             except ValueError:
                 raise _first_row_error(path, schema) from None
+            if not all(map(math.isfinite, number.values())):
+                raise _first_row_error(path, schema)
             part = map(number.__getitem__, part)
         columns.append(tuple(part))
     return RelationalTable(
@@ -161,7 +168,7 @@ def load_csv(
 def _first_row_error(path: Path, schema: tuple[AttributeSpec, ...]) -> DataError:
     """The error for a file that failed one of :func:`load_csv`'s bulk checks,
     found by streaming it again line by line: the header, then per row a
-    quote, the number of values and each number. The rest of the file is
+    quote, the number of values and each finite number. The rest of the file is
     still read, so text that is not UTF-8 is reported wherever it is."""
     with _open_text(path) as fh:
         error = next(_line_errors(path, schema, chain.from_iterable(map(str.splitlines, fh))), None)
@@ -191,12 +198,15 @@ def _line_errors(path: Path, schema: tuple[AttributeSpec, ...], lines: Iterator[
             yield DataError(f"{path} row {i}: expected {len(schema)} values, got {len(cells)}")
         for j in numeric:
             try:
-                float(cells[j])
+                value = float(cells[j])
             except ValueError:
                 yield DataError(
                     f"{path} row {i}: cannot parse {cells[j]!r} as a number for "
                     f"attribute {schema[j].name!r}"
                 )
+                continue
+            if not math.isfinite(value):
+                yield DataError(f"{path} row {i}: attribute {schema[j].name!r} has non-finite value {value!r}")
 
 
 def join_tables(

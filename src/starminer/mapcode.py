@@ -10,7 +10,7 @@ After mining, the codes expand back into their dimension/value pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
 
 from .datamodel import RelationalTable
@@ -25,14 +25,15 @@ class MapCodeRegistry:
 
     Codes are decimal strings assigned sequentially from "0001" in
     first-encounter order, zero-padded to at least four digits and widening
-    naturally past 9999. Construction is single-threaded; lookups afterwards
-    are safe to share.
+    naturally past 9999. Each code's (dimension, value) pairs are stored once,
+    when the code is assigned. Construction is single-threaded; lookups
+    afterwards are safe to share.
     """
 
     def __init__(self, selected_dims: Sequence[str]):
         self.selected_dims = tuple(selected_dims)
         self._code_by_combo: dict[tuple[str, ...], str] = {}
-        self._combo_by_code: dict[str, tuple[str, ...]] = {}
+        self._pairs_by_code: dict[str, tuple[Pair, ...]] = {}
 
     def encode(self, values: Sequence[str]) -> str:
         """Return the code for a value tuple, assigning a fresh one if new."""
@@ -45,7 +46,7 @@ class MapCodeRegistry:
         if code is None:
             code = str(len(self._code_by_combo) + 1).zfill(4)
             self._code_by_combo[combo] = code
-            self._combo_by_code[code] = combo
+            self._pairs_by_code[code] = tuple(zip(self.selected_dims, combo))
         return code
 
     def find(self, values: Sequence[str]) -> str | None:
@@ -53,25 +54,24 @@ class MapCodeRegistry:
 
     def decode(self, code: str) -> tuple[Pair, ...]:
         """Expand a code into its (dimension, value) pairs."""
-        combo = self._combo_by_code.get(code)
-        if combo is None:
-            raise DataError(f"unknown mapping code {code!r}: registry is corrupt")
-        return tuple(zip(self.selected_dims, combo))
+        try:
+            return self._pairs_by_code[code]
+        except KeyError:
+            raise DataError(f"unknown mapping code {code!r}: registry is corrupt") from None
 
     @property
     def codes(self) -> tuple[str, ...]:
-        return tuple(self._combo_by_code)
+        return tuple(self._pairs_by_code)
 
     def __len__(self) -> int:
         return len(self._code_by_combo)
 
     def csv_lines(self) -> list[str]:
         """Audit export: one ``code,dim=value;dim=value`` line per entry."""
-        lines = ["code,combo"]
-        for code, combo in self._combo_by_code.items():
-            rendered = ";".join(f"{d}={v}" for d, v in zip(self.selected_dims, combo))
-            lines.append(f"{code},{rendered}")
-        return lines
+        return ["code,combo"] + [
+            f"{code},{';'.join(f'{d}={v}' for d, v in pairs)}"
+            for code, pairs in self._pairs_by_code.items()
+        ]
 
 
 @dataclass(frozen=True)
@@ -177,20 +177,11 @@ def transform_map_code(
     Pairs shared by several codes of one itemset are kept once, at their first
     appearance.
     """
-    out: list[DecodedItemset] = []
-    for fi in itemsets:
-        pairs: list[Pair] = []
-        seen: set[Pair] = set()
-        for code in fi.items:
-            for pair in registry.decode(code):
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
-        out.append(
-            DecodedItemset(
-                pairs=tuple(pairs),
-                support_count=fi.support_count,
-                support=fi.support,
-            )
+    return [
+        DecodedItemset(
+            pairs=tuple(dict.fromkeys(chain.from_iterable(map(registry.decode, fi.items)))),
+            support_count=fi.support_count,
+            support=fi.support,
         )
-    return out
+        for fi in itemsets
+    ]

@@ -305,7 +305,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     if config.synth_rows is not None:
         spec = SynthSpec(
-            seed=config.seed if config.seed is not None else 0,
+            seed=config.seed,
             n_fact_rows=config.synth_rows,
             n_customers=config.synth_customers,
             n_products=config.synth_products,
@@ -313,7 +313,10 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             n_channels=config.synth_channels,
             skew=config.synth_skew,
         )
-        written = generate_sales(spec, out / "data")
+        try:
+            written = generate_sales(spec, out / "data")
+        except OSError as exc:
+            raise ValueError(f"cannot write synthetic data to {out / 'data'}: {exc.strerror}") from None
         paths = {"fact": written["fact"], **written}
         result.files.update({f"data/{name}": path for name, path in paths.items()})
     else:
@@ -445,8 +448,6 @@ def _write_artifacts(config: RunConfig, out: Path, result: PipelineResult) -> No
                 "algorithms": {name: {**st.counters(), **found} for name, st in result.stats.items()},
                 "agreement": True,
             }))
-
-        if result.registry is not None:
-            write("registry.csv", "\n".join(result.registry.csv_lines()) + "\n")
+        write("registry.csv", "\n".join(result.registry.csv_lines()) + "\n")
     except OSError as exc:
         raise ValueError(f"cannot write artifacts to {out}: {exc.strerror}") from None

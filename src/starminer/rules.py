@@ -34,10 +34,8 @@ class DimensionPolicy:
         object.__setattr__(self, "repeatable", frozenset(self.repeatable))
 
     def allows(self, pairs: Sequence[Pair]) -> bool:
-        counts: dict[str, int] = {}
-        for dim, _ in pairs:
-            counts[dim] = counts.get(dim, 0) + 1
-        return all(n == 1 or d in self.repeatable for d, n in counts.items())
+        single = [d for d, _ in pairs if d not in self.repeatable]
+        return len(single) == len(set(single))
 
 
 @dataclass(frozen=True)
@@ -125,20 +123,14 @@ def gen_rules(
     # itemsets can expand to one pair set, and the larger count is the
     # tightest lower bound available for it.
     chosen: dict[frozenset[Pair], DecodedItemset] = {}
-    order: list[frozenset[Pair]] = []
     for itemset in frequent:
         key = itemset.pair_set
-        prev = chosen.get(key)
-        if prev is None:
-            chosen[key] = itemset
-            order.append(key)
-        elif itemset.support_count > prev.support_count:
+        if chosen.setdefault(key, itemset).support_count < itemset.support_count:
             chosen[key] = itemset
 
     multi_dimension = len({d for key in chosen for d, _ in key}) > 1
     rules: list[AssociationRule] = []
-    for fkey in order:
-        full = chosen[fkey]
+    for fkey, full in chosen.items():
         if full.level < 2 or not policy.allows(full.pairs):
             continue
         for akey, ante in _listed_subsets(fkey, full.pairs, chosen):

@@ -95,12 +95,17 @@ def scan_load_csv(path, schema):
                 parsed.append(cell)
             else:
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataError(
                         f"{path} row {i}: cannot parse {cell!r} as a number for "
                         f"attribute {spec.name!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path} row {i}: attribute {spec.name!r} has non-finite value {value!r}"
+                    )
+                parsed.append(value)
         rows.append(tuple(parsed))
     return scan_cells(path.stem, schema, rows)
 

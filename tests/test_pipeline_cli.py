@@ -652,6 +652,54 @@ def test_cli_load_failures_are_classified_one_liners(tmp_path, capsys, fact_byte
         assert err == ""
 
 
+# (case, fact text, extra flags, stderr after "starminer: data error: ")
+NAMED_LOAD_FAILURES = [
+    ("non-finite", "tid,v,p\nT1,1,a\nT2,nan,b\n", ["--bins=v=lo:0:10"],
+     "{fact} row 2: attribute 'v' has non-finite value nan"),
+    ("non-finite-before-bad-width", "tid,v,p\nT1,nan,a\nT2,2,b,\n", ["--bins=v=lo:0:10"],
+     "{fact} row 1: attribute 'v' has non-finite value nan"),
+    ("empty-header-name", "tid,,p\nT1,1,a\n", [],
+     "{fact}: header names must be non-empty and distinct, got ['tid', '', 'p']"),
+    ("repeated-header-name", "tid,p,p\nT1,1,a\n", [],
+     "{fact}: header names must be non-empty and distinct, got ['tid', 'p', 'p']"),
+    ("empty-dim-header-name", "tid,v,p\nT1,1,a\n", ["--dim=d={tmp}/d.csv", "--join=p:d:pid"],
+     "{tmp}/d.csv: header names must be non-empty and distinct, got ['pid', '']"),
+]
+
+
+@pytest.mark.parametrize(
+    "fact_text, flags, message",
+    [case[1:] for case in NAMED_LOAD_FAILURES],
+    ids=[case[0] for case in NAMED_LOAD_FAILURES],
+)
+def test_cli_load_errors_name_their_file_in_file_order(tmp_path, capsys, fact_text, flags, message):
+    fact = tmp_path / "f.csv"
+    fact.write_text(fact_text, encoding="utf-8")
+    (tmp_path / "d.csv").write_text("pid,\na,x\n", encoding="utf-8")
+    code = run_cli(
+        "--fact", str(fact), "--key-dim", "tid", "--combine-dims", "p",
+        "--minsup", "0.5", "--minconf", "0.5", "--out", str(tmp_path / "out"),
+        *(f.format(tmp=tmp_path) for f in flags),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"starminer: data error: {message.format(fact=fact, tmp=tmp_path)}\n"
+
+
+@pytest.mark.parametrize("blocker", ["data", "data/fact.csv"], ids=["data-is-file", "fact-is-dir"])
+def test_cli_failed_synth_write_is_a_one_line_usage_error(tmp_path, capsys, blocker):
+    out = tmp_path / "out"
+    if blocker == "data":
+        out.mkdir()
+        (out / "data").touch()
+    else:
+        (out / blocker).mkdir(parents=True)
+    assert run_cli("--synth", "100", "--seed", "1", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"starminer: usage error: cannot write synthetic data to {out / 'data'}: ")
+    assert err.count("\n") == 1
+    assert not list(out.rglob(".*.tmp"))
+
+
 # --- column storage and artifact writes --------------------------------------
 
 STAR_FLAGS = [
