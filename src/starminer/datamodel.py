@@ -1,12 +1,13 @@
 """Core tabular and bitmap data structures.
 
 Everything here is immutable after construction. Builders validate their
-invariants eagerly and raise :class:`SchemaError` or :class:`DataError`.
+invariants eagerly and raise :class:`SchemaError` or :class:`DataError`. A
+table cell is checked once, where it enters: as text in ``ingest.load_csv``
+or as a Python object in the :class:`RelationalTable` constructor.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -27,6 +28,10 @@ class Bin:
     upper: float
 
     def __post_init__(self) -> None:
+        numbers = [b for b in (self.lower, self.upper) if isinstance(b, (int, float)) and not isinstance(b, bool)]
+        if not isinstance(self.label, str) or len(numbers) < 2:
+            raise SchemaError(f"bin {self.label!r}: the label must be a string and the bounds numbers, "
+                              f"got bounds {self.lower!r} and {self.upper!r}")
         if not self.lower < self.upper:
             raise SchemaError(
                 f"bin {self.label!r}: lower bound {self.lower!r} must be below "
@@ -123,34 +128,6 @@ def _check_cell(spec: AttributeSpec, value: Atom, row: int) -> None:
             )
 
 
-_PLAIN_NUMBERS = frozenset({int, float})
-
-
-def _columns_pass(schema: tuple[AttributeSpec, ...], columns: tuple[tuple[Atom, ...], ...]) -> bool:
-    """True if every cell would pass :func:`_check_cell`, judged a column at a
-    time: once for the set of cell types and, for a column holding floats,
-    once for finiteness.
-
-    Only exact ``int`` and ``float`` count as numbers here. A numeric
-    subclass, or an int too large for a float beside float cells, returns
-    False and leaves the verdict to the per-cell scan.
-    """
-    for spec, column in zip(schema, columns):
-        types = set(map(type, column))
-        if spec.is_categorical():
-            if not all(issubclass(t, str) for t in types):
-                return False
-        elif not types <= _PLAIN_NUMBERS:
-            return False
-        elif float in types:
-            try:
-                if not all(map(math.isfinite, column)):
-                    return False
-            except OverflowError:
-                return False
-    return True
-
-
 def _scan_rows(name: str, schema: tuple[AttributeSpec, ...], rows: Iterable[tuple[Atom, ...]]) -> None:
     """Raise for the first row with the wrong width or a bad cell."""
     width = len(schema)
@@ -169,6 +146,9 @@ class RelationalTable:
     every row. A table is built from ``columns`` or, for callers that think
     in rows, from ``rows``, which are transposed once. The ``rows`` property
     derives row tuples on each access; no pipeline stage reads it.
+
+    The constructor checks every cell. The ingest stages build with
+    :meth:`_of`, which checks none: their cells are valid by construction.
     """
 
     name: str
@@ -188,35 +168,41 @@ class RelationalTable:
         if (rows is None) == (columns is None):
             raise TypeError("RelationalTable takes exactly one of rows and columns")
         if columns is None:
-            row_tuples = tuple(map(tuple, rows))  # type: ignore[arg-type]
-            if not set(map(len, row_tuples)) <= {len(schema)}:
-                _scan_rows(name, schema, row_tuples)
-            n_rows = len(row_tuples)
-            cols = tuple(zip(*row_tuples)) if n_rows else ((),) * len(schema)
-        else:
-            cols = tuple(map(tuple, columns))
-            n_rows = len(cols[0]) if cols else 0
-            if len(cols) != len(schema) or any(len(c) != n_rows for c in cols):
-                raise SchemaError(
-                    f"table {name!r}: needs {len(schema)} columns of equal length"
-                )
+            rows = tuple(map(tuple, rows))  # type: ignore[arg-type]
+            if not set(map(len, rows)) <= {len(schema)}:
+                _scan_rows(name, schema, rows)
+            columns = zip(*rows) if rows else ((),) * len(schema)
+        cols = tuple(map(tuple, columns))
+        n_rows = len(cols[0]) if cols else len(rows or ())  # a table of no attributes still has rows
+        if len(cols) != len(schema) or any(len(c) != n_rows for c in cols):
+            raise SchemaError(
+                f"table {name!r}: needs {len(schema)} columns of equal length"
+            )
+        self._set(name, schema, cols, n_rows)
+        _scan_rows(name, schema, zip(*cols))
+
+    @classmethod
+    def _of(cls, name: str, schema: tuple[AttributeSpec, ...], columns: Iterable[Iterable[Atom]]) -> RelationalTable:
+        """A stage's output table: one or more columns of cells valid by construction, so none is checked."""
+        cols = tuple(map(tuple, columns))
+        table = cls.__new__(cls)
+        table._set(name, schema, cols, len(cols[0]))
+        return table
+
+    def _set(self, name: str, schema: tuple[AttributeSpec, ...], columns: tuple[tuple[Atom, ...], ...],
+             n_rows: int) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "n_rows", n_rows)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        names = [s.name for s in self.schema]
-        seen: set[str] = set()
-        for n in names:
-            if n in seen:
-                raise SchemaError(f"table {self.name!r}: duplicate attribute name {n!r}")
-            seen.add(n)
-        if not _columns_pass(self.schema, self.columns):
-            # the row-major scan names the first bad row
-            _scan_rows(self.name, self.schema, zip(*self.columns))
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        index: dict[str, int] = {}
+        for i, spec in enumerate(self.schema):
+            if index.setdefault(spec.name, i) != i:
+                raise SchemaError(f"table {self.name!r}: duplicate attribute name {spec.name!r}")
+        object.__setattr__(self, "_index", index)
 
     @property
     def attribute_names(self) -> tuple[str, ...]:

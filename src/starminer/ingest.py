@@ -160,9 +160,7 @@ def load_csv(
                 raise _first_row_error(path, schema)
             part = map(number.__getitem__, part)
         columns.append(tuple(part))
-    return RelationalTable(
-        name=path.stem if name is None else name, schema=schema, columns=columns
-    )
+    return RelationalTable._of(path.stem if name is None else name, schema, columns)
 
 
 def _first_row_error(path: Path, schema: tuple[AttributeSpec, ...]) -> DataError:
@@ -304,7 +302,7 @@ def join_tables(
             else:
                 columns.append(map(link_info[source][1].columns[pos].__getitem__, dim_rows[source]))
 
-    return RelationalTable(name="general", schema=tuple(out_schema), columns=columns)
+    return RelationalTable._of("general", tuple(out_schema), columns)
 
 
 def discretize(table: RelationalTable, attr: str) -> RelationalTable:
@@ -341,4 +339,4 @@ def discretize(table: RelationalTable, attr: str) -> RelationalTable:
     columns = list(table.columns)
     columns[pos] = map(label_of.__getitem__, column)
     schema = table.schema[:pos] + (AttributeSpec(name=attr),) + table.schema[pos + 1 :]
-    return RelationalTable(name=table.name, schema=schema, columns=columns)
+    return RelationalTable._of(table.name, schema, columns)

@@ -133,6 +133,13 @@ class RunConfig:
             unknown = sorted({dim for _, dim, _ in self.joins} - set(names))
             if unknown:
                 raise ValueError(f"joins name dimensions that {source}: {unknown}")
+            if self.projected:  # the join and combine_dims find the same, but only once every table loads
+                attrs = [attr for _, attr in self.projected]
+                tables = {table for table, _ in self.projected} - {"fact", *(dim for _, dim, _ in self.joins)}
+                needed = sorted({self.key_dim, *self.selected_dims, *(dim for dim, _ in self.filters)})
+                if len(set(attrs)) != len(attrs) or tables or not set(needed) <= set(attrs):
+                    raise ValueError(f"projected must name each attribute once, from 'fact' or a joined "
+                                     f"dimension, and all of {needed}: got {[list(p) for p in self.projected]}")
             if self.minsup is None or self.minconf is None:
                 raise ValueError("mining requires both minsup and minconf")
             threshold_in_range("minsup", self.minsup)

@@ -44,6 +44,22 @@ def test_bins_must_be_disjoint_and_ascending():
         )
 
 
+@pytest.mark.parametrize(
+    "label, lower, upper",
+    [("a", "0", "10"), (1, 0, 10), ("a", True, 10), ("a", 0, None), (None, 0.0, 1.0)],
+)
+def test_bin_needs_a_string_label_and_numeric_bounds(label, lower, upper):
+    with pytest.raises(SchemaError, match="label must be a string and the bounds numbers"):
+        Bin(label, lower, upper)
+    with pytest.raises(SchemaError):
+        AttributeSpec(name="income", kind=QUANTITATIVE, bins=((label, lower, upper),))
+
+
+def test_bin_bounds_may_be_ints_or_floats():
+    assert Bin("a", 0, 10.5).contains(10)
+    assert not Bin("a", -1.5, 2).contains(2.0)
+
+
 def test_duplicate_attribute_names_rejected():
     with pytest.raises(SchemaError):
         RelationalTable(

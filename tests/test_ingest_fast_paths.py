@@ -1,9 +1,10 @@
 """Each ingest fast path against the row-by-row loop it replaced.
 
 The oracles below are the previous implementations: the per-cell
-``_check_cell`` scan of every table build, the per-line CSV parser, the
-per-row bin search, the per-row orphan scan and product join, the
-closure-filtered ``combine_dims`` loop and the set-per-key ``group_by_key``.
+``_check_cell`` scan that every table build once ran (now only the public
+constructor runs it), the per-line CSV parser, the per-row bin search, the
+per-row orphan scan and product join, the closure-filtered ``combine_dims``
+loop and the set-per-key ``group_by_key``.
 Each test asserts that the fast path accepts the same inputs, builds the same
 values and raises the same ``DataError`` text.
 """
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from starminer import datamodel, ingest
+from starminer import ingest
 from starminer.datamodel import (
     QUANTITATIVE,
     AttributeSpec,
@@ -39,7 +40,7 @@ from starminer.mining import (
     group_by_key,
 )
 
-HUGE = 10**400  # finite, but math.isfinite(HUGE) raises OverflowError
+HUGE = 10**400  # a finite int too large to convert to a float
 
 
 class Label(str):
@@ -56,6 +57,12 @@ def outcome(fn):
         return ("ok", fn())
     except DataError as exc:
         return ("error", str(exc))
+
+
+def assert_checked_rebuild_equal(table):
+    """A stage builds its table unchecked; the checking constructor must
+    accept the same columns and build an equal table."""
+    assert RelationalTable(table.name, table.schema, columns=table.columns) == table
 
 
 # --- oracles ----------------------------------------------------------------
@@ -193,7 +200,7 @@ def scan_group_by_key(md):
     return groups, tuple(sorted(set().union(*codes_for.values())))
 
 
-# --- table validation -------------------------------------------------------
+# --- table validation in the public constructor ------------------------------
 
 BINS = (Bin("lo", -1e300, 0.0), Bin("hi", 0.0, 1e300))
 KIND_SPEC = {
@@ -269,16 +276,6 @@ def test_bulk_validation_matches_cell_scan(table):
         assert built == expected
 
 
-def test_plain_table_skips_the_cell_scan(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("per-cell scan ran on a plain table")
-
-    monkeypatch.setattr(datamodel, "_check_cell", forbidden)
-    rows = [("a", 1.0), ("b", 2), ("c", -0.0)]
-    assert build((CAT, NUM), rows) == tuple(rows)
-    assert build((), []) == ()
-
-
 # --- load_csv ---------------------------------------------------------------
 
 LOAD_SCHEMA = (
@@ -294,7 +291,7 @@ GOOD_LINES = st.builds(
 )
 BAD_LINES = st.sampled_from(
     ["", "t1,1", "t1,1,Melb,x", "t1,x,Melb", "t1,,Melb", 't1,1,"Melb"', '"t1",1',
-     "t1,nan,Melb", "t1,inf,Melb"]
+     "t1,nan,Melb", "t1,inf,Melb", "t1,-Infinity,Melb", "t1,1e999,Melb"]
 )
 
 
@@ -335,8 +332,11 @@ def test_load_csv_matches_line_parser(body, ends, last_end, bom, chunk):
     with tempfile.TemporaryDirectory() as tmp, patch.object(ingest, "_CHUNK_CHARS", chunk):
         path = Path(tmp) / "fact.csv"
         path.write_bytes(text.encode("utf-8"))
-        fast = outcome(lambda: load_csv(path, LOAD_SCHEMA).rows)
+        fast = outcome(lambda: load_csv(path, LOAD_SCHEMA))
         slow = outcome(lambda: scan_load_csv(path, LOAD_SCHEMA))
+    if fast[0] == "ok":
+        assert_checked_rebuild_equal(fast[1])
+        fast = ("ok", fast[1].rows)
     assert fast == slow
 
 
@@ -431,6 +431,7 @@ def test_discretize_matches_bin_search(values, pos):
     fast = outcome(lambda: discretize(table, "year"))
     slow = outcome(lambda: scan_discretize(table, "year"))
     if fast[0] == "ok":
+        assert_checked_rebuild_equal(fast[1])
         assert fast[1].rows == slow[1]
         assert fast[1].spec_of("year").is_categorical()
     else:
@@ -465,7 +466,10 @@ def test_join_matches_product_loop(fact_keys, p_keys, q_keys, projection, width)
         links=(("pk", "p", "pk"), ("qk", "q", "qk")),
         projected_attrs=tuple(projection[:width]),
     )
-    fast = outcome(lambda: join_tables([fact, p, q], spec).rows)
+    fast = outcome(lambda: join_tables([fact, p, q], spec))
+    if fast[0] == "ok":
+        assert_checked_rebuild_equal(fast[1])
+        fast = ("ok", fast[1].rows)
     assert fast == outcome(lambda: scan_join(fact, [p, q], spec))
 
 

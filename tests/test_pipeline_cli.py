@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from starminer import datamodel, pipeline
 from starminer.cli import build_parser, main
 from starminer.datamodel import RelationalTable
 from starminer.errors import AgreementError
@@ -367,6 +368,36 @@ def test_cli_flag_conflicts_are_usage_errors_naming_the_field(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("starminer: usage error: ") and field in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "projected",
+    [
+        [["fact", "tid"], ["fact", "p"], ["fact", "p"]],
+        [["fact", "tid"], ["d", "q"]],
+        [["fact", "tid"], ["zzz", "p"]],
+    ],
+    ids=["attribute-twice", "leaves-out-a-selected-dim", "unknown-table"],
+)
+def test_bad_projection_is_a_usage_error_before_any_load(tmp_path, capsys, monkeypatch, projected):
+    fact = tmp_path / "fact.csv"
+    fact.write_text("tid,v,p\nt1,a,x\nt2,b,y\n", encoding="utf-8")
+    dim = tmp_path / "d.csv"
+    dim.write_text("v,q\na,1\nb,2\n", encoding="utf-8")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "fact": str(fact), "dims": [["d", str(dim)]], "joins": [["v", "d", "v"]], "projected": projected,
+        "key_dim": "tid", "selected_dims": ["p"], "minsup": "0.5", "minconf": "0.5",
+    }), encoding="utf-8")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an input was loaded before the projection was checked")
+
+    monkeypatch.setattr(pipeline, "load_csv", forbidden)
+    assert run_cli("--config", str(config), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("starminer: usage error: projected ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -732,6 +763,33 @@ def test_cli_never_builds_row_tuples(tmp_path, monkeypatch, dim_rows):
                  "--key-dim", "tid", "--combine-dims", "B,C", "--minsup", "0.3"]
     code = run_cli(*flags, "--minconf", "0.5", "--algorithm", "both", "--out", str(tmp_path / "out"))
     assert code == 0
+
+
+def test_stage_built_tables_are_not_checked_cell_by_cell(tmp_path, monkeypatch, capsys):
+    # load_csv checks each cell as text; the join and discretize outputs are
+    # valid by construction, so no stage runs the constructor's cell scan
+    fact = tmp_path / "fact.csv"
+    fact.write_text("tid,A,B\nt1,a,5\nt1,b,50\nt2,a,5\nt3,b,7\nt3,a,12.5\n", encoding="utf-8")
+    dim = tmp_path / "dim.csv"
+    dim.write_text("A,C\na,x\nb,y\n", encoding="utf-8")
+
+    def artifacts(out):
+        code = run_cli("--fact", str(fact), "--dim", f"d={dim}", "--join", "A:d:A",
+                       "--bins", "B=lo:0:10,hi:10:100", "--filter", "C=x", "--filter", "C=y",
+                       "--key-dim", "tid", "--combine-dims", "B,C", "--repeatable-dims", "B,C",
+                       "--minsup", "0.3", "--minconf", "0.5", "--algorithm", "both", "--out", str(tmp_path / out))
+        assert code == 0, capsys.readouterr().err
+        return {p.name: p.read_bytes() for p in sorted((tmp_path / out).iterdir())}
+
+    checked = artifacts("checked")
+
+    def forbidden(*args):
+        raise AssertionError("a stage-built table was checked cell by cell")
+
+    monkeypatch.setattr(datamodel, "_check_cell", forbidden)
+    monkeypatch.setattr(datamodel, "_scan_rows", forbidden)
+    assert artifacts("unchecked") == checked
+    assert b'"value":"hi"' in checked["itemsets.jsonl"] and checked["rules.jsonl"]
 
 
 def test_rshar_run_builds_no_per_group_container(tmp_path, monkeypatch):
