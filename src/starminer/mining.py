@@ -9,8 +9,11 @@ the scanning miners need are derived from it once, on first use.
 Three miners share one output contract and are cross-checked in the tests:
 
 * :func:`fi_gen` makes one pass over the view to build a bit-vector extent
-  per code (the equivalence class of groups agreeing on "code present"), then
-  counts every candidate by intersecting extents. One full scan total.
+  per code (the equivalence class of groups agreeing on "code present"),
+  then walks the prefix classes depth-first, as Zaki's Eclat does, in
+  reverse lexicographic order, counting each candidate by intersecting bit
+  vectors. One full scan total, and only the bit vectors of the classes on
+  the current path are alive.
 * :func:`apriori_baseline` is the classic level-wise miner: each level with a
   non-empty candidate set rescans every group. Level 1 tallies the groups'
   codes; each later level looks up the group's k-subsets among the
@@ -18,9 +21,10 @@ Three miners share one output contract and are cross-checked in the tests:
 * :func:`brute_force_frequent` enumerates every subset of a small universe by
   direct containment counting; it is the oracle the other two are held to.
 
-The two level-wise miners run the same lattice walk, :func:`_levelwise`, and
-differ only in how a level is counted. The walk's :func:`_next_candidates`
-joins each prefix class and applies Apriori's subset prune in one pass.
+Both walks build a class's candidates with one step,
+:func:`_class_candidates`, which joins a prefix class and applies Apriori's
+subset prune to it. :func:`fi_gen` calls it once per class it enters;
+apriori's :func:`_levelwise` calls it for every class of a level.
 
 Support thresholds use exact rational arithmetic: ``minsup`` may be a decimal
 string ("0.0045"), a Fraction, or a float (converted through its shortest
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .datamodel import int_from_bit_positions
 from .errors import DataError
@@ -238,22 +242,48 @@ def build_item_extents(
     return extents
 
 
+def _class_candidates(
+    prefix: tuple[str, ...],
+    items: list[str],
+    tail_sets: Mapping[tuple[str, ...], frozenset[str]],
+) -> tuple[int, list[list[str]]]:
+    """Join one prefix class and apply Apriori's subset prune to it.
+
+    The class holds the frequent sets ``prefix + (a,)`` for the sorted
+    ``items`` (Zaki's equivalence class of ``prefix``). Joining ``a`` with a
+    later ``b`` gives the candidate ``prefix + (a, b)``. Its two parents are
+    frequent; every other subset of one item less drops one prefix item
+    ``p``, and it is frequent exactly when ``b`` is in ``tail_sets`` of the
+    class ``prefix - p + (a,)``. So the b's kept for ``a`` are the later
+    items that lie in all ``len(prefix)`` such tail sets, filtered class-wise
+    with no candidate tuple built.
+
+    Returns ``(joined, survivors)``: the number of joined pairs, and for
+    each item, in order, the b's that survive the prune, in order.
+    """
+    drops = [prefix[:j] + prefix[j + 1 :] for j in range(len(prefix))]
+    survivors: list[list[str]] = []
+    for i, a in enumerate(items):
+        kept = items[i + 1 :]
+        for sub in drops:
+            allowed = tail_sets.get(sub + (a,), frozenset())
+            kept = [b for b in kept if b in allowed]
+        survivors.append(kept)
+    m = len(items)
+    return m * (m - 1) // 2, survivors
+
+
 def _next_candidates(
     prev: list[tuple[str, ...]],
 ) -> tuple[list[tuple[str, ...]], int, int]:
     """The k-candidates of the sorted, duplicate-free frequent (k-1)-sets.
 
     ``prev`` falls into prefix classes, the sets sharing their first k-2
-    items (Zaki's equivalence classes). Joining ``prefix + (a,)`` with a later
-    ``prefix + (b,)`` of the same class gives ``prefix + (a, b)``. Its two
-    parents are frequent; every other (k-1)-subset drops one prefix item
-    ``p``, and it is frequent exactly when ``b`` ends a set of the class
-    ``prefix - p + (a,)``. So the b's kept for ``a`` are the tails after
-    ``a`` that lie in all k-2 such classes, and only they become tuples.
-
-    Returns ``(kept, joined, pruned)``: the surviving candidates in the
-    order the plain join would list them, the number of joined pairs, and
-    how many of those had an infrequent subset (Apriori's prune).
+    items; each is joined and pruned by :func:`_class_candidates` against
+    the tail sets of the whole level. Returns ``(kept, joined, pruned)``:
+    the surviving candidates in the order the plain join would list them,
+    the number of joined pairs, and how many of those had an infrequent
+    subset.
     """
     tails: dict[tuple[str, ...], list[str]] = {}
     for itemset in prev:
@@ -262,49 +292,12 @@ def _next_candidates(
     kept: list[tuple[str, ...]] = []
     joined = 0
     for prefix, items in tails.items():
-        m = len(items)
-        joined += m * (m - 1) // 2
-        drops = [prefix[:j] + prefix[j + 1 :] for j in range(len(prefix))]
-        for i, a in enumerate(items):
-            survivors = items[i + 1 :]
-            for sub in drops:
-                allowed = tail_sets.get(sub + (a,), frozenset())
-                survivors = [b for b in survivors if b in allowed]
+        pairs, survivors = _class_candidates(prefix, items, tail_sets)
+        joined += pairs
+        for a, bs in zip(items, survivors):
             head = prefix + (a,)
-            kept.extend(head + (b,) for b in survivors)
+            kept.extend(head + (b,) for b in bs)
     return kept, joined, joined - len(kept)
-
-
-def _levelwise(
-    view: TransactionView,
-    threshold: int,
-    count_level: Callable[[list[tuple[str, ...]], int, int], list[tuple[tuple[str, ...], int]]],
-    stats: MiningStats,
-) -> list[FrequentItemset]:
-    """Apriori's lattice walk, shared by both level-wise miners.
-
-    Level 1 is every code in ``code_universe``; level k is
-    :func:`_next_candidates` of level k-1's frequent sets, and the walk stops
-    at the first empty level. ``count_level(candidates, k, threshold)``
-    returns ``(candidate, count)`` for each frequent candidate, in candidate
-    order: it is the only part in which the miners differ.
-    """
-    n = view.n_groups
-    result: list[FrequentItemset] = []
-    candidates = [(code,) for code in view.code_universe]
-    stats.candidates_generated += len(candidates)
-    k = 1
-    while candidates:
-        frequent = count_level(candidates, k, threshold)
-        result.extend(
-            FrequentItemset(items=cand, support_count=count, support=count / n)
-            for cand, count in frequent
-        )
-        candidates, joined, pruned = _next_candidates([cand for cand, _ in frequent])
-        stats.candidates_generated += joined
-        stats.candidates_pruned += pruned
-        k += 1
-    return result
 
 
 def fi_gen(
@@ -315,33 +308,70 @@ def fi_gen(
 ) -> tuple[list[FrequentItemset], MiningStats]:
     """Mine all itemsets with support >= minsup using bitmap intersections.
 
-    A level-1 candidate's mask is its code's extent. Each later candidate of
-    :func:`_levelwise` is counted as the population count of the AND of its
-    parent's mask with its last item's extent. No group scan happens after
-    the extent build, so ``full_scans_of_groups`` is always 1.
+    The prefix classes are walked depth-first, as in Zaki's Eclat. A class
+    holds the frequent sets ``prefix + (a,)`` with their masks, a level-1
+    set's mask being its code's extent. :func:`_class_candidates` joins and
+    prunes it; a surviving ``prefix + (a, b)`` is counted as the population
+    count of its parent's mask AND ``b``'s extent, and the frequent ones
+    form the class of ``prefix + (a,)``, which is walked at once.
 
-    Counting runs on the calling thread: AND and ``bit_count`` hold the
-    interpreter lock, so threads only slowed it. ``workers`` is ignored.
+    Members are taken last item first, so the walk is in reverse
+    lexicographic order: each class the prune looks up, ``prefix - p +
+    (a,)``, is later than ``prefix`` and so already finished. The prune is
+    thus Apriori's, with the level-wise walk's candidate and pruned counts.
+    Finished classes keep their tail sets but not their masks, so only the
+    extents and the masks of the classes on the current path are alive. The
+    result is sorted by ``(level, items)``, as a level-wise walk lists it.
+
+    No group scan happens after the extent build, so ``full_scans_of_groups``
+    is always 1. Counting runs on the calling thread: AND and ``bit_count``
+    hold the interpreter lock, so threads only slowed it. ``workers`` is
+    ignored.
     """
     f = threshold_in_range("minsup", minsup)
     stats = MiningStats()
     start = time.perf_counter()
 
-    single_mask = build_item_extents(view, stats)
-    masks: dict[tuple[str, ...], int] = {}
+    extents = build_item_extents(view, stats)
+    n = view.n_groups
+    threshold = support_threshold(f, n)
+    result: list[FrequentItemset] = []
+    tail_sets: dict[tuple[str, ...], frozenset[str]] = {}
 
-    def count_level(candidates, k, threshold):
-        nonlocal masks
-        if k == 1:  # a code's extent is its level-1 mask, used without a copy
-            counted = ((cand, single_mask[cand[0]]) for cand in candidates)
-        else:
-            counted = ((cand, masks[cand[:-1]] & single_mask[cand[-1]]) for cand in candidates)
-        # an infrequent candidate's mask is dropped as soon as it is counted
-        frequent = [(cand, m, n) for cand, m in counted if (n := m.bit_count()) >= threshold]
-        masks = {cand: mask for cand, mask, _ in frequent}
-        return [(cand, count) for cand, _, count in frequent]
+    def frequent(head, counted):
+        """The ``(b, mask)`` pairs of ``counted`` whose mask reaches the
+        threshold, each also added to the result as ``head + (b,)``."""
+        kept = []
+        for b, mask in counted:
+            if (count := mask.bit_count()) >= threshold:
+                kept.append((b, mask))
+                result.append(FrequentItemset(head + (b,), count, count / n))
+        return kept
 
-    result = _levelwise(view, support_threshold(f, view.n_groups), count_level, stats)
+    def enter(prefix, members):
+        """The path entry ``(prefix, members, survivors)`` of a class.
+        ``members`` pairs each item with the mask of ``prefix + (item,)``,
+        in item order, and ``survivors`` holds each item's candidates; the
+        walk uses both up from the end."""
+        joined, survivors = _class_candidates(prefix, [a for a, _ in members], tail_sets)
+        stats.candidates_generated += joined
+        stats.candidates_pruned += joined - sum(map(len, survivors))
+        return prefix, members, survivors
+
+    stats.candidates_generated += len(extents)
+    path = [enter((), frequent((), extents.items()))]
+    while path:
+        prefix, members, survivors = path[-1]
+        if not members:
+            path.pop()
+            continue
+        a, mask = members.pop()
+        head = prefix + (a,)
+        child = frequent(head, [(b, mask & extents[b]) for b in survivors.pop()])
+        if child:
+            tail_sets[head] = frozenset(b for b, _ in child)
+            path.append(enter(head, child))
+    result.sort(key=lambda itemset: (len(itemset.items), itemset.items))
     stats.elapsed = time.perf_counter() - start
     return result, stats
 
@@ -380,6 +410,34 @@ def _count_level(
     return counts
 
 
+def _levelwise(
+    view: TransactionView, threshold: int, stats: MiningStats
+) -> list[FrequentItemset]:
+    """Apriori's lattice walk, level by level.
+
+    Level 1 is every code in ``code_universe``; level k is
+    :func:`_next_candidates` of level k-1's frequent sets, and the walk stops
+    at the first empty level. Each level is counted by :func:`_count_level`
+    in one scan of the groups.
+    """
+    n = view.n_groups
+    group_sets = view.group_sets
+    result: list[FrequentItemset] = []
+    candidates = [(code,) for code in view.code_universe]
+    stats.candidates_generated += len(candidates)
+    k = 1
+    while candidates:
+        stats.full_scans_of_groups += 1
+        counts = _count_level(group_sets, candidates, k)
+        frequent = [cand for cand in candidates if counts[cand] >= threshold]
+        result.extend(FrequentItemset(cand, counts[cand], counts[cand] / n) for cand in frequent)
+        candidates, joined, pruned = _next_candidates(frequent)
+        stats.candidates_generated += joined
+        stats.candidates_pruned += pruned
+        k += 1
+    return result
+
+
 def apriori_baseline(
     view: TransactionView, minsup: float | str | Fraction
 ) -> tuple[list[FrequentItemset], MiningStats]:
@@ -395,14 +453,7 @@ def apriori_baseline(
     f = threshold_in_range("minsup", minsup)
     stats = MiningStats()
     start = time.perf_counter()
-    group_sets = view.group_sets
-
-    def count_level(candidates, k, threshold):
-        stats.full_scans_of_groups += 1
-        counts = _count_level(group_sets, candidates, k)
-        return [(cand, counts[cand]) for cand in candidates if counts[cand] >= threshold]
-
-    result = _levelwise(view, support_threshold(f, view.n_groups), count_level, stats)
+    result = _levelwise(view, support_threshold(f, view.n_groups), stats)
     stats.elapsed = time.perf_counter() - start
     return result, stats
 

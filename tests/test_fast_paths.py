@@ -4,10 +4,13 @@ The oracles are the previous implementations: ``gen_rules`` testing every
 listed pair set against every other, bit vectors built by OR-ing ``1 << j``
 into an int once per set bit, apriori testing every candidate against every
 group, and candidate generation materialising every joined tuple before
-testing its subsets.
+testing its subsets. The depth-first ``fi_gen`` is held to apriori's
+level-wise walk, and its memory to the level-wise bitmap walk it replaced.
 """
 
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -390,6 +393,87 @@ def test_both_miners_generate_and_prune_the_same_candidates(seed, minsup):
     assert rshar_counters.pop(scans) == 1
     assert apriori_counters.pop(scans) >= len({fi.level for fi in apriori})
     assert rshar_counters == apriori_counters
+
+
+# --- the depth-first walk ---------------------------------------------------
+
+def deep_view(rng):
+    """12–16 codes over 30–60 groups, each code in a group with chance 0.3,
+    and a planted set of 5–7 codes in every fourth group: at any minsup up
+    to 0.25 the lattice reaches level 5 or more."""
+    codes = [f"{i:02d}" for i in range(rng.randint(12, 16))]
+    planted = rng.sample(codes, rng.randint(5, 7))
+    groups = []
+    for j in range(rng.randint(30, 60)):
+        carried = {c for c in codes if rng.random() < 0.3}
+        if j % 4 == 0:
+            carried.update(planted)
+        groups.append((f"g{j}", sorted(carried)))
+    rng.shuffle(groups)
+    return TransactionView.from_groups(groups)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    minsup=st.sampled_from(["0.05", "0.1", "0.15", "0.25"]),
+)
+def test_depth_first_walk_matches_the_levelwise_walk(seed, minsup):
+    view = deep_view(random.Random(seed))
+    rshar, rshar_stats = fi_gen(view, minsup)
+    apriori, apriori_stats = apriori_baseline(view, minsup)
+    assert max(fi.level for fi in apriori) >= 5
+    assert rshar == apriori  # the same itemsets, supports and order
+    for counter in ("candidates_generated", "candidates_pruned"):
+        assert getattr(rshar_stats, counter) == getattr(apriori_stats, counter)
+
+
+def levelwise_bitmap_miner(view, minsup):
+    """The level-wise bitmap walk fi_gen replaced: every frequent set of a
+    level keeps its mask while the next level is counted."""
+    extents = build_item_extents(view)
+    threshold = support_threshold(minsup, view.n_groups)
+    masks = {(c,): m for c, m in extents.items() if m.bit_count() >= threshold}
+    found = list(masks)
+    while masks:
+        candidates, _, _ = mining._next_candidates(list(masks))
+        masks = {
+            c: m for c in candidates if (m := masks[c[:-1]] & extents[c[-1]]).bit_count() >= threshold
+        }
+        found.extend(masks)
+    return found
+
+
+def traced(miner, *args):
+    """A call's result, and its traced peak less what the result keeps alive."""
+    tracemalloc.start()
+    try:
+        result = miner(*args)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - retained
+
+
+def test_depth_first_walk_holds_masks_linear_in_codes():
+    # 40 codes over 2,000 groups, each code in a group with chance 0.4: all
+    # 780 pairs are frequent at minsup 0.1, and the 9,880 triples are not
+    n_codes, n_groups = 40, 2000
+    rng = random.Random(0)
+    codes = [f"{i:02d}" for i in range(n_codes)]
+    view = TransactionView.from_groups(
+        (f"g{j}", [c for c in codes if rng.random() < 0.4]) for j in range(n_groups)
+    )
+    (itemsets, _), depth_first = traced(fi_gen, view, "0.1")
+    found, levelwise = traced(levelwise_bitmap_miner, view, "0.1")
+    assert [fi.items for fi in itemsets] == found
+    assert max(len(items) for items in found) == 2
+    # the extents and the masks of the classes on the path are a few times
+    # n_codes masks; the tail sets and candidate lists fit in the rest
+    bound = 16 * n_codes * sys.getsizeof((1 << n_groups) - 1)
+    assert depth_first < bound
+    # holding every frequent pair's mask while the triples are counted does not
+    assert levelwise > bound
 
 
 # --- extents and bitmaps ----------------------------------------------------
