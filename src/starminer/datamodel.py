@@ -15,9 +15,6 @@ from .errors import DataError, SchemaError
 
 Atom = str | int | float
 
-CATEGORICAL = "categorical"
-QUANTITATIVE = "quantitative"
-
 
 @dataclass(frozen=True)
 class Bin:
@@ -44,31 +41,25 @@ class Bin:
 
 @dataclass(frozen=True)
 class AttributeSpec:
-    """Declares one column: name, kind, bins, and an optional value domain.
+    """Declares one column: name, bins, and an optional value domain.
 
-    Quantitative attributes must declare their bins up front (they are useless
-    to the miner until discretized). A categorical attribute may declare an
-    explicit ``domain``: bitmap encoding then emits one item per domain value,
-    in domain order, even for values that never occur in the data.
+    An attribute with ``bins`` is quantitative: its values are numbers, and
+    it is useless to the miner until discretized into the bin labels. Any
+    other attribute is categorical, and may declare an explicit ``domain``:
+    bitmap encoding then emits one item per domain value, in domain order,
+    even for values that never occur in the data.
     """
 
     name: str
-    kind: str = CATEGORICAL
     bins: tuple[Bin, ...] | None = None
     domain: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
             raise SchemaError("attribute name must be non-empty")
-        if self.kind not in (CATEGORICAL, QUANTITATIVE):
-            raise SchemaError(f"attribute {self.name!r}: unknown kind {self.kind!r}")
         if self.bins is not None:
             norm = tuple(b if isinstance(b, Bin) else Bin(*b) for b in self.bins)
             object.__setattr__(self, "bins", norm)
-        if self.domain is not None:
-            object.__setattr__(self, "domain", tuple(self.domain))
-
-        if self.kind == QUANTITATIVE:
             if not self.bins:
                 raise SchemaError(
                     f"quantitative attribute {self.name!r} must declare bins"
@@ -78,18 +69,14 @@ class AttributeSpec:
                     f"quantitative attribute {self.name!r} cannot declare a value domain"
                 )
             self._check_bins()
-        else:
-            if self.bins:
+        elif self.domain is not None:
+            object.__setattr__(self, "domain", tuple(self.domain))
+            if not self.domain:
+                raise SchemaError(f"attribute {self.name!r}: empty domain")
+            if len(set(self.domain)) != len(self.domain):
                 raise SchemaError(
-                    f"categorical attribute {self.name!r} must not declare bins"
+                    f"attribute {self.name!r}: duplicate values in domain"
                 )
-            if self.domain is not None:
-                if not self.domain:
-                    raise SchemaError(f"attribute {self.name!r}: empty domain")
-                if len(set(self.domain)) != len(self.domain):
-                    raise SchemaError(
-                        f"attribute {self.name!r}: duplicate values in domain"
-                    )
 
     def _check_bins(self) -> None:
         # Disjoint and ascending: each bin must start at or after the previous
@@ -106,7 +93,7 @@ class AttributeSpec:
             raise SchemaError(f"attribute {self.name!r}: duplicate bin labels")
 
     def is_categorical(self) -> bool:
-        return self.kind == CATEGORICAL
+        return self.bins is None
 
 
 def _check_cell(spec: AttributeSpec, value: Atom, row: int) -> None:
@@ -179,7 +166,7 @@ class RelationalTable:
                 f"table {name!r}: needs {len(schema)} columns of equal length"
             )
         self._set(name, schema, cols, n_rows)
-        _scan_rows(name, schema, zip(*cols))
+        _scan_rows(name, schema, zip(*cols) if rows is None else rows)
 
     @classmethod
     def _of(cls, name: str, schema: tuple[AttributeSpec, ...], columns: Iterable[Iterable[Atom]]) -> RelationalTable:

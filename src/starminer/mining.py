@@ -24,7 +24,8 @@ Three miners share one output contract and are cross-checked in the tests:
 Both walks build a class's candidates with one step,
 :func:`_class_candidates`, which joins a prefix class and applies Apriori's
 subset prune to it. :func:`fi_gen` calls it once per class it enters;
-apriori's :func:`_levelwise` calls it for every class of a level.
+:func:`apriori_baseline`, through :func:`_next_candidates`, calls it for
+every class of a level.
 
 Support thresholds use exact rational arithmetic: ``minsup`` may be a decimal
 string ("0.0045"), a Fraction, or a float (converted through its shortest
@@ -410,17 +411,25 @@ def _count_level(
     return counts
 
 
-def _levelwise(
-    view: TransactionView, threshold: int, stats: MiningStats
-) -> list[FrequentItemset]:
-    """Apriori's lattice walk, level by level.
+def apriori_baseline(
+    view: TransactionView, minsup: float | str | Fraction
+) -> tuple[list[FrequentItemset], MiningStats]:
+    """Classic level-wise miner: re-scan every group once per candidate level.
 
     Level 1 is every code in ``code_universe``; level k is
     :func:`_next_candidates` of level k-1's frequent sets, and the walk stops
     at the first empty level. Each level is counted by :func:`_count_level`
-    in one scan of the groups.
+    in one scan of the groups: level 1 by one tally of the groups' codes, and
+    each later level by enumerating each group's k-subsets rather than
+    testing every candidate against every group. Output is identical to
+    :func:`fi_gen`; ``full_scans_of_groups`` equals the number of levels that
+    had a non-empty candidate set, which is the depth of the explored lattice.
     """
+    f = threshold_in_range("minsup", minsup)
+    stats = MiningStats()
+    start = time.perf_counter()
     n = view.n_groups
+    threshold = support_threshold(f, n)
     group_sets = view.group_sets
     result: list[FrequentItemset] = []
     candidates = [(code,) for code in view.code_universe]
@@ -435,25 +444,6 @@ def _levelwise(
         stats.candidates_generated += joined
         stats.candidates_pruned += pruned
         k += 1
-    return result
-
-
-def apriori_baseline(
-    view: TransactionView, minsup: float | str | Fraction
-) -> tuple[list[FrequentItemset], MiningStats]:
-    """Classic level-wise miner: re-scan every group once per candidate level.
-
-    Each level of :func:`_levelwise`, the first included, is counted by
-    :func:`_count_level`: level 1 by one tally of the groups' codes, and each
-    later level by enumerating each group's k-subsets rather than testing
-    every candidate against every group. Output is identical to
-    :func:`fi_gen`; ``full_scans_of_groups`` equals the number of levels that
-    had a non-empty candidate set, which is the depth of the explored lattice.
-    """
-    f = threshold_in_range("minsup", minsup)
-    stats = MiningStats()
-    start = time.perf_counter()
-    result = _levelwise(view, support_threshold(f, view.n_groups), stats)
     stats.elapsed = time.perf_counter() - start
     return result, stats
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .datamodel import QUANTITATIVE, AttributeSpec, RelationalTable
+from .datamodel import AttributeSpec, RelationalTable
 from .errors import AgreementError, SchemaError
 from .ingest import JoinSpec, discretize, join_tables, load_csv, read_header, write_text_atomic
 from .mapcode import DecodedItemset, MapCodeRegistry, combine_dims, transform_map_code
@@ -67,11 +67,6 @@ class RunConfig:
     algorithm: str = "rshar"
     repeatable_dims: tuple[str, ...] = ()
     synth_rows: int | None = None
-    synth_customers: int = 100
-    synth_products: int = 50
-    synth_times: int = 50
-    synth_channels: int = 60
-    synth_skew: float = 1.0
     seed: int | None = None
     workers: int = 1  # accepted and ignored: support counting runs on one thread
 
@@ -96,10 +91,9 @@ class RunConfig:
         except SchemaError as exc:
             raise ValueError(f"bins: {exc}") from None
         if self.synth_rows is not None:
-            # SynthSpec checks the same bounds, but as a data error
-            for name, low in _SYNTH_LOWER_BOUNDS.items():
-                if getattr(self, name) < low:
-                    raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+            # SynthSpec checks the same bound, but as a data error
+            if self.synth_rows < 0:
+                raise ValueError(f"synth_rows must be >= 0, got {self.synth_rows!r}")
             if self.seed is None:
                 raise ValueError("synthetic data generation requires a seed")
             if self.fact is not None or self.dims:
@@ -185,7 +179,7 @@ def _conform(value: Any, hint: Any) -> Any:
     elif isinstance(value, bool):
         pass  # JSON's true/false are never integers or numbers
     elif isinstance(value, hint) or (hint is float and isinstance(value, int)):
-        # JSON's NaN literal parses to a float that no threshold or bound can use
+        # JSON's NaN literal parses to a float that no threshold can use
         if value == value:
             return value
     raise ValueError(value)
@@ -204,17 +198,6 @@ def _shape(hint: Any) -> str:
     if args[-1] is Ellipsis:
         return f"[{_shape(args[0])}, ...]"
     return f"[{', '.join(map(_shape, args))}]"
-
-
-# the least value SynthSpec accepts for each generator field
-_SYNTH_LOWER_BOUNDS = {
-    "synth_rows": 0,
-    "synth_customers": 1,
-    "synth_products": 1,
-    "synth_times": 1,
-    "synth_channels": 1,
-    "synth_skew": 0,
-}
 
 
 @dataclass
@@ -281,7 +264,7 @@ def _derive_projection(
 
 def _binned_specs(bins: BinsConfig) -> dict[str, AttributeSpec]:
     """Each binned attribute's quantitative spec; a malformed bin list is a SchemaError."""
-    return {attr: AttributeSpec(name=attr, kind=QUANTITATIVE, bins=b) for attr, b in bins}
+    return {attr: AttributeSpec(name=attr, bins=b) for attr, b in bins}
 
 
 def _load_inputs(config: RunConfig, paths: Mapping[str, Path]) -> tuple[RelationalTable, list[RelationalTable]]:
@@ -311,15 +294,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     result = PipelineResult()
 
     if config.synth_rows is not None:
-        spec = SynthSpec(
-            seed=config.seed,
-            n_fact_rows=config.synth_rows,
-            n_customers=config.synth_customers,
-            n_products=config.synth_products,
-            n_times=config.synth_times,
-            n_channels=config.synth_channels,
-            skew=config.synth_skew,
-        )
+        spec = SynthSpec(seed=config.seed, n_fact_rows=config.synth_rows)
         try:
             written = generate_sales(spec, out / "data")
         except OSError as exc:
@@ -342,7 +317,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     del fact, dims
 
     for spec in general.schema:
-        if spec.kind == QUANTITATIVE:
+        if not spec.is_categorical():
             general = discretize(general, spec.name)
     result.general_rows = general.n_rows
 

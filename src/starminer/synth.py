@@ -37,46 +37,37 @@ MONTHS = ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
 
 MAX_BASKET_LINES = 5
+# the dimension sizes other than the product count, which SynthSpec sets
+N_CUSTOMERS = 100
+N_TIMES = 50
+N_CHANNELS = 60
 # the dimension tables generate_sales writes, each as NAME.csv beside fact.csv
 DIMENSION_TABLES = ("customer", "product", "times", "channel")
 
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Generator knobs; the dimension sizes default to the benchmark scale."""
+    """What one generated database depends on: the seed, the number of fact
+    rows and the number of products."""
 
     seed: int
     n_fact_rows: int = 10000
-    n_customers: int = 100
     n_products: int = 50
-    n_times: int = 50
-    n_channels: int = 60
-    skew: float = 1.0
 
     def __post_init__(self) -> None:
-        for field_name in ("n_customers", "n_products", "n_times", "n_channels"):
-            if getattr(self, field_name) < 1:
-                raise SchemaError(f"{field_name} must be >= 1")
+        if self.n_products < 1:
+            raise SchemaError("n_products must be >= 1")
         if self.n_fact_rows < 0:
             raise SchemaError("n_fact_rows must be >= 0")
-        if self.skew < 0:
-            raise SchemaError("skew must be >= 0")
 
 
-def _zipf_weight(rank: int, skew: float) -> float:
-    try:
-        return 1.0 / (rank**skew)
-    except OverflowError:  # rank**skew is past the float range, so its inverse is ~0
-        return 0.0
-
-
-def _zipf_draw(rng: random.Random, population: list[str], skew: float) -> Callable[[], str]:
-    """A function drawing one element with weight ``1 / rank**skew``.
+def _zipf_draw(rng: random.Random, population: list[str]) -> Callable[[], str]:
+    """A function drawing one element with weight ``1 / rank``.
 
     A draw is ``rng.choices(population, weights)[0]`` with the weights
     accumulated once, not per call: the same one ``rng.random()`` and bisect.
     """
-    cum = list(accumulate(_zipf_weight(rank, skew) for rank in range(1, len(population) + 1)))
+    cum = list(accumulate(1.0 / rank for rank in range(1, len(population) + 1)))
     total = cum[-1] + 0.0
     hi = len(population) - 1
     uniform = rng.random
@@ -110,13 +101,13 @@ def generate_sales(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(spec.seed)
 
-    customer_ids = [f"C{i:04d}" for i in range(1, spec.n_customers + 1)]
+    customer_ids = [f"C{i:04d}" for i in range(1, N_CUSTOMERS + 1)]
     product_ids = [f"P{i:03d}" for i in range(1, spec.n_products + 1)]
-    time_ids = [f"T{i:02d}" for i in range(1, spec.n_times + 1)]
-    channel_ids = [f"CH{i:02d}" for i in range(1, spec.n_channels + 1)]
+    time_ids = [f"T{i:02d}" for i in range(1, N_TIMES + 1)]
+    channel_ids = [f"CH{i:02d}" for i in range(1, N_CHANNELS + 1)]
 
-    draw_age_group = _zipf_draw(rng, AGE_GROUPS, spec.skew)
-    draw_city = _zipf_draw(rng, CITIES, spec.skew)
+    draw_age_group = _zipf_draw(rng, AGE_GROUPS)
+    draw_city = _zipf_draw(rng, CITIES)
     customer_rows = [[cid, draw_age_group(), draw_city()] for cid in customer_ids]
 
     names = _product_names(spec.n_products)
@@ -137,10 +128,10 @@ def generate_sales(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
         for i, chid in enumerate(channel_ids)
     ]
 
-    draw_customer = _zipf_draw(rng, customer_ids, spec.skew)
-    draw_product = _zipf_draw(rng, product_ids, spec.skew)
-    draw_time = _zipf_draw(rng, time_ids, spec.skew)
-    draw_channel = _zipf_draw(rng, channel_ids, spec.skew)
+    draw_customer = _zipf_draw(rng, customer_ids)
+    draw_product = _zipf_draw(rng, product_ids)
+    draw_time = _zipf_draw(rng, time_ids)
+    draw_channel = _zipf_draw(rng, channel_ids)
 
     tid_width = max(5, len(str(max(spec.n_fact_rows, 1))))
     fact_rows: list[list[str]] = []

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starminer.datamodel import (
-    QUANTITATIVE,
     AttributeSpec,
     Bin,
     RelationalTable,
@@ -20,26 +19,26 @@ def age_table(rows=("Young", "Middle", "Middle"), domain=None):
 # --- attribute/table validation -------------------------------------------
 
 def test_quantitative_requires_bins():
-    with pytest.raises(SchemaError):
-        AttributeSpec(name="income", kind=QUANTITATIVE)
+    with pytest.raises(SchemaError, match="quantitative attribute 'income' must declare bins"):
+        AttributeSpec(name="income", bins=())
 
 
-def test_categorical_rejects_bins():
-    with pytest.raises(SchemaError):
-        AttributeSpec(name="age", bins=(Bin("low", 0, 10),))
+def test_binned_attribute_cannot_declare_a_domain():
+    with pytest.raises(SchemaError, match="quantitative attribute 'income' cannot declare a value domain"):
+        AttributeSpec(name="income", bins=(Bin("low", 0, 10),), domain=("low",))
+    assert not AttributeSpec(name="income", bins=(Bin("low", 0, 10),)).is_categorical()
+    assert AttributeSpec(name="age", domain=("low",)).is_categorical()
 
 
 def test_bins_must_be_disjoint_and_ascending():
     with pytest.raises(SchemaError):
         AttributeSpec(
             name="income",
-            kind=QUANTITATIVE,
             bins=(("a", 0, 10), ("b", 5, 20)),
         )
     with pytest.raises(SchemaError):
         AttributeSpec(
             name="income",
-            kind=QUANTITATIVE,
             bins=(("b", 10, 20), ("a", 0, 10)),
         )
 
@@ -52,7 +51,7 @@ def test_bin_needs_a_string_label_and_numeric_bounds(label, lower, upper):
     with pytest.raises(SchemaError, match="label must be a string and the bounds numbers"):
         Bin(label, lower, upper)
     with pytest.raises(SchemaError):
-        AttributeSpec(name="income", kind=QUANTITATIVE, bins=((label, lower, upper),))
+        AttributeSpec(name="income", bins=((label, lower, upper),))
 
 
 def test_bin_bounds_may_be_ints_or_floats():
@@ -74,13 +73,13 @@ def test_row_arity_and_cell_kinds_validated():
         RelationalTable(name="t", schema=(AttributeSpec("x"),), rows=(("a", "b"),))
     with pytest.raises(DataError):
         RelationalTable(name="t", schema=(AttributeSpec("x"),), rows=((3,),))
-    numeric = AttributeSpec("v", kind=QUANTITATIVE, bins=(("all", 0, 100),))
+    numeric = AttributeSpec("v", bins=(("all", 0, 100),))
     with pytest.raises(DataError):
         RelationalTable(name="t", schema=(numeric,), rows=(("oops",),))
 
 
 def test_table_from_columns_equals_table_from_rows():
-    schema = (AttributeSpec("a"), AttributeSpec("n", kind=QUANTITATIVE, bins=(("all", 0, 9),)))
+    schema = (AttributeSpec("a"), AttributeSpec("n", bins=(("all", 0, 9),)))
     by_rows = RelationalTable(name="t", schema=schema, rows=(("x", 1.0), ("y", 2)))
     by_columns = RelationalTable(name="t", schema=schema, columns=(("x", "y"), (1.0, 2)))
     assert by_rows == by_columns
@@ -135,7 +134,7 @@ def test_bitmap_encode_two_attrs_all_combos():
 
 
 def test_bitmap_encode_rejects_quantitative_and_points_to_discretize():
-    spec = AttributeSpec("income", kind=QUANTITATIVE, bins=(("all", 0, 1e9),))
+    spec = AttributeSpec("income", bins=(("all", 0, 1e9),))
     t = RelationalTable(name="t", schema=(spec,), rows=((42.0,),))
     with pytest.raises(SchemaError, match="discretize"):
         bitmap_encode(t)

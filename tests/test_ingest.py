@@ -1,6 +1,6 @@
 import pytest
 
-from starminer.datamodel import QUANTITATIVE, AttributeSpec, RelationalTable
+from starminer.datamodel import AttributeSpec, RelationalTable
 from starminer.errors import DataError, SchemaError
 from starminer.ingest import (
     JoinSpec,
@@ -36,7 +36,7 @@ def test_load_header_only_file(tmp_path):
 def test_load_unparseable_number_reports_row(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("income\nabc\n", encoding="utf-8")
-    spec = AttributeSpec("income", kind=QUANTITATIVE, bins=(("all", 0, 1e9),))
+    spec = AttributeSpec("income", bins=(("all", 0, 1e9),))
     with pytest.raises(DataError, match="row 1"):
         load_csv(path, (spec,))
 
@@ -182,7 +182,6 @@ def test_join_unknown_projection_table():
 def income_table(*values):
     spec = AttributeSpec(
         "income",
-        kind=QUANTITATIVE,
         bins=(("5K..7K", 5000, 7000), ("7K..9K", 7000, 9000)),
     )
     return RelationalTable(name="t", schema=(spec,), rows=tuple((v,) for v in values))

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from starminer import ingest
 from starminer.datamodel import (
-    QUANTITATIVE,
     AttributeSpec,
     Bin,
     RelationalTable,
@@ -205,7 +204,7 @@ def scan_group_by_key(md):
 BINS = (Bin("lo", -1e300, 0.0), Bin("hi", 0.0, 1e300))
 KIND_SPEC = {
     "cat": lambda i: AttributeSpec(name=f"a{i}"),
-    "num": lambda i: AttributeSpec(name=f"a{i}", kind=QUANTITATIVE, bins=BINS),
+    "num": lambda i: AttributeSpec(name=f"a{i}", bins=BINS),
 }
 VALID = {
     "cat": st.one_of(st.text(max_size=3), st.builds(Label, st.text(max_size=3))),
@@ -280,7 +279,7 @@ def test_bulk_validation_matches_cell_scan(table):
 
 LOAD_SCHEMA = (
     AttributeSpec(name="tid"),
-    AttributeSpec(name="qty", kind=QUANTITATIVE, bins=BINS),
+    AttributeSpec(name="qty", bins=BINS),
     AttributeSpec(name="city"),
 )
 GOOD_LINES = st.builds(
@@ -421,7 +420,7 @@ YEAR_BINS = (Bin("a", 0.0, 9.5), Bin("b", 9.5, 20.0), Bin("c", 30.0, 40.0))
 @example(values=[9, 9.7, 0, -0.5], pos=1)
 def test_discretize_matches_bin_search(values, pos):
     schema = [AttributeSpec(name="k"), AttributeSpec(name="m")]
-    schema.insert(pos, AttributeSpec(name="year", kind=QUANTITATIVE, bins=YEAR_BINS))
+    schema.insert(pos, AttributeSpec(name="year", bins=YEAR_BINS))
     rows = []
     for i, v in enumerate(values):
         row = [f"k{i % 3}", "m"]

@@ -1,6 +1,6 @@
 import pytest
 
-from starminer.datamodel import QUANTITATIVE, AttributeSpec, RelationalTable
+from starminer.datamodel import AttributeSpec, RelationalTable
 from starminer.errors import DataError, SchemaError
 from starminer.mapcode import (
     MapCodeRegistry,
@@ -91,7 +91,7 @@ def test_unknown_attribute_rejected():
 def test_non_categorical_attribute_rejected():
     schema = (
         AttributeSpec("Times"),
-        AttributeSpec("amount", kind=QUANTITATIVE, bins=(("all", 0, 1e9),)),
+        AttributeSpec("amount", bins=(("all", 0, 1e9),)),
     )
     general = RelationalTable(name="g", schema=schema, rows=(("t1", 5.0),))
     with pytest.raises(SchemaError, match="amount"):

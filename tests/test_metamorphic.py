@@ -1,0 +1,74 @@
+"""Metamorphic relations: how the CLI's output must change when its input
+changes in a known way. They need no oracle, so they hold the miners to
+account on a generated star input far past brute force's reach.
+
+Each relation runs ``cli.main --algorithm both`` with the star-300k
+benchmark's flags (four joins, year bins, two year filters, age_group and
+product_name combined) on 10,000 generated fact rows, at a minsup whose
+lattice reaches level 4.
+"""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from starminer.cli import main
+from starminer.synth import DIMENSION_TABLES, SynthSpec, generate_sales
+
+JOINS = (("customer_id", "customer"), ("product_id", "product"), ("time_id", "times"), ("channel_id", "channel"))
+
+
+def run(data: Path, fact: Path, out: Path) -> dict[str, bytes]:
+    """Mine ``fact`` against the dimensions in ``data``; every --out file's bytes by name."""
+    argv = (
+        ["--fact", str(fact)]
+        + [f"--dim={dim}={data / dim}.csv" for dim in DIMENSION_TABLES]
+        + [f"--join={key}:{dim}:{key}" for key, dim in JOINS]
+        + ["--bins=year=y1998:1998:1999,y1999:1999:2000,y2000on:2000:2010",
+           "--filter=year=y1998", "--filter=year=y2000on",
+           "--key-dim", "tid", "--combine-dims", "age_group,product_name",
+           "--minsup", "0.002", "--minconf", "0.3", "--algorithm", "both",
+           "--repeatable-dims", "product_name", "--out", str(out)]
+    )
+    assert main(argv) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def star(tmp_path_factory):
+    """The generated input, its fact lines, and the outputs mined from it."""
+    data = tmp_path_factory.mktemp("star")
+    generate_sales(SynthSpec(seed=20260808, n_fact_rows=10_000), data)
+    header, *lines = (data / "fact.csv").read_text(encoding="utf-8").splitlines()
+    outputs = run(data, data / "fact.csv", data / "out")
+    levels = json.loads(outputs["stats.json"])["itemsets_per_level"]
+    assert max(map(int, levels)) >= 3
+    return data, header, lines, outputs
+
+
+def write_fact(path: Path, header: str, lines: list[str]) -> Path:
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    return path
+
+
+def test_renaming_every_key_one_to_one_changes_no_output(star, tmp_path):
+    data, header, lines, outputs = star
+    tids = list(dict.fromkeys(line.split(",", 1)[0] for line in lines))
+    # new names in shuffled order, so the keys' sorted order changes too
+    names = [f"K{i}" for i in range(len(tids))]
+    random.Random(1).shuffle(names)
+    renamed = dict(zip(tids, names))
+    fact = write_fact(tmp_path / "fact.csv", header,
+                      [renamed[tid] + "," + rest for tid, rest in (line.split(",", 1) for line in lines)])
+    assert run(data, fact, tmp_path / "out") == outputs
+
+
+def test_writing_every_fact_line_twice_doubles_only_general_rows(star, tmp_path):
+    data, header, lines, outputs = star
+    fact = write_fact(tmp_path / "fact.csv", header, [line for line in lines for _ in (0, 1)])
+    doubled = run(data, fact, tmp_path / "out")
+    stats, doubled_stats = json.loads(outputs["stats.json"]), json.loads(doubled.pop("stats.json"))
+    assert doubled_stats == {**stats, "general_rows": 2 * stats["general_rows"]}
+    assert doubled == {name: text for name, text in outputs.items() if name != "stats.json"}

@@ -24,9 +24,9 @@ def test_different_seeds_differ(tmp_path):
     assert a["fact"].read_bytes() != b["fact"].read_bytes()
 
 
-def choices_draw(rng, population, skew):
+def choices_draw(rng, population):
     """The draw generate_sales used to make: one ``rng.choices`` call each."""
-    weights = [1.0 / (rank**skew) for rank in range(1, len(population) + 1)]
+    weights = [1.0 / rank for rank in range(1, len(population) + 1)]
     return lambda: rng.choices(population, weights)[0]
 
 
@@ -34,10 +34,10 @@ def choices_draw(rng, population, skew):
     "spec",
     [
         SynthSpec(seed=0, n_fact_rows=600),
-        SynthSpec(seed=7, n_fact_rows=600, n_customers=3, n_times=2, n_channels=9),
+        SynthSpec(seed=7, n_fact_rows=600, n_products=3),
         SynthSpec(seed=20260808, n_fact_rows=1500, n_products=200),
-        SynthSpec(seed=11, n_fact_rows=400, skew=0),
-        SynthSpec(seed=12, n_fact_rows=400, skew=2.5),
+        SynthSpec(seed=11, n_fact_rows=400, n_products=24),
+        SynthSpec(seed=12, n_fact_rows=400, n_products=25),
         SynthSpec(seed=13, n_fact_rows=0),
         SynthSpec(seed=14, n_fact_rows=300, n_products=1),
     ],
@@ -92,7 +92,7 @@ def test_baskets_share_customer_time_channel(tmp_path):
 
 def test_spec_validation():
     with pytest.raises(SchemaError):
-        SynthSpec(seed=1, n_customers=0)
+        SynthSpec(seed=1, n_products=0)
     with pytest.raises(SchemaError):
         SynthSpec(seed=1, n_fact_rows=-1)
 
