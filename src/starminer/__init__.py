@@ -16,9 +16,8 @@ from .datamodel import (
     RelationalTable,
     bitmap_encode,
 )
-from .errors import AgreementError, DataError, SchemaError, StarMinerError
+from .errors import AgreementError, DataError, SchemaError, StarMinerError, UsageError
 from .ingest import (
-    JoinSpec,
     discretize,
     join_tables,
     load_csv,
@@ -59,7 +58,6 @@ __all__ = [
     "DimensionPolicy",
     "FrequentItemset",
     "Item",
-    "JoinSpec",
     "MapCodeRegistry",
     "MdTable",
     "MiningStats",
@@ -70,6 +68,7 @@ __all__ = [
     "StarMinerError",
     "SynthSpec",
     "TransactionView",
+    "UsageError",
     "apriori_baseline",
     "bitmap_encode",
     "brute_force_frequent",

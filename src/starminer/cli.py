@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 data/schema error, 3 the two mining
-algorithms disagreed (which is a bug, never a data problem).
+algorithms disagreed (which is a bug, never a data problem). Any other
+exception is a bug too, and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .errors import AgreementError, DataError, SchemaError
+from .errors import AgreementError, DataError, SchemaError, UsageError
 from .pipeline import ALGORITHMS, RunConfig, run_pipeline
 
 USAGE_EXIT = 1
@@ -105,10 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_kv(option: str, raw: str, sep: str = "=") -> tuple[str, str]:
     if sep not in raw:
-        raise ValueError(f"{option} expects NAME{sep}VALUE, got {raw!r}")
+        raise UsageError(f"{option} expects NAME{sep}VALUE, got {raw!r}")
     name, value = raw.split(sep, 1)
     if not name or not value:
-        raise ValueError(f"{option} expects NAME{sep}VALUE, got {raw!r}")
+        raise UsageError(f"{option} expects NAME{sep}VALUE, got {raw!r}")
     return name, value
 
 
@@ -118,19 +119,19 @@ def _parse_bins(raw: str) -> tuple[str, tuple[tuple[str, float, float], ...]]:
     for part in spec.split(","):
         pieces = part.split(":")
         if len(pieces) != 3:
-            raise ValueError(f"--bins expects LABEL:LO:HI entries, got {part!r}")
+            raise UsageError(f"--bins expects LABEL:LO:HI entries, got {part!r}")
         label, lo, hi = pieces
         try:
             bins.append((label, float(lo), float(hi)))
         except ValueError:
-            raise ValueError(f"--bins bounds must be numbers, got {part!r}") from None
+            raise UsageError(f"--bins bounds must be numbers, got {part!r}") from None
     return attr, tuple(bins)
 
 
 def _parse_join(raw: str) -> tuple[str, str, str]:
     pieces = raw.split(":")
     if len(pieces) != 3 or not all(pieces):
-        raise ValueError(f"--join expects FACT_KEY:DIM:DIM_KEY, got {raw!r}")
+        raise UsageError(f"--join expects FACT_KEY:DIM:DIM_KEY, got {raw!r}")
     return tuple(pieces)
 
 
@@ -148,14 +149,18 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     base: dict = {}
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise ValueError(f"config file not found: {path}")
         try:
-            base = json.loads(path.read_text(encoding="utf-8"))
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot read config file {path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"cannot read config file {path}: not valid UTF-8 text ({exc.reason})") from None
+        try:
+            base = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"config file is not valid JSON: {exc}") from None
+            raise UsageError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(base, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise UsageError("config file must hold a JSON object")
 
     # every flag's dest is the RunConfig field it sets
     overrides = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
@@ -165,7 +170,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
     merged = {**base, **overrides}
     if "out_dir" not in merged:
-        raise ValueError("--out is required")
+        raise UsageError("--out is required")
     return RunConfig.from_dict(merged)
 
 
@@ -175,21 +180,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         config = config_from_args(args)
-    except ValueError as exc:
+        result = run_pipeline(config)
+    except UsageError as exc:
         print(f"starminer: usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-
-    try:
-        result = run_pipeline(config)
-    except AgreementError as exc:
-        print(f"starminer: disagreement: {exc}", file=sys.stderr)
-        return DISAGREEMENT_EXIT
     except (DataError, SchemaError) as exc:
         print(f"starminer: data error: {exc}", file=sys.stderr)
         return DATA_EXIT
-    except ValueError as exc:
-        print(f"starminer: usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    except AgreementError as exc:
+        print(f"starminer: disagreement: {exc}", file=sys.stderr)
+        return DISAGREEMENT_EXIT
 
     if config.key_dim is None:
         print(f"generated synthetic data under {Path(config.out_dir) / 'data'}")

@@ -6,7 +6,7 @@ class StarMinerError(Exception):
 
 
 class SchemaError(StarMinerError):
-    """A declaration is malformed: table schema, join spec, policy, config."""
+    """A declaration is malformed: table schema, join, policy, config."""
 
 
 class DataError(StarMinerError):
@@ -16,3 +16,9 @@ class DataError(StarMinerError):
 
 class AgreementError(StarMinerError):
     """Two mining engines disagreed on output that must be identical."""
+
+
+class UsageError(StarMinerError, ValueError):
+    """The run was asked for wrongly: a bad flag, config field or threshold,
+    or a path that cannot be read or written. A ``ValueError`` too, so
+    callers that caught one before still do."""

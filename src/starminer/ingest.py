@@ -15,7 +15,6 @@ import math
 import os
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import chain, product, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -27,37 +26,6 @@ _MAX_LISTED_ORPHANS = 20
 # Characters of text load_csv reads at once. Larger chunks also scatter their
 # freed strings among the kept distinct values, which then stay resident.
 _CHUNK_CHARS = 1 << 16
-
-
-@dataclass(frozen=True)
-class JoinSpec:
-    """Declares how the fact table links to each dimension table.
-
-    ``links`` are (fact_key_attr, dim_table, dim_key_attr) triples;
-    ``projected_attrs`` are the (table, attribute) pairs kept in the output,
-    in declared order.
-    """
-
-    fact_table: str
-    links: tuple[tuple[str, str, str], ...]
-    projected_attrs: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "links", tuple(tuple(l) for l in self.links))
-        object.__setattr__(
-            self, "projected_attrs", tuple(tuple(p) for p in self.projected_attrs)
-        )
-        if not self.projected_attrs:
-            raise SchemaError("join spec must project at least one attribute")
-        seen: set[tuple[str, str]] = set()
-        for fact_key, dim_table, _ in self.links:
-            pair = (fact_key, dim_table)
-            if pair in seen:
-                raise SchemaError(
-                    f"join spec has two links for fact key {fact_key!r} and "
-                    f"dimension {dim_table!r}"
-                )
-            seen.add(pair)
 
 
 @contextmanager
@@ -208,35 +176,36 @@ def _line_errors(path: Path, schema: tuple[AttributeSpec, ...], lines: Iterator[
 
 
 def join_tables(
-    tables: Sequence[RelationalTable], spec: JoinSpec
+    fact: RelationalTable,
+    links: Sequence[tuple[str, RelationalTable, str]],
+    projected: Sequence[tuple[str, str]],
 ) -> RelationalTable:
-    """Left-equi-join the fact table with each linked dimension.
+    """Left-equi-join ``fact`` with each linked dimension.
 
-    Output columns are the projected attributes in declared order; rows
+    ``links`` holds ``(fact_key, dimension table, dimension_key)`` triples.
+    Output columns are the ``projected`` (table name, attribute) pairs in
+    declared order, so a dimension may be linked once only, and may not have
+    the fact table's name: a pair could not say which link it means. Rows
     follow fact-table order, one per matching fact x dimension combination.
     Fact keys without a dimension match abort the join with the orphan keys
     listed.
     """
-    by_name: dict[str, RelationalTable] = {}
-    for t in tables:
-        if t.name in by_name:
-            raise SchemaError(f"duplicate table name {t.name!r}")
-        by_name[t.name] = t
-    if spec.fact_table not in by_name:
-        raise SchemaError(f"unknown fact table {spec.fact_table!r}")
-    fact = by_name[spec.fact_table]
-
+    if not projected:
+        raise SchemaError("join must project at least one attribute")
+    source_of: dict[str, int | None] = {fact.name: None}
     # (fact key column, dimension, {dimension key: its row indices}) per link
     link_info: list[tuple[tuple[Atom, ...], RelationalTable, dict[Atom, list[int]]]] = []
-    for fact_key, dim_name, dim_key in spec.links:
-        keys = fact.column(fact_key)
-        if dim_name not in by_name:
-            raise SchemaError(f"unknown dimension table {dim_name!r}")
-        dim = by_name[dim_name]
+    for fact_key, dim, dim_key in links:
+        if dim.name in source_of:
+            raise SchemaError(
+                f"join names table {dim.name!r} twice, as the fact table or a linked "
+                "dimension; a projected (table, attribute) pair could not say which it means"
+            )
+        source_of[dim.name] = len(link_info)
         index: dict[Atom, list[int]] = {}
         for r, key in enumerate(dim.column(dim_key)):
             index.setdefault(key, []).append(r)
-        link_info.append((keys, dim, index))
+        link_info.append((fact.column(fact_key), dim, index))
 
     orphans: list[tuple[str, Atom]] = []
     if any(not set(keys) <= index.keys() for keys, _, index in link_info):
@@ -256,21 +225,16 @@ def join_tables(
     # source is None for the fact table or a link index for a dimension.
     resolved: list[tuple[int | None, int]] = []
     out_schema: list[AttributeSpec] = []
-    linked_names = {dim.name: li for li, (_, dim, _) in enumerate(link_info)}
-    for table_name, attr in spec.projected_attrs:
-        if table_name == fact.name:
-            resolved.append((None, fact.index_of(attr)))
-            out_schema.append(fact.spec_of(attr))
-        elif table_name in linked_names:
-            li = linked_names[table_name]
-            dim = link_info[li][1]
-            resolved.append((li, dim.index_of(attr)))
-            out_schema.append(dim.spec_of(attr))
-        else:
+    for table_name, attr in projected:
+        if table_name not in source_of:
             raise SchemaError(
                 f"projected table {table_name!r} is neither the fact table nor a "
                 "joined dimension"
             )
+        source = source_of[table_name]
+        table = fact if source is None else link_info[source][1]
+        resolved.append((source, table.index_of(attr)))
+        out_schema.append(table.spec_of(attr))
 
     columns: list[Iterable[Atom]] = []
     if all(len(rs) == 1 for _, _, index in link_info for rs in index.values()):

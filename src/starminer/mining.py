@@ -47,7 +47,7 @@ from itertools import chain, combinations
 from typing import Iterable, Mapping, Sequence
 
 from .datamodel import int_from_bit_positions
-from .errors import DataError
+from .errors import DataError, UsageError
 
 
 # Fraction("1e-N") computes 10**N, so an exponent of eleven digits hangs it.
@@ -87,14 +87,14 @@ def exact_fraction(x: float | str | Fraction | int) -> Fraction:
 
 
 def threshold_in_range(name: str, value: float | str | Fraction) -> Fraction:
-    """``value`` as an exact fraction in (0, 1]; a ValueError naming the
+    """``value`` as an exact fraction in (0, 1]; a UsageError naming the
     option ``name`` otherwise."""
     try:
         f = exact_fraction(value)
     except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+        raise UsageError(f"{name}: {exc}") from None
     if not 0 < f <= 1:
-        raise ValueError(f"{name} must be in (0, 1], got {value!r}")
+        raise UsageError(f"{name} must be in (0, 1], got {value!r}")
     return f
 
 

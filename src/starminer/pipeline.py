@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .datamodel import AttributeSpec, RelationalTable
-from .errors import AgreementError, SchemaError
-from .ingest import JoinSpec, discretize, join_tables, load_csv, read_header, write_text_atomic
+from .errors import AgreementError, SchemaError, UsageError
+from .ingest import discretize, join_tables, load_csv, read_header, write_text_atomic
 from .mapcode import DecodedItemset, MapCodeRegistry, combine_dims, transform_map_code
 from .mining import (
     FrequentItemset,
@@ -76,66 +76,71 @@ class RunConfig:
             try:
                 object.__setattr__(self, name, _conform(value, hint))
             except ValueError:
-                raise ValueError(f"config field {name!r} must be {_shape(hint)}, got {value!r}") from None
+                raise UsageError(f"config field {name!r} must be {_shape(hint)}, got {value!r}") from None
 
     def validate(self) -> None:
+        paths = [self.out_dir, *filter(None, [self.fact]), *(path for _, path in self.dims)]
+        if any("\0" in path for path in paths):
+            raise UsageError(f"paths cannot hold a NUL character, got {paths}")
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+            raise UsageError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise UsageError("workers must be >= 1")
         attrs = [attr for attr, _ in self.bins]
         if len(set(attrs)) != len(attrs):
-            raise ValueError(f"bins declares an attribute more than once: {attrs}")
+            raise UsageError(f"bins declares an attribute more than once: {attrs}")
         try:
             _binned_specs(self.bins)
         except SchemaError as exc:
-            raise ValueError(f"bins: {exc}") from None
+            raise UsageError(f"bins: {exc}") from None
         if self.synth_rows is not None:
             # SynthSpec checks the same bound, but as a data error
             if self.synth_rows < 0:
-                raise ValueError(f"synth_rows must be >= 0, got {self.synth_rows!r}")
+                raise UsageError(f"synth_rows must be >= 0, got {self.synth_rows!r}")
             if self.seed is None:
-                raise ValueError("synthetic data generation requires a seed")
+                raise UsageError("synthetic data generation requires a seed")
             if self.fact is not None or self.dims:
-                raise ValueError("synth mode and explicit input tables are exclusive")
+                raise UsageError("synth mode and explicit input tables are exclusive")
         elif self.key_dim is None:
-            raise ValueError("nothing to do: no input tables to mine and no data to generate")
+            raise UsageError("nothing to do: no input tables to mine and no data to generate")
         if self.key_dim is not None:
             if self.synth_rows is None and self.fact is None:
-                raise ValueError("mining requires a fact table (or synth mode)")
+                raise UsageError("mining requires a fact table (or synth mode)")
             if not self.selected_dims:
-                raise ValueError("mining requires at least one combined dimension")
-            # combine_dims and JoinSpec check the same, but as schema errors
+                raise UsageError("mining requires at least one combined dimension")
+            # combine_dims checks the same, but as schema errors
             if len(set(self.selected_dims)) != len(self.selected_dims):
-                raise ValueError(f"selected_dims contains duplicates: {list(self.selected_dims)}")
+                raise UsageError(f"selected_dims contains duplicates: {list(self.selected_dims)}")
             if self.key_dim in self.selected_dims:
-                raise ValueError(f"key_dim {self.key_dim!r} cannot also be in selected_dims")
+                raise UsageError(f"key_dim {self.key_dim!r} cannot also be in selected_dims")
             unknown = sorted(set(self.repeatable_dims) - set(self.selected_dims))
             if unknown:
-                raise ValueError(f"repeatable_dims {unknown} are not in selected_dims")
-            links = [(fact_key, dim) for fact_key, dim, _ in self.joins]
-            if len(set(links)) != len(links):
-                raise ValueError(f"joins links one fact key to one dimension twice: {links}")
+                raise UsageError(f"repeatable_dims {unknown} are not in selected_dims")
+            # join_tables checks the same, but only once every table loads
+            linked = [dim for _, dim, _ in self.joins]
+            twice = sorted({dim for dim in linked if linked.count(dim) > 1})
+            if twice:
+                raise UsageError(f"joins must link each dimension once, got several links to {twice}")
             if self.synth_rows is None:
-                # load_csv names the fact table "fact"; JoinSpec finds tables by name
+                # run_pipeline finds each dimension by its name, and the fact table is "fact"
                 names = [name for name, _ in self.dims]
                 if len(set(names)) != len(names) or "fact" in names:
-                    raise ValueError(f"dims must name each table once, and none 'fact': {names}")
+                    raise UsageError(f"dims must name each table once, and none 'fact': {names}")
                 source = "no dims entry provides"
             else:
                 names, source = DIMENSION_TABLES, "synth does not make"
             unknown = sorted({dim for _, dim, _ in self.joins} - set(names))
             if unknown:
-                raise ValueError(f"joins name dimensions that {source}: {unknown}")
+                raise UsageError(f"joins name dimensions that {source}: {unknown}")
             if self.projected:  # the join and combine_dims find the same, but only once every table loads
                 attrs = [attr for _, attr in self.projected]
                 tables = {table for table, _ in self.projected} - {"fact", *(dim for _, dim, _ in self.joins)}
                 needed = sorted({self.key_dim, *self.selected_dims, *(dim for dim, _ in self.filters)})
                 if len(set(attrs)) != len(attrs) or tables or not set(needed) <= set(attrs):
-                    raise ValueError(f"projected must name each attribute once, from 'fact' or a joined "
+                    raise UsageError(f"projected must name each attribute once, from 'fact' or a joined "
                                      f"dimension, and all of {needed}: got {[list(p) for p in self.projected]}")
             if self.minsup is None or self.minconf is None:
-                raise ValueError("mining requires both minsup and minconf")
+                raise UsageError("mining requires both minsup and minconf")
             threshold_in_range("minsup", self.minsup)
             threshold_in_range("minconf", self.minconf)
 
@@ -152,7 +157,7 @@ class RunConfig:
         """Build a config from JSON-shaped data (lists where tuples go)."""
         unknown = set(data) - set(_FIELD_HINTS)
         if unknown:
-            raise ValueError(f"config has unknown fields: {sorted(unknown)}")
+            raise UsageError(f"config has unknown fields: {sorted(unknown)}")
         return cls(**data)
 
 
@@ -236,7 +241,7 @@ def _pairs_json(pairs: Sequence[tuple[str, str]]) -> list[dict[str, str]]:
 
 def _derive_projection(
     fact: RelationalTable,
-    dims: Sequence[RelationalTable],
+    dims: Mapping[str, RelationalTable],
     needed: Sequence[str],
 ) -> tuple[tuple[str, str], ...]:
     """Resolve attribute names to (table, attribute) pairs.
@@ -250,7 +255,7 @@ def _derive_projection(
         if attr in fact.attribute_names:
             projected.append((fact.name, attr))
             continue
-        owners = [t.name for t in dims if attr in t.attribute_names]
+        owners = [name for name, t in dims.items() if attr in t.attribute_names]
         if not owners:
             raise SchemaError(f"attribute {attr!r} is in neither the fact table nor a joined dimension")
         if len(owners) > 1:
@@ -267,7 +272,8 @@ def _binned_specs(bins: BinsConfig) -> dict[str, AttributeSpec]:
     return {attr: AttributeSpec(name=attr, bins=b) for attr, b in bins}
 
 
-def _load_inputs(config: RunConfig, paths: Mapping[str, Path]) -> tuple[RelationalTable, list[RelationalTable]]:
+def _load_inputs(config: RunConfig, paths: Mapping[str, Path]) -> tuple[RelationalTable, dict[str, RelationalTable]]:
+    """The fact table, and each joined dimension by its name."""
     binned = _binned_specs(config.bins)
     headers = {name: read_header(p) for name, p in paths.items()}
     for attr in binned:
@@ -275,12 +281,12 @@ def _load_inputs(config: RunConfig, paths: Mapping[str, Path]) -> tuple[Relation
             raise SchemaError(f"--bins attribute {attr!r} not found in any input table")
     # every header is read for the --bins check, but only joined dimensions load
     joined = {"fact", *(dim for _, dim, _ in config.joins)}
-    fact, *dims = (
-        load_csv(paths[name], tuple(binned.get(a) or AttributeSpec(name=a) for a in h), name=name)
+    tables = {
+        name: load_csv(paths[name], tuple(binned.get(a) or AttributeSpec(name=a) for a in h), name=name)
         for name, h in headers.items()
         if name in joined
-    )
-    return fact, dims
+    }
+    return tables.pop("fact"), tables
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
@@ -290,7 +296,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ValueError(f"cannot create output directory {out}: {exc.strerror}") from None
+        raise UsageError(f"cannot create output directory {out}: {exc.strerror}") from None
     result = PipelineResult()
 
     if config.synth_rows is not None:
@@ -298,7 +304,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         try:
             written = generate_sales(spec, out / "data")
         except OSError as exc:
-            raise ValueError(f"cannot write synthetic data to {out / 'data'}: {exc.strerror}") from None
+            raise UsageError(f"cannot write synthetic data to {out / 'data'}: {exc.strerror}") from None
         paths = {"fact": written["fact"], **written}
         result.files.update({f"data/{name}": path for name, path in paths.items()})
     else:
@@ -310,11 +316,11 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     fact, dims = _load_inputs(config, paths)
     needed = [config.key_dim, *config.selected_dims, *(d for d, _ in config.filters)]
     projected = config.projected or _derive_projection(fact, dims, needed)
-    join_spec = JoinSpec(fact_table="fact", links=config.joins, projected_attrs=projected)
-    general = join_tables([fact, *dims], join_spec)
+    links = [(fact_key, dims[dim], dim_key) for fact_key, dim, dim_key in config.joins]
+    general = join_tables(fact, links, projected)
     # Each stage's input is released once the next stage has consumed it, so
     # peak memory holds about two stages' tables rather than every one.
-    del fact, dims
+    del fact, dims, links
 
     for spec in general.schema:
         if not spec.is_categorical():
@@ -432,4 +438,4 @@ def _write_artifacts(config: RunConfig, out: Path, result: PipelineResult) -> No
             }))
         write("registry.csv", "\n".join(result.registry.csv_lines()) + "\n")
     except OSError as exc:
-        raise ValueError(f"cannot write artifacts to {out}: {exc.strerror}") from None
+        raise UsageError(f"cannot write artifacts to {out}: {exc.strerror}") from None

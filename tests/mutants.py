@@ -1,0 +1,179 @@
+"""Mutation check: each mutant below is a small wrong edit of the source that
+named tests must catch.
+
+A mutant is (name, file, old text, new text, tests). The old text must occur
+exactly once in its file. For each mutant the script copies ``src``,
+``tests`` and ``pyproject.toml`` into a temporary directory, replaces the old
+text with the new one there, and runs the listed tests on the copy. A mutant
+is killed when those tests fail; it survives when they pass. The script exits
+non-zero if any mutant survives or cannot be applied.
+
+Run from the repository root (pytest does not collect this file):
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only these
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    (
+        "fi_gen walks its classes in ascending order",
+        "src/starminer/mining.py",
+        "a, mask = members.pop()\n"
+        "        head = prefix + (a,)\n"
+        "        child = frequent(head, [(b, mask & extents[b]) for b in survivors.pop()])",
+        "a, mask = members.pop(0)\n"
+        "        head = prefix + (a,)\n"
+        "        child = frequent(head, [(b, mask & extents[b]) for b in survivors.pop(0)])",
+        ["tests/test_fast_paths.py"],
+    ),
+    (
+        "n_groups counts (group, code) pairs",
+        "src/starminer/mining.py",
+        "        return len(self.keys)",
+        "        return sum(map(len, self.members.values()))",
+        ["tests/test_metamorphic.py::test_writing_every_fact_line_twice_doubles_only_general_rows"],
+    ),
+    (
+        "an itemset is frequent only above the threshold",
+        "src/starminer/mining.py",
+        "(count := mask.bit_count()) >= threshold",
+        "(count := mask.bit_count()) > threshold",
+        ["tests/test_fast_paths.py"],
+    ),
+    (
+        "support threshold rounds down",
+        "src/starminer/mining.py",
+        "math.ceil(f * n_groups)",
+        "math.floor(f * n_groups)",
+        ["tests/test_metamorphic.py::test_appending_a_renamed_copy_of_the_fact_doubles_every_count_only"],
+    ),
+    (
+        "rules with equal support and confidence are ordered by unsorted pairs",
+        "src/starminer/rules.py",
+        "            tuple(sorted(r.antecedent)),\n            tuple(sorted(r.consequent)),",
+        "            tuple(r.antecedent),\n            tuple(r.consequent),",
+        ["tests/test_metamorphic.py::test_permuting_the_fact_rows_keeps_every_itemset_and_rule"],
+    ),
+    (
+        "the one-to-one join reads the dimension row before the match",
+        "src/starminer/ingest.py",
+        "value_of = {key: values[r] for key, (r,) in index.items()}",
+        "value_of = {key: values[r - 1] for key, (r,) in index.items()}",
+        ["tests/test_metamorphic.py::test_dimension_rows_no_fact_row_references_change_no_output"],
+    ),
+    (
+        "the one-to-one join is taken with duplicate dimension keys",
+        "src/starminer/ingest.py",
+        "if all(len(rs) == 1 for _, _, index in link_info for rs in index.values()):",
+        "if all(len(rs) >= 1 for _, _, index in link_info for rs in index.values()):",
+        ["tests/test_ingest_fast_paths.py::test_join_matches_product_loop"],
+    ),
+    (
+        "join_tables accepts one dimension linked twice",
+        "src/starminer/ingest.py",
+        "        if dim.name in source_of:",
+        "        if False:",
+        ["tests/test_ingest.py::test_join_rejects_one_dimension_linked_by_two_fact_keys"],
+    ),
+    (
+        "validate accepts one dimension linked twice",
+        "src/starminer/pipeline.py",
+        "twice = sorted({dim for dim in linked if linked.count(dim) > 1})",
+        "twice = []",
+        ["tests/test_pipeline_cli.py::test_one_dimension_linked_twice_is_a_usage_error_before_any_read"],
+    ),
+    (
+        "the CLI reports any ValueError as a usage error",
+        "src/starminer/cli.py",
+        "    except UsageError as exc:",
+        "    except ValueError as exc:",
+        ["tests/test_pipeline_cli.py::test_a_bare_value_error_in_the_pipeline_is_a_bug_not_a_usage_error"],
+    ),
+    (
+        "load_csv takes non-finite numbers",
+        "src/starminer/ingest.py",
+        "if not all(map(math.isfinite, number.values())):",
+        "if False:",
+        ["tests/test_ingest_fast_paths.py::test_load_csv_matches_line_parser"],
+    ),
+    (
+        "an out-of-bin value is reported one row early",
+        "src/starminer/ingest.py",
+        "row {column.index(value) + 1}:",
+        "row {column.index(value)}:",
+        ["tests/test_ingest_fast_paths.py::test_discretize_matches_bin_search"],
+    ),
+    (
+        "filters on two dimensions are OR-ed",
+        "src/starminer/mapcode.py",
+        "map(all, zip(*masks))",
+        "map(any, zip(*masks))",
+        ["tests/test_ingest_fast_paths.py::test_combine_dims_and_group_by_key_match_loops"],
+    ),
+    (
+        "a failed atomic write leaves its temporary file",
+        "src/starminer/ingest.py",
+        "        tmp.unlink(missing_ok=True)\n",
+        "",
+        ["tests/test_pipeline_cli.py::test_failed_artifact_write_leaves_each_file_old_or_new"],
+    ),
+]
+
+
+def run_mutant(file: str, old: str, new: str, tests: list[str]) -> str:
+    """``killed``, ``SURVIVED``, or why the mutant could not be run."""
+    text = (ROOT / file).read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        return f"NOT APPLIED: the old text occurs {text.count(old)} times in {file}"
+    with tempfile.TemporaryDirectory(prefix="starminer-mutant-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        (copy / file).write_text(text.replace(old, new), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=copy, env={**os.environ, "PYTHONPATH": str(copy / "src")},
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+    # pytest exits 1 when tests ran and some failed; any other failure code
+    # (collection error, no test found) says the entry is wrong
+    if proc.returncode == 0:
+        return "SURVIVED"
+    if proc.returncode == 1:
+        return "killed"
+    return f"NOT RUN: pytest exited {proc.returncode}\n{proc.stdout[-2000:]}"
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"no such mutant: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    bad = 0
+    for name, *mutant in MUTANTS:
+        if names and name not in names:
+            continue
+        start = time.perf_counter()
+        outcome = run_mutant(*mutant)
+        bad += outcome != "killed"
+        print(f"{outcome.splitlines()[0]:<10} {time.perf_counter() - start:5.1f} s  {name}")
+        if "\n" in outcome:
+            print(outcome.split("\n", 1)[1])
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -211,6 +211,8 @@ MINING = {"out_dir": "{out}", "fact": "{fact}", "key_dim": "tid", "selected_dims
 @example(doc={"out_dir": "{out}", "synth_rows": -5, "seed": 1})
 @example(doc={**MINING, "minsup": "1e-99999999999"})
 @example(doc={**MINING, "minconf": "1E+99999999999"})
+@example(doc={**MINING, "fact": "\x00"})
+@example(doc={**MINING, "dims": [["d", "x\x00"]], "joins": [["A", "d", "A"]]})
 def test_cli_on_arbitrary_config_documents_exits_with_a_one_line_message(doc):
     with tempfile.TemporaryDirectory() as tmp:
         code, message = run_config(tmp, doc)

@@ -2,12 +2,7 @@ import pytest
 
 from starminer.datamodel import AttributeSpec, RelationalTable
 from starminer.errors import DataError, SchemaError
-from starminer.ingest import (
-    JoinSpec,
-    discretize,
-    join_tables,
-    load_csv,
-)
+from starminer.ingest import discretize, join_tables, load_csv
 
 CAT = AttributeSpec
 
@@ -80,12 +75,11 @@ def test_single_row_join():
     fact = table("fact", ["cust", "prod"], ((("c1"), "p1"),))
     customer = table("customer", ["cust_id", "age"], (("c1", "Young"),))
     product = table("product", ["prod_id", "product_name"], (("p1", "Jeans"),))
-    spec = JoinSpec(
-        fact_table="fact",
-        links=(("cust", "customer", "cust_id"), ("prod", "product", "prod_id")),
-        projected_attrs=(("customer", "age"), ("product", "product_name")),
+    general = join_tables(
+        fact,
+        [("cust", customer, "cust_id"), ("prod", product, "prod_id")],
+        [("customer", "age"), ("product", "product_name")],
     )
-    general = join_tables([fact, customer, product], spec)
     assert general.attribute_names == ("age", "product_name")
     assert general.rows == (("Young", "Jeans"),)
 
@@ -93,12 +87,7 @@ def test_single_row_join():
 def test_join_empty_fact_keeps_projected_schema():
     fact = table("fact", ["cust"], ())
     customer = table("customer", ["cust_id", "age"], (("c1", "Young"),))
-    spec = JoinSpec(
-        fact_table="fact",
-        links=(("cust", "customer", "cust_id"),),
-        projected_attrs=(("customer", "age"),),
-    )
-    general = join_tables([fact, customer], spec)
+    general = join_tables(fact, [("cust", customer, "cust_id")], [("customer", "age")])
     assert general.rows == ()
     assert general.attribute_names == ("age",)
 
@@ -108,25 +97,19 @@ def test_join_many_to_one_repeats_dimension_values():
     fact = table("fact", ["cust", "prod"], (("c1", "p1"), ("c1", "p2"), ("c2", "p1")))
     customer = table("customer", ["cust_id", "age"], (("c1", "Young"), ("c2", "Old")))
     product = table("product", ["prod_id", "pname"], (("p1", "Jeans"), ("p2", "Beer")))
-    spec = JoinSpec(
-        fact_table="fact",
-        links=(("cust", "customer", "cust_id"), ("prod", "product", "prod_id")),
-        projected_attrs=(("customer", "age"), ("product", "pname")),
+    general = join_tables(
+        fact,
+        [("cust", customer, "cust_id"), ("prod", product, "prod_id")],
+        [("customer", "age"), ("product", "pname")],
     )
-    general = join_tables([fact, customer, product], spec)
     assert general.rows == (("Young", "Jeans"), ("Young", "Beer"), ("Old", "Jeans"))
 
 
 def test_join_orphan_key_is_an_error_listing_it():
     fact = table("fact", ["cust"], (("c1",), ("cX",)))
     customer = table("customer", ["cust_id", "age"], (("c1", "Young"),))
-    spec = JoinSpec(
-        fact_table="fact",
-        links=(("cust", "customer", "cust_id"),),
-        projected_attrs=(("customer", "age"),),
-    )
     with pytest.raises(DataError, match="cX"):
-        join_tables([fact, customer], spec)
+        join_tables(fact, [("cust", customer, "cust_id")], [("customer", "age")])
 
 
 def test_join_row_count_law_with_unique_dimension_keys():
@@ -135,12 +118,7 @@ def test_join_row_count_law_with_unique_dimension_keys():
         "customer", ["cust_id", "age"],
         (("c0", "Young"), ("c1", "Mid"), ("c2", "Old")),
     )
-    spec = JoinSpec(
-        fact_table="fact",
-        links=(("cust", "customer", "cust_id"),),
-        projected_attrs=(("fact", "cust"), ("customer", "age")),
-    )
-    general = join_tables([fact, customer], spec)
+    general = join_tables(fact, [("cust", customer, "cust_id")], [("fact", "cust"), ("customer", "age")])
     assert general.n_rows == fact.n_rows
     # projection soundness: every output cell came from a source cell
     ages = dict(customer.rows)
@@ -150,31 +128,37 @@ def test_join_row_count_law_with_unique_dimension_keys():
 def test_join_duplicate_dimension_keys_multiply_rows():
     fact = table("fact", ["k"], (("a",),))
     dim = table("d", ["k_id", "v"], (("a", "v1"), ("a", "v2")))
-    spec = JoinSpec(
-        fact_table="fact",
-        links=(("k", "d", "k_id"),),
-        projected_attrs=(("d", "v"),),
-    )
-    general = join_tables([fact, dim], spec)
+    general = join_tables(fact, [("k", dim, "k_id")], [("d", "v")])
     assert general.rows == (("v1",), ("v2",))
 
 
-def test_join_spec_validation():
-    with pytest.raises(SchemaError):
-        JoinSpec(fact_table="f", links=(), projected_attrs=())
-    with pytest.raises(SchemaError):
-        JoinSpec(
-            fact_table="f",
-            links=(("k", "d", "x"), ("k", "d", "y")),
-            projected_attrs=(("f", "k"),),
-        )
+def test_join_argument_checks():
+    fact = table("f", ["k", "j"], (("a", "a"),))
+    dim = table("d", ["x", "v"], (("a", "v1"),))
+    with pytest.raises(SchemaError, match="at least one attribute"):
+        join_tables(fact, [("k", dim, "x")], [])
+    # a (table, attribute) pair cannot say which of two links to one table it means
+    with pytest.raises(SchemaError, match="'d' twice"):
+        join_tables(fact, [("k", dim, "x"), ("j", dim, "x")], [("d", "v")])
+    with pytest.raises(SchemaError, match="'f' twice"):
+        join_tables(fact, [("k", table("f", ["x", "v"], (("a", "v1"),)), "x")], [("f", "v")])
+
+
+def test_join_rejects_one_dimension_linked_by_two_fact_keys():
+    # the first link's and the last link's regions differ on every row, so
+    # no choice between them would be right
+    fact = table("fact", ["tid", "a_city", "b_city"], (("t1", "c1", "c2"), ("t2", "c1", "c2"), ("t3", "c2", "c1")))
+    city = table("city", ["city_id", "region"], (("c1", "North"), ("c2", "South")))
+    for links in ([("a_city", city, "city_id"), ("b_city", city, "city_id")],
+                  [("b_city", city, "city_id"), ("a_city", city, "city_id")]):
+        with pytest.raises(SchemaError, match="'city'"):
+            join_tables(fact, links, [("fact", "tid"), ("city", "region")])
 
 
 def test_join_unknown_projection_table():
     fact = table("fact", ["k"], ())
-    spec = JoinSpec(fact_table="fact", links=(), projected_attrs=(("ghost", "v"),))
     with pytest.raises(SchemaError, match="ghost"):
-        join_tables([fact], spec)
+        join_tables(fact, [], [("ghost", "v")])
 
 
 # --- discretization --------------------------------------------------------------

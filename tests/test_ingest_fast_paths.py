@@ -28,7 +28,7 @@ from starminer.datamodel import (
     _check_cell,
 )
 from starminer.errors import DataError
-from starminer.ingest import JoinSpec, discretize, join_tables, load_csv
+from starminer.ingest import discretize, join_tables, load_csv
 from starminer.mapcode import MapCodeRegistry, MdTable, combine_dims
 from starminer.mining import (
     TransactionView,
@@ -136,11 +136,9 @@ def scan_discretize(table, attr):
     return tuple(out_rows)
 
 
-def scan_join(fact, dims, spec):
+def scan_join(fact, links, projected):
     link_info = []
-    by_name = {d.name: d for d in dims}
-    for fact_key, dim_name, dim_key in spec.links:
-        dim = by_name[dim_name]
+    for fact_key, dim, dim_key in links:
         index = {}
         for r, row in enumerate(dim.rows):
             index.setdefault(row[dim.index_of(dim_key)], []).append(r)
@@ -161,7 +159,7 @@ def scan_join(fact, dims, spec):
     for row in fact.rows:
         for combo in product(*[index[row[p]] for p, _, index in link_info]):
             values = []
-            for table_name, attr in spec.projected_attrs:
+            for table_name, attr in projected:
                 if table_name == fact.name:
                     values.append(row[fact.index_of(attr)])
                 else:
@@ -387,11 +385,7 @@ def test_columns_hold_one_object_per_distinct_value(tmp_path):
     with patch.object(ingest, "_CHUNK_CHARS", 64):
         loaded = load_csv(fact, LOAD_SCHEMA)
         city = load_csv(dim, (AttributeSpec("city"), AttributeSpec("state")))
-    general = join_tables(
-        [loaded, city],
-        JoinSpec(fact_table="fact", links=(("city", "city", "city"),),
-                 projected_attrs=(("fact", "tid"), ("fact", "qty"), ("city", "state"))),
-    )
+    general = join_tables(loaded, [("city", city, "city")], [("fact", "tid"), ("fact", "qty"), ("city", "state")])
     binned = discretize(general, "qty")
     for table in (loaded, general, binned):
         assert table.n_rows == 50
@@ -460,16 +454,12 @@ def test_join_matches_product_loop(fact_keys, p_keys, q_keys, projection, width)
     fact = table("fact", ["tid", "pk", "qk"], [(f"t{i}", p, q) for i, (p, q) in enumerate(fact_keys)])
     p = table("p", ["pk", "pv"], [(k, f"pv{i}") for i, k in enumerate(p_keys)])
     q = table("q", ["qk", "qv"], [(k, f"qv{i}") for i, k in enumerate(q_keys)])
-    spec = JoinSpec(
-        fact_table="fact",
-        links=(("pk", "p", "pk"), ("qk", "q", "qk")),
-        projected_attrs=tuple(projection[:width]),
-    )
-    fast = outcome(lambda: join_tables([fact, p, q], spec))
+    links = [("pk", p, "pk"), ("qk", q, "qk")]
+    fast = outcome(lambda: join_tables(fact, links, projection[:width]))
     if fast[0] == "ok":
         assert_checked_rebuild_equal(fast[1])
         fast = ("ok", fast[1].rows)
-    assert fast == outcome(lambda: scan_join(fact, [p, q], spec))
+    assert fast == outcome(lambda: scan_join(fact, links, projection[:width]))
 
 
 # --- combine_dims and group_by_key ------------------------------------------

@@ -72,3 +72,60 @@ def test_writing_every_fact_line_twice_doubles_only_general_rows(star, tmp_path)
     stats, doubled_stats = json.loads(outputs["stats.json"]), json.loads(doubled.pop("stats.json"))
     assert doubled_stats == {**stats, "general_rows": 2 * stats["general_rows"]}
     assert doubled == {name: text for name, text in outputs.items() if name != "stats.json"}
+
+
+def records(outputs: dict[str, bytes], name: str) -> list[dict]:
+    return [json.loads(line) for line in outputs[name].splitlines()]
+
+
+def test_permuting_the_fact_rows_keeps_every_itemset_and_rule(star, tmp_path):
+    data, header, lines, outputs = star
+    shuffled = lines[:]
+    random.Random(2).shuffle(shuffled)
+    permuted = run(data, write_fact(tmp_path / "fact.csv", header, shuffled), tmp_path / "out")
+
+    # codes are numbered in first-occurrence order, and a decoded itemset
+    # lists its pairs in code order: so only the pair sets must stay
+    def pair_set(pairs):
+        return sorted((p["dimension"], p["value"]) for p in pairs)
+
+    def itemsets(outputs):
+        return sorted((pair_set(r["items"]), r["support_count"]) for r in records(outputs, "itemsets.jsonl"))
+
+    def rules(outputs):
+        return [{**r, "antecedent": pair_set(r["antecedent"]), "consequent": pair_set(r["consequent"])}
+                for r in records(outputs, "rules.jsonl")]
+
+    assert itemsets(permuted) == itemsets(outputs)
+    assert rules(permuted) == rules(outputs)
+
+
+def test_appending_a_renamed_copy_of_the_fact_doubles_every_count_only(star, tmp_path):
+    # c >= ceil(m * n) exactly when 2c >= ceil(2 * m * n), so the same
+    # itemsets stay frequent and the same rules stay confident
+    data, header, lines, outputs = star
+    copy = ["R" + line for line in lines]
+    doubled = run(data, write_fact(tmp_path / "fact.csv", header, lines + copy), tmp_path / "out")
+
+    def doubled_counts(record, fields):
+        return {**record, **{field: 2 * record[field] for field in fields}}
+
+    assert records(doubled, "itemsets.jsonl") == [
+        doubled_counts(r, ["support_count"]) for r in records(outputs, "itemsets.jsonl")]
+    assert records(doubled, "rules.jsonl") == [
+        doubled_counts(r, ["support_count", "antecedent_count"]) for r in records(outputs, "rules.jsonl")]
+    stats = json.loads(outputs["stats.json"])
+    assert json.loads(doubled["stats.json"]) == doubled_counts(stats, ["general_rows", "groups"])
+    assert {name: doubled[name] for name in ("rules.txt", "registry.csv")} == {
+        name: outputs[name] for name in ("rules.txt", "registry.csv")}
+
+
+def test_dimension_rows_no_fact_row_references_change_no_output(star, tmp_path):
+    data, _, _, outputs = star
+    for dim in DIMENSION_TABLES:
+        header, *rows = (data / f"{dim}.csv").read_text(encoding="utf-8").splitlines()
+        # new keys, and values no referenced row has (a number for the binned year)
+        unused = [",".join([f"unused{i}", *("2005" if name == "year" else f"unused{i}"
+                                             for name in header.split(",")[1:])]) for i in range(3)]
+        (tmp_path / f"{dim}.csv").write_text("\n".join([header, *unused, *rows]) + "\n", encoding="utf-8")
+    assert run(tmp_path, data / "fact.csv", tmp_path / "out") == outputs

@@ -401,6 +401,57 @@ def test_bad_projection_is_a_usage_error_before_any_load(tmp_path, capsys, monke
     assert not (tmp_path / "out").exists()
 
 
+CITY_LINKS = ("a_city:city:city_id", "b_city:city:city_id")
+
+
+@pytest.mark.parametrize("joins", [CITY_LINKS, CITY_LINKS[::-1]], ids=["a-first", "b-first"])
+def test_one_dimension_linked_twice_is_a_usage_error_before_any_read(tmp_path, capsys, monkeypatch, joins):
+    # a projected (table, attribute) pair cannot say which of the two links
+    # it means, whichever order the flags come in
+    fact = tmp_path / "fact.csv"
+    fact.write_text("tid,a_city,b_city\nt1,c1,c2\nt2,c1,c2\nt3,c2,c1\n", encoding="utf-8")
+    city = tmp_path / "city.csv"
+    city.write_text("city_id,region\nc1,North\nc2,South\n", encoding="utf-8")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an input was read before the joins were checked")
+
+    monkeypatch.setattr(pipeline, "load_csv", forbidden)
+    monkeypatch.setattr(pipeline, "read_header", forbidden)
+    code = run_cli(
+        "--fact", str(fact), "--dim", f"city={city}", "--join", joins[0], "--join", joins[1],
+        "--key-dim", "tid", "--combine-dims", "region", "--minsup", "0.5", "--minconf", "0.5",
+        "--out", str(tmp_path / "out"),
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("starminer: usage error: ") and err.count("\n") == 1 and "'city'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_file_is_a_one_line_usage_error_naming_it(tmp_path, capsys, case):
+    path = tmp_path / "run.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b'{"minsup": "0.5", "key_dim": "\xff"}')
+    assert run_cli("--config", str(path), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"starminer: usage error: cannot read config file {path}: ") and err.count("\n") == 1
+
+
+def test_a_bare_value_error_in_the_pipeline_is_a_bug_not_a_usage_error(tmp_path, monkeypatch):
+    import starminer.cli as cli_mod
+
+    def unpack(config):
+        first, second = (1, 2, 3)
+
+    monkeypatch.setattr(cli_mod, "run_pipeline", unpack)
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        run_cli("--synth", "10", "--seed", "1", "--out", str(tmp_path / "out"))
+
+
 @pytest.mark.parametrize(
     "bins",
     ["year=a:2000:1990", "year=a:1990:2001,b:2000:2100", "year=a:1990:2000,a:2000:2100", None],
