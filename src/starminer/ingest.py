@@ -46,17 +46,18 @@ def _open_text(path: Path) -> Iterator[TextIO]:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def write_text_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8 so that a reader, or a crash, sees
-    either the old file or the complete new one.
+def write_text_atomic(path: Path, pieces: Iterable[str]) -> None:
+    """Write the text ``pieces``, in order, to ``path`` as UTF-8 so that a
+    reader, or a crash, sees either the old file or the complete new one.
 
-    The text goes to a temporary name in the same directory, which
-    ``os.replace`` then renames over ``path``; on any failure the temporary
-    file is removed.
+    The pieces go to a temporary name in the same directory, which
+    ``os.replace`` then renames over ``path``; on any failure, including one
+    raised while the pieces are produced, the temporary file is removed.
     """
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

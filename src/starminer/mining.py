@@ -3,8 +3,8 @@
 A :class:`TransactionView` stores the groups by code, in the vertical layout
 of Zaki's "Scalable algorithms for association mining": for each code, the
 indices of the groups that carry it. :func:`group_by_key` builds it from the
-(key, code) columns without a container per group; the per-group code sets
-the scanning miners need are derived from it once, on first use.
+(key, code) columns without a container per group; the per-group sorted
+code tuples the scanning miners need are derived from it once, on first use.
 
 Three miners share one output contract and are cross-checked in the tests:
 
@@ -112,9 +112,10 @@ class TransactionView:
     ``j`` is ``keys[j]``. ``members[c]`` lists the indices of the groups that
     carry code ``c``; a list may repeat an index, so a support is never read
     off a list's length. ``code_universe`` is the sorted list of the codes
-    ``members`` holds. ``group_sets``, each group's code set, is derived on
-    first use and cached for the miners that scan groups; ``groups`` pairs
-    the sets with their keys. Views are equal when their groups are.
+    ``members`` holds. ``group_sets``, each group's codes as a sorted tuple,
+    is derived on first use and cached for the miners that scan groups;
+    ``groups`` pairs each key with its group's code set. Views are equal
+    when their groups are.
     """
 
     keys: tuple[str, ...]
@@ -144,21 +145,23 @@ class TransactionView:
         return len(self.keys)
 
     @cached_property
-    def group_sets(self) -> tuple[frozenset[str], ...]:
-        """Each group's code set, in group order; a repeated index collapses."""
+    def group_sets(self) -> tuple[tuple[str, ...], ...]:
+        """Each group's codes as a sorted, duplicate-free tuple, in group
+        order. A tuple is a fraction of a frozenset's size."""
         codes_of: list = [[] for _ in self.keys]
-        for code, indices in self.members.items():
-            for j in indices:
+        for code in self.code_universe:
+            # a repeated index would repeat the code
+            for j in set(self.members[code]):
                 codes_of[j].append(code)
-        # each list is replaced by its set as soon as it is converted, so the
-        # lists and the sets are not all alive at once
+        # each list is replaced by its tuple as soon as it is converted, so
+        # the lists and the tuples are not all alive at once
         for j, codes in enumerate(codes_of):
-            codes_of[j] = frozenset(codes)
+            codes_of[j] = tuple(codes)
         return tuple(codes_of)
 
     @cached_property
     def groups(self) -> tuple[tuple[str, frozenset[str]], ...]:
-        return tuple(zip(self.keys, self.group_sets))
+        return tuple(zip(self.keys, map(frozenset, self.group_sets)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TransactionView):
@@ -378,9 +381,10 @@ def fi_gen(
 
 
 def _count_level(
-    group_sets: Sequence[frozenset[str]], candidates: list[tuple[str, ...]], k: int
+    group_sets: Sequence[tuple[str, ...]], candidates: list[tuple[str, ...]], k: int
 ) -> dict[tuple[str, ...], int]:
-    """Count each sorted k-candidate in one pass over the groups.
+    """Count each sorted k-candidate in one pass over the groups' sorted
+    code tuples.
 
     Level 1 is one tally of every group's codes. At a later level, a group's
     k-subsets of its codes that occur in some candidate are enumerated and
@@ -397,7 +401,7 @@ def _count_level(
     for codes in group_sets:
         if len(codes) < k:
             continue
-        present = sorted(codes & live)
+        present = [c for c in codes if c in live]
         if math.comb(len(present), k) <= len(candidates):
             for combo in combinations(present, k):
                 if combo in counts:
@@ -405,8 +409,9 @@ def _count_level(
             continue
         if cand_sets is None:
             cand_sets = [(cand, frozenset(cand)) for cand in candidates]
+        wide = frozenset(present)
         for cand, cset in cand_sets:
-            if cset <= codes:
+            if cset <= wide:
                 counts[cand] += 1
     return counts
 
@@ -471,7 +476,7 @@ def brute_force_frequent(
     for size in range(1, len(universe) + 1):
         for combo in combinations(universe, size):
             cset = frozenset(combo)
-            count = sum(1 for codes in group_sets if cset <= codes)
+            count = sum(1 for codes in group_sets if cset.issubset(codes))
             if count >= threshold:
                 result.append(
                     FrequentItemset(items=combo, support_count=count, support=count / n)

@@ -383,7 +383,7 @@ def _write_artifacts(config: RunConfig, out: Path, result: PipelineResult) -> No
     # and records are alive at a time.
     def write(name: str, content: str) -> None:
         path = out / name
-        write_text_atomic(path, content)
+        write_text_atomic(path, [content])
         result.files[name] = path
 
     try:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import random
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .errors import SchemaError
 from .ingest import write_text_atomic
@@ -43,6 +43,8 @@ N_TIMES = 50
 N_CHANNELS = 60
 # the dimension tables generate_sales writes, each as NAME.csv beside fact.csv
 DIMENSION_TABLES = ("customer", "product", "times", "channel")
+# Lines of a CSV that _write_csv renders and checks at once.
+_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -83,18 +85,29 @@ def _product_names(n: int) -> list[str]:
     return names
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    # Manual join keeps the strict no-quoting dialect honest: a cell holding a
-    # comma adds one to the text, and no cell may hold a quote.
-    text = "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
-    if '"' in text or text.count(",") != (len(header) - 1) * (len(rows) + 1):
-        raise SchemaError(f"generated cells for {path.name} break the CSV dialect")
-    write_text_atomic(path, text)
+def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
+    """Write ``header`` and ``rows`` to ``path``, rendering and checking
+    ``_BLOCK_ROWS`` lines at a time, so the file's text is never whole in
+    memory."""
+
+    def blocks() -> Iterator[str]:
+        lines = chain([header], rows)
+        while block := list(islice(lines, _BLOCK_ROWS)):
+            # Manual join keeps the strict no-quoting dialect honest: a cell
+            # holding a comma adds one to the text, and no cell may hold a quote.
+            text = "\n".join(map(",".join, block)) + "\n"
+            if '"' in text or text.count(",") != (len(header) - 1) * len(block):
+                raise SchemaError(f"generated cells for {path.name} break the CSV dialect")
+            yield text
+
+    write_text_atomic(path, blocks())
 
 
 def generate_sales(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
     """Write customer/product/times/channel dimensions and the fact table.
 
+    The fact rows are drawn as ``fact.csv`` is written, after every
+    dimension's draws, so no more than one block of them is in memory.
     Returns the path of every file written, keyed by table name.
     """
     out = Path(out_dir)
@@ -134,18 +147,20 @@ def generate_sales(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
     draw_channel = _zipf_draw(rng, channel_ids)
 
     tid_width = max(5, len(str(max(spec.n_fact_rows, 1))))
-    fact_rows: list[list[str]] = []
-    basket = 0
-    while len(fact_rows) < spec.n_fact_rows:
-        basket += 1
-        tid = f"TX{basket:0{tid_width}d}"
-        customer = draw_customer()
-        time_id = draw_time()
-        channel = draw_channel()
-        lines = min(rng.randint(1, MAX_BASKET_LINES), spec.n_fact_rows - len(fact_rows))
-        for _ in range(lines):
-            product = draw_product()
-            fact_rows.append([tid, customer, product, time_id, channel])
+
+    def fact_rows() -> Iterator[list[str]]:
+        left = spec.n_fact_rows
+        basket = 0
+        while left:
+            basket += 1
+            tid = f"TX{basket:0{tid_width}d}"
+            customer = draw_customer()
+            time_id = draw_time()
+            channel = draw_channel()
+            lines = min(rng.randint(1, MAX_BASKET_LINES), left)
+            left -= lines
+            for _ in range(lines):
+                yield [tid, customer, draw_product(), time_id, channel]
 
     paths = {name: out / f"{name}.csv" for name in (*DIMENSION_TABLES, "fact")}
     _write_csv(paths["customer"], ["customer_id", "age_group", "city"], customer_rows)
@@ -155,6 +170,6 @@ def generate_sales(spec: SynthSpec, out_dir: str | Path) -> dict[str, Path]:
     _write_csv(
         paths["fact"],
         ["tid", "customer_id", "product_id", "time_id", "channel_id"],
-        fact_rows,
+        fact_rows(),
     )
     return paths

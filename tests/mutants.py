@@ -129,6 +129,20 @@ MUTANTS = [
         "",
         ["tests/test_pipeline_cli.py::test_failed_artifact_write_leaves_each_file_old_or_new"],
     ),
+    (
+        "a rule at exactly minconf is dropped",
+        "src/starminer/rules.py",
+        "if full.support_count * conf_den < conf_num * ante.support_count:",
+        "if full.support_count * conf_den <= conf_num * ante.support_count:",
+        ["tests/test_metamorphic.py::test_raising_minconf_keeps_exactly_the_rules_at_or_above_it"],
+    ),
+    (
+        "the synth CSV writer drops the last partial block",
+        "src/starminer/synth.py",
+        "while block := list(islice(lines, _BLOCK_ROWS)):",
+        "while len(block := list(islice(lines, _BLOCK_ROWS))) == _BLOCK_ROWS:",
+        ["tests/test_synth.py::test_streamed_files_match_whole_text_ones_at_block_edges"],
+    ),
 ]
 
 

@@ -337,7 +337,7 @@ def test_count_level_enumerates_narrow_groups_and_scans_wide_ones(monkeypatch):
     candidates = [("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("c", "d", "e")]
     # x is in no candidate; "abcdx" has 4 live codes and as many 3-subsets as
     # there are candidates, the wide group 10, and "ab" is too short
-    groups = [frozenset("abc"), frozenset("abcdx"), frozenset("abcdefg"), frozenset("ab")]
+    groups = [tuple("abc"), tuple("abcdx"), tuple("abcdefg"), tuple("ab")]
     counts = mining._count_level(groups, candidates, 3)
     assert enumerated == [("a", "b", "c"), ("a", "b", "c", "d")]
     assert counts == {("a", "b", "c"): 3, ("a", "b", "d"): 2, ("a", "c", "d"): 2, ("c", "d", "e"): 1}

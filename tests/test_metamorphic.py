@@ -10,6 +10,8 @@ lattice reaches level 4.
 
 import json
 import random
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from starminer.synth import DIMENSION_TABLES, SynthSpec, generate_sales
 JOINS = (("customer_id", "customer"), ("product_id", "product"), ("time_id", "times"), ("channel_id", "channel"))
 
 
-def run(data: Path, fact: Path, out: Path) -> dict[str, bytes]:
+def run(data: Path, fact: Path, out: Path, minsup: str = "0.002", minconf: str = "0.3") -> dict[str, bytes]:
     """Mine ``fact`` against the dimensions in ``data``; every --out file's bytes by name."""
     argv = (
         ["--fact", str(fact)]
@@ -29,7 +31,7 @@ def run(data: Path, fact: Path, out: Path) -> dict[str, bytes]:
         + ["--bins=year=y1998:1998:1999,y1999:1999:2000,y2000on:2000:2010",
            "--filter=year=y1998", "--filter=year=y2000on",
            "--key-dim", "tid", "--combine-dims", "age_group,product_name",
-           "--minsup", "0.002", "--minconf", "0.3", "--algorithm", "both",
+           "--minsup", minsup, "--minconf", minconf, "--algorithm", "both",
            "--repeatable-dims", "product_name", "--out", str(out)]
     )
     assert main(argv) == 0
@@ -129,3 +131,39 @@ def test_dimension_rows_no_fact_row_references_change_no_output(star, tmp_path):
                                              for name in header.split(",")[1:])]) for i in range(3)]
         (tmp_path / f"{dim}.csv").write_text("\n".join([header, *unused, *rows]) + "\n", encoding="utf-8")
     assert run(tmp_path, data / "fact.csv", tmp_path / "out") == outputs
+
+
+def test_raising_minsup_keeps_exactly_the_itemsets_and_rules_that_reach_it(star, tmp_path):
+    data, _, _, outputs = star
+    groups = json.loads(outputs["stats.json"])["groups"]
+    counts = sorted(r["support_count"] for r in records(outputs, "itemsets.jsonl"))
+    # a threshold at an existing count, written as the largest 12-place
+    # decimal whose threshold over the groups is still exactly that count
+    count = counts[len(counts) // 2]
+    minsup = str(Decimal(count * 10**12 // groups).scaleb(-12))
+    assert counts[0] < count
+    raised = run(data, data / "fact.csv", tmp_path / "out", minsup=minsup)
+    for name in ("itemsets.jsonl", "rules.jsonl"):
+        kept = [r for r in records(outputs, name) if r["support_count"] >= count]
+        assert records(raised, name) == kept
+    assert raised["registry.csv"] == outputs["registry.csv"]
+
+
+def test_raising_minconf_keeps_exactly_the_rules_at_or_above_it(star, tmp_path):
+    data, _, _, outputs = star
+    rules = records(outputs, "rules.jsonl")
+
+    def confidence(rule):
+        return Fraction(rule["support_count"], rule["antecedent_count"])
+
+    # a threshold at an existing confidence that a decimal writes exactly
+    exact = sorted({c for c in map(confidence, rules)
+                    if c > Fraction(3, 10) and Decimal(c.numerator) / c.denominator == c})
+    minconf = exact[len(exact) // 2]
+    raised = run(data, data / "fact.csv", tmp_path / "out",
+                 minconf=str(Decimal(minconf.numerator) / minconf.denominator))
+    kept = [r for r in rules if confidence(r) >= minconf]
+    assert min(map(confidence, kept)) == minconf and len(kept) < len(rules)
+    assert records(raised, "rules.jsonl") == kept
+    assert {name: raised[name] for name in ("itemsets.jsonl", "registry.csv")} == {
+        name: outputs[name] for name in ("itemsets.jsonl", "registry.csv")}

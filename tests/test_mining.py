@@ -72,6 +72,16 @@ def test_view_derives_sorted_universe_and_rejects_duplicate_keys():
         TransactionView.from_groups([("t1", {"0001"}), ("t1", {"0002"})])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["0003", "0001", "0010", "0002"]), max_size=8), max_size=6))
+def test_group_sets_are_sorted_code_tuples_and_groups_are_sets(code_lists):
+    # codes come unsorted and repeated, as a repeated (key, code) pair gives them
+    view = TransactionView.from_groups((f"t{j}", codes) for j, codes in enumerate(code_lists))
+    assert view.group_sets == tuple(tuple(sorted(set(codes))) for codes in code_lists)
+    assert view.groups == tuple((f"t{j}", frozenset(codes)) for j, codes in enumerate(code_lists))
+    assert all(type(codes) is frozenset for _, codes in view.groups)
+
+
 # --- extents --------------------------------------------------------------------
 
 def test_extents_read_off_groups():
