@@ -10,7 +10,7 @@ After mining, the codes expand back into their dimension/value pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .datamodel import RelationalTable
@@ -18,6 +18,10 @@ from .errors import DataError, SchemaError
 from .mining import FrequentItemset
 
 Pair = tuple[str, str]
+
+
+def _unknown_code(code: str) -> DataError:
+    return DataError(f"unknown mapping code {code!r}: registry is corrupt")
 
 
 class MapCodeRegistry:
@@ -57,7 +61,7 @@ class MapCodeRegistry:
         try:
             return self._pairs_by_code[code]
         except KeyError:
-            raise DataError(f"unknown mapping code {code!r}: registry is corrupt") from None
+            raise _unknown_code(code) from None
 
     @property
     def codes(self) -> tuple[str, ...]:
@@ -99,7 +103,10 @@ class DecodedItemset:
     """A frequent itemset after code expansion: (dimension, value) pairs.
 
     Pairs keep decode order (codes ascending, each combo in selected-dimension
-    order, duplicates dropped); equality and lookups use the pair set.
+    order, duplicates dropped). Equality compares the pairs in that order;
+    :func:`~starminer.rules.gen_rules` looks itemsets up by their pair set.
+    :func:`transform_map_code` builds its itemsets through :meth:`_of`, which
+    checks nothing: it makes each pair tuple duplicate-free itself.
     """
 
     pairs: tuple[Pair, ...]
@@ -110,6 +117,13 @@ class DecodedItemset:
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
         if len(set(self.pairs)) != len(self.pairs):
             raise DataError(f"decoded itemset has duplicate pairs: {self.pairs!r}")
+
+    @classmethod
+    def _of(cls, pairs: tuple[Pair, ...], support_count: int, support: float) -> DecodedItemset:
+        """A decoded itemset whose ``pairs`` is a duplicate-free tuple of pair tuples, so it is not checked."""
+        self = cls.__new__(cls)
+        vars(self).update(pairs=pairs, support_count=support_count, support=support)
+        return self
 
     @property
     def pair_set(self) -> frozenset[Pair]:
@@ -175,13 +189,18 @@ def transform_map_code(
     """Expand each code itemset into dimension/value pairs, supports unchanged.
 
     Pairs shared by several codes of one itemset are kept once, at their first
-    appearance.
+    appearance. Only codes over several dimensions can share a pair: over one
+    dimension, distinct codes are distinct pairs.
     """
-    return [
-        DecodedItemset(
-            pairs=tuple(dict.fromkeys(chain.from_iterable(map(registry.decode, fi.items)))),
-            support_count=fi.support_count,
-            support=fi.support,
-        )
-        for fi in itemsets
-    ]
+    get = registry._pairs_by_code.__getitem__
+    can_share = len(registry.selected_dims) > 1
+    decoded: list[DecodedItemset] = []
+    try:
+        for fi in itemsets:
+            pairs = sum(map(get, fi.items), ())
+            if can_share and len(fi.items) > 1:
+                pairs = tuple(dict.fromkeys(pairs))
+            decoded.append(DecodedItemset._of(pairs, fi.support_count, fi.support))
+    except KeyError as exc:
+        raise _unknown_code(exc.args[0]) from None
+    return decoded

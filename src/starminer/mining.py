@@ -171,7 +171,11 @@ class TransactionView:
 
 @dataclass(frozen=True)
 class FrequentItemset:
-    """A sorted code tuple with its absolute and relative support."""
+    """A sorted code tuple with its absolute and relative support.
+
+    The miners build theirs through :meth:`_of`, which checks nothing: their
+    code tuples are sorted and duplicate-free by construction.
+    """
 
     items: tuple[str, ...]
     support_count: int
@@ -181,6 +185,13 @@ class FrequentItemset:
         object.__setattr__(self, "items", tuple(self.items))
         if list(self.items) != sorted(set(self.items)):
             raise DataError(f"itemset {self.items!r} must be sorted and duplicate-free")
+
+    @classmethod
+    def _of(cls, items: tuple[str, ...], support_count: int, support: float) -> FrequentItemset:
+        """A miner's itemset: ``items`` is a sorted, duplicate-free tuple, so it is not checked."""
+        self = cls.__new__(cls)
+        vars(self).update(items=items, support_count=support_count, support=support)
+        return self
 
     @property
     def level(self) -> int:
@@ -349,7 +360,7 @@ def fi_gen(
         for b, mask in counted:
             if (count := mask.bit_count()) >= threshold:
                 kept.append((b, mask))
-                result.append(FrequentItemset(head + (b,), count, count / n))
+                result.append(FrequentItemset._of(head + (b,), count, count / n))
         return kept
 
     def enter(prefix, members):
@@ -444,7 +455,7 @@ def apriori_baseline(
         stats.full_scans_of_groups += 1
         counts = _count_level(group_sets, candidates, k)
         frequent = [cand for cand in candidates if counts[cand] >= threshold]
-        result.extend(FrequentItemset(cand, counts[cand], counts[cand] / n) for cand in frequent)
+        result.extend(FrequentItemset._of(cand, counts[cand], counts[cand] / n) for cand in frequent)
         candidates, joined, pruned = _next_candidates(frequent)
         stats.candidates_generated += joined
         stats.candidates_pruned += pruned

@@ -19,12 +19,12 @@ import typing
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .datamodel import AttributeSpec, RelationalTable
 from .errors import AgreementError, SchemaError, UsageError
 from .ingest import discretize, join_tables, load_csv, read_header, write_text_atomic
-from .mapcode import DecodedItemset, MapCodeRegistry, combine_dims, transform_map_code
+from .mapcode import DecodedItemset, MapCodeRegistry, Pair, combine_dims, transform_map_code
 from .mining import (
     FrequentItemset,
     MiningStats,
@@ -33,7 +33,7 @@ from .mining import (
     group_by_key,
     threshold_in_range,
 )
-from .rules import AssociationRule, DimensionPolicy, format_pairs, format_percent, format_rule, gen_rules
+from .rules import AssociationRule, DimensionPolicy, format_pair, format_percent, gen_rules
 from .synth import DIMENSION_TABLES, SynthSpec, generate_sales
 
 ALGORITHMS = ("rshar", "apriori", "both")
@@ -220,23 +220,71 @@ class PipelineResult:
     files: dict[str, Path] = field(default_factory=dict)
 
 
-def _format_itemset(decoded: DecodedItemset) -> str:
-    return f"{format_pairs(decoded.pairs)}  sup={format_percent(decoded.support)}% ({decoded.support_count})"
-
-
 _JSONL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _jsonl(records: Iterable[dict[str, Any]]) -> str:
-    return "".join(_JSONL.encode(r) + "\n" for r in records)
 
 
 def _json_doc(doc: dict[str, Any]) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _pairs_json(pairs: Sequence[tuple[str, str]]) -> list[dict[str, str]]:
-    return [{"dimension": d, "value": v} for d, v in pairs]
+class _Memo(dict):
+    """Each key's rendering, made on its first lookup and reused after."""
+
+    def __init__(self, render: Callable[[Any], str]):
+        super().__init__()
+        self._render = render
+
+    def __missing__(self, key: Any) -> str:
+        fragment = self[key] = self._render(key)
+        return fragment
+
+
+class _Renderer:
+    """The lines of the itemset and rule files, each ending in a newline.
+
+    Thousands of itemsets may share a few hundred distinct pairs, so each
+    distinct pair's text and JSON, each code's JSON string, and each
+    distinct percentage and float is rendered once, and every line is joined
+    from those fragments. A JSON line spells its keys in sorted order and its
+    numbers as ``repr`` does, exactly as ``_JSONL`` encodes its record.
+    """
+
+    def __init__(self) -> None:
+        self._text = _Memo(format_pair).__getitem__
+        self._json = _Memo(lambda pair: _JSONL.encode({"dimension": pair[0], "value": pair[1]})).__getitem__
+        self._code = _Memo(_JSONL.encode).__getitem__
+        self._percent = _Memo(format_percent).__getitem__
+        self._float = _Memo(repr).__getitem__
+
+    def _pairs_text(self, pairs: Sequence[Pair]) -> str:
+        return " ∧ ".join(map(self._text, pairs))
+
+    def _pairs_json(self, pairs: Sequence[Pair]) -> str:
+        return ",".join(map(self._json, pairs))
+
+    def itemset_text(self, d: DecodedItemset) -> str:
+        return f"{self._pairs_text(d.pairs)}  sup={self._percent(d.support)}% ({d.support_count})\n"
+
+    def itemset_json(self, fi: FrequentItemset, d: DecodedItemset) -> str:
+        # decoded itemsets are 1:1 with the mined code itemsets; carrying the
+        # codes makes every stats number recomputable from this file
+        return (
+            f'{{"codes":[{",".join(map(self._code, fi.items))}],"items":[{self._pairs_json(d.pairs)}],'
+            f'"level":{len(d.pairs)},"support":{self._float(d.support)},"support_count":{d.support_count}}}\n'
+        )
+
+    def rule_text(self, r: AssociationRule) -> str:
+        return (
+            f"{self._pairs_text(r.antecedent)} → {self._pairs_text(r.consequent)} "
+            f"{{sup={self._percent(r.support)}%, conf={self._percent(r.confidence)}%}}\n"
+        )
+
+    def rule_json(self, r: AssociationRule) -> str:
+        return (
+            f'{{"antecedent":[{self._pairs_json(r.antecedent)}],"antecedent_count":{r.antecedent_count},'
+            f'"confidence":{self._float(r.confidence)},"consequent":[{self._pairs_json(r.consequent)}],'
+            f'"support":{self._float(r.support)},"support_count":{r.support_count}}}\n'
+        )
 
 
 def _derive_projection(
@@ -379,39 +427,19 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 def _write_artifacts(config: RunConfig, out: Path, result: PipelineResult) -> None:
     # Each file replaces its old version whole; a failed write leaves every
     # file either as the previous run left it or as this run wrote it. Each
-    # file is rendered just before it is written, so only one file's text
-    # and records are alive at a time.
+    # file is rendered just before it is written, so only one file's text is
+    # alive at a time.
     def write(name: str, content: str) -> None:
         path = out / name
         write_text_atomic(path, [content])
         result.files[name] = path
 
     try:
-        write("itemsets.txt", "".join(_format_itemset(d) + "\n" for d in result.decoded))
-        # decoded itemsets are 1:1 with the mined code itemsets; carrying the
-        # codes makes every stats number recomputable from this file
-        write("itemsets.jsonl", _jsonl(
-            {
-                "items": _pairs_json(d.pairs),
-                "codes": list(fi.items),
-                "level": d.level,
-                "support_count": d.support_count,
-                "support": d.support,
-            }
-            for fi, d in zip(result.itemsets, result.decoded)
-        ))
-        write("rules.txt", "".join(format_rule(r) + "\n" for r in result.rules))
-        write("rules.jsonl", _jsonl(
-            {
-                "antecedent": _pairs_json(r.antecedent),
-                "consequent": _pairs_json(r.consequent),
-                "support_count": r.support_count,
-                "antecedent_count": r.antecedent_count,
-                "support": r.support,
-                "confidence": r.confidence,
-            }
-            for r in result.rules
-        ))
+        render = _Renderer()
+        write("itemsets.txt", "".join(map(render.itemset_text, result.decoded)))
+        write("itemsets.jsonl", "".join(map(render.itemset_json, result.itemsets, result.decoded)))
+        write("rules.txt", "".join(map(render.rule_text, result.rules)))
+        write("rules.jsonl", "".join(map(render.rule_json, result.rules)))
 
         # the agreement check has made both miners' itemsets equal to these
         found = {
@@ -436,6 +464,9 @@ def _write_artifacts(config: RunConfig, out: Path, result: PipelineResult) -> No
                 "algorithms": {name: {**st.counters(), **found} for name, st in result.stats.items()},
                 "agreement": True,
             }))
+        else:
+            # an earlier run's report would sit beside this run's stats.json
+            (out / "bench_report.json").unlink(missing_ok=True)
         write("registry.csv", "\n".join(result.registry.csv_lines()) + "\n")
     except OSError as exc:
         raise UsageError(f"cannot write artifacts to {out}: {exc.strerror}") from None

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DataError
 from .mapcode import DecodedItemset, Pair
@@ -66,30 +65,28 @@ class AssociationRule:
                 f"support={self.support}, confidence={self.confidence}"
             )
 
-
-def _listed_subsets(
-    fkey: frozenset[Pair],
-    pairs: Sequence[Pair],
-    chosen: dict[frozenset[Pair], DecodedItemset],
-) -> Iterator[tuple[frozenset[Pair], DecodedItemset]]:
-    """Yield ``(akey, ante)`` for every listed proper subset of ``fkey``.
-
-    Looking up the 2^m - 2 proper non-empty subsets of an m-pair set is the
-    cheaper way unless that count reaches the size of the list; codes that
-    combine several dimensions make m exceed the itemset level, and then the
-    list is scanned instead. Both ways yield the same subsets.
-    """
-    if (1 << len(pairs)) - 2 >= len(chosen):
-        for akey, ante in chosen.items():
-            if akey < fkey:
-                yield akey, ante
-        return
-    for size in range(1, len(pairs)):
-        for combo in combinations(pairs, size):
-            akey = frozenset(combo)
-            ante = chosen.get(akey)
-            if ante is not None:
-                yield akey, ante
+    @classmethod
+    def _of(
+        cls,
+        antecedent: tuple[Pair, ...],
+        consequent: tuple[Pair, ...],
+        support_count: int,
+        antecedent_count: int,
+        support: float,
+        confidence: float,
+    ) -> AssociationRule:
+        """A rule :func:`gen_rules` derived: its sides split one itemset's
+        pairs and its confidence passed ``minconf``, so nothing is checked."""
+        self = cls.__new__(cls)
+        vars(self).update(
+            antecedent=antecedent,
+            consequent=consequent,
+            support_count=support_count,
+            antecedent_count=antecedent_count,
+            support=support,
+            confidence=confidence,
+        )
+        return self
 
 
 def gen_rules(
@@ -110,6 +107,13 @@ def gen_rules(
     have the smaller count; its split would have confidence above 1, so it is
     skipped.
 
+    A pair set is held as an int with one bit per distinct pair, so a
+    subset is a submask. Looking up the 2^m - 2 proper non-empty submasks of
+    an m-pair set is the cheaper way unless that count reaches the size of
+    the list; codes that combine several dimensions make m exceed the
+    itemset level, and then the list is scanned instead. Both ways find the
+    same subsets.
+
     Output is sorted by support descending, then confidence descending, then
     lexicographically.
     """
@@ -122,37 +126,59 @@ def gen_rules(
     # Deduplicate by pair set keeping the maximal count: distinct code
     # itemsets can expand to one pair set, and the larger count is the
     # tightest lower bound available for it.
-    chosen: dict[frozenset[Pair], DecodedItemset] = {}
+    bit_of: dict[Pair, int] = {}
+    chosen: dict[int, DecodedItemset] = {}
     for itemset in frequent:
-        key = itemset.pair_set
+        key = 0
+        for pair in itemset.pairs:
+            bit = bit_of.get(pair)
+            if bit is None:
+                bit = bit_of[pair] = 1 << len(bit_of)
+            key |= bit
         if chosen.setdefault(key, itemset).support_count < itemset.support_count:
             chosen[key] = itemset
+    count_of = {key: itemset.support_count for key, itemset in chosen.items()}
+    listed = count_of.get
 
-    multi_dimension = len({d for key in chosen for d, _ in key}) > 1
+    dimensions = {d for d, _ in bit_of}
+    multi_dimension = len(dimensions) > 1
+    # a policy under which every listed dimension repeats allows every pair set
+    check_policy = not dimensions <= policy.repeatable
     rules: list[AssociationRule] = []
     for fkey, full in chosen.items():
-        if full.level < 2 or not policy.allows(full.pairs):
+        pairs, count = full.pairs, full.support_count
+        if len(pairs) < 2 or check_policy and not policy.allows(pairs):
             continue
-        for akey, ante in _listed_subsets(fkey, full.pairs, chosen):
-            if ante.support_count < full.support_count:
+        if (1 << len(pairs)) - 2 >= len(count_of):
+            subsets = [(akey, c) for akey, c in count_of.items() if akey & fkey == akey != fkey]
+        else:
+            subsets = []
+            akey = (fkey - 1) & fkey
+            while akey:
+                if (c := listed(akey)) is not None:
+                    subsets.append((akey, c))
+                akey = (akey - 1) & fkey
+        for akey, ante_count in subsets:
+            # a subset counted below its superset has confidence above 1,
+            # so it always passes this test and reaches the check below
+            if count * conf_den < conf_num * ante_count:
+                continue
+            antecedent = tuple(p for p in pairs if bit_of[p] & akey)
+            if ante_count < count:
                 if multi_dimension:
                     continue
                 raise DataError(
-                    f"frequent list is corrupt: subset {ante.pairs!r} has count "
-                    f"{ante.support_count} below its superset's {full.support_count}"
+                    f"frequent list is corrupt: subset {antecedent!r} has count "
+                    f"{ante_count} below its superset's {count}"
                 )
-            if full.support_count * conf_den < conf_num * ante.support_count:
-                continue
-            antecedent = tuple(p for p in full.pairs if p in akey)
-            consequent = tuple(p for p in full.pairs if p not in akey)
             rules.append(
-                AssociationRule(
-                    antecedent=antecedent,
-                    consequent=consequent,
-                    support_count=full.support_count,
-                    antecedent_count=ante.support_count,
-                    support=full.support,
-                    confidence=full.support_count / ante.support_count,
+                AssociationRule._of(
+                    antecedent,
+                    tuple(p for p in pairs if not bit_of[p] & akey),
+                    count,
+                    ante_count,
+                    full.support,
+                    count / ante_count,
                 )
             )
 
@@ -173,9 +199,14 @@ def format_percent(x: float) -> str:
     return f"{x * 100:.2f}".rstrip("0").rstrip(".")
 
 
+def format_pair(pair: Pair) -> str:
+    """Render one pair as ``dim("value")``."""
+    return f'{pair[0]}("{pair[1]}")'
+
+
 def format_pairs(pairs: Sequence[Pair]) -> str:
     """Render pairs as ``dim("value") ∧ dim("value") ∧ …``."""
-    return " ∧ ".join(f'{d}("{v}")' for d, v in pairs)
+    return " ∧ ".join(map(format_pair, pairs))
 
 
 def format_rule(rule: AssociationRule) -> str:

@@ -132,8 +132,8 @@ MUTANTS = [
     (
         "a rule at exactly minconf is dropped",
         "src/starminer/rules.py",
-        "if full.support_count * conf_den < conf_num * ante.support_count:",
-        "if full.support_count * conf_den <= conf_num * ante.support_count:",
+        "if count * conf_den < conf_num * ante_count:",
+        "if count * conf_den <= conf_num * ante_count:",
         ["tests/test_metamorphic.py::test_raising_minconf_keeps_exactly_the_rules_at_or_above_it"],
     ),
     (
@@ -142,6 +142,34 @@ MUTANTS = [
         "while block := list(islice(lines, _BLOCK_ROWS)):",
         "while len(block := list(islice(lines, _BLOCK_ROWS))) == _BLOCK_ROWS:",
         ["tests/test_synth.py::test_streamed_files_match_whole_text_ones_at_block_edges"],
+    ),
+    (
+        "the pair-fragment cache is keyed by the value alone",
+        "src/starminer/pipeline.py",
+        "        fragment = self[key] = self._render(key)",
+        "        fragment = self[key] = self.setdefault(key[1] if isinstance(key, tuple) else key, self._render(key))",
+        ["tests/test_render.py::test_rendered_lines_match_the_encoder_and_formatters"],
+    ),
+    (
+        "codes are numbered in key order",
+        "src/starminer/mapcode.py",
+        "dict.fromkeys(zip(*chosen))",
+        "dict.fromkeys(c for _, c in sorted(zip(keys, zip(*chosen))))",
+        ["tests/test_metamorphic.py::test_renaming_every_key_one_to_one_changes_no_output"],
+    ),
+    (
+        "pairs shared by two-dimension codes are kept twice",
+        "src/starminer/mapcode.py",
+        "can_share = len(registry.selected_dims) > 1",
+        "can_share = len(registry.selected_dims) > 2",
+        ["tests/test_render.py::test_unchecked_constructors_build_what_the_public_ones_build"],
+    ),
+    (
+        "gen_rules' subset lookup skips one-pair antecedents",
+        "src/starminer/rules.py",
+        "            while akey:\n",
+        "            while akey & (akey - 1):\n",
+        ["tests/test_fast_paths.py"],
     ),
 ]
 

@@ -99,6 +99,30 @@ def test_run_benchmark_requires_both(tmp_path, capsys):
     assert report["agreement"] is True
 
 
+@pytest.mark.parametrize("single", ["rshar", "apriori"])
+def test_a_run_without_both_removes_an_earlier_report_and_nothing_else(tmp_path, single):
+    out = tmp_path / "out"
+    run_pipeline(people_config(tmp_path, algorithm="both", minsup="0.3"))
+    assert json.loads((out / "bench_report.json").read_text())["minsup"] == "0.3"
+    (out / "data").mkdir()
+    (out / "data" / "fact.csv").write_text("TID,age\n", encoding="utf-8")
+    (out / "notes.txt").write_text("kept", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    result = run_pipeline(people_config(tmp_path, algorithm=single, minsup="0.5"))
+    assert "bench_report.json" not in result.files
+    after = {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert set(before) - set(after) == {"bench_report.json"}
+    assert after["fact.csv"] == b"TID,age\n" and after["notes.txt"] == b"kept"
+    assert json.loads(after["stats.json"])["minsup"] == "0.5"
+
+    # the other order: a later both run writes a report of its own minsup
+    run_pipeline(people_config(tmp_path, algorithm="both", minsup="0.6"))
+    report = json.loads((out / "bench_report.json").read_text())
+    assert report["minsup"] == json.loads((out / "stats.json").read_text())["minsup"] == "0.6"
+    assert (out / "notes.txt").read_text() == "kept"
+
+
 def test_miners_that_disagree_fail_the_run_before_any_artifact(tmp_path, monkeypatch, capsys):
     import starminer.pipeline as pipeline_mod
 
