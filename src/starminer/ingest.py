@@ -4,8 +4,9 @@ discretize quantitative attributes into categorical bins.
 CSV dialect is deliberately strict: UTF-8, header row, comma delimiter, and
 no quoting (files that quote delimiters inside values are rejected). A file
 is read one chunk of text at a time, and each of its columns becomes a tuple
-as soon as it is complete. Joins enforce referential integrity; a fact key
-with no dimension match is an error, never a silent row drop, because
+as soon as it is complete; :func:`csv_chunks` also hands a file out as CSV
+texts that load one at a time. Joins enforce referential integrity; a fact
+key with no dimension match is an error, never a silent row drop, because
 dropped rows corrupt support counts downstream.
 """
 
@@ -17,10 +18,12 @@ from collections import deque
 from contextlib import contextmanager
 from itertools import chain, product, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from .datamodel import Atom, AttributeSpec, RelationalTable
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, UsageError
+
+T = TypeVar("T")
 
 _MAX_LISTED_ORPHANS = 20
 # Characters of text load_csv reads at once. Larger chunks also scatter their
@@ -28,22 +31,36 @@ _MAX_LISTED_ORPHANS = 20
 _CHUNK_CHARS = 1 << 16
 
 
+def _label(source: Path | TextIO) -> Path:
+    """The name errors give ``source``: its path, or an open stream's name."""
+    return source if isinstance(source, Path) else Path(getattr(source, "name", "<stream>"))
+
+
 @contextmanager
-def _open_text(path: Path) -> Iterator[TextIO]:
-    """The file open as UTF-8 text, less a leading BOM (which would corrupt
-    the first header name). Every failure to open or decode it is a
-    DataError that names it."""
+def _open_text(source: Path | TextIO) -> Iterator[TextIO]:
+    """A path opened as UTF-8 text, less a leading BOM (which would corrupt
+    the first header name), or an open text stream as it is. Every failure
+    to open or decode it is a DataError that names it."""
     try:
-        with path.open(encoding="utf-8-sig") as fh:
-            yield fh
+        if isinstance(source, Path):
+            with source.open(encoding="utf-8-sig") as fh:
+                yield fh
+        else:
+            yield source
     except FileNotFoundError:
-        raise DataError(f"no such file: {path}") from None
+        raise DataError(f"no such file: {source}") from None
     except IsADirectoryError:
-        raise DataError(f"{path}: is a directory, expected a CSV file") from None
+        raise DataError(f"{source}: is a directory, expected a CSV file") from None
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+        raise DataError(f"{_label(source)}: not valid UTF-8 text ({exc.reason})") from None
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+        raise DataError(f"cannot read {_label(source)}: {exc.strerror}") from None
+
+
+def _read_chunks(fh: TextIO) -> Iterator[str]:
+    """The rest of ``fh`` in texts of about ``_CHUNK_CHARS`` characters,
+    each read on to the next line feed, where str.splitlines also ends a line."""
+    return iter(lambda: fh.read(_CHUNK_CHARS) + fh.readline(), "")
 
 
 def write_text_atomic(path: Path, pieces: Iterable[str]) -> None:
@@ -81,38 +98,72 @@ def read_header(path: str | Path) -> list[str]:
     return names
 
 
+def csv_chunks(path: str | Path) -> Iterator[str]:
+    """The strict CSV file at ``path`` as CSV texts that each stand alone:
+    the header line, then about ``_CHUNK_CHARS`` characters of whole lines.
+
+    :func:`load_csv` of each text, in order, gives the file's rows in order;
+    an empty file is one empty text. Row numbers in a text's errors count
+    from its own first row, so a caller that reports errors to the user
+    loads the whole file to report them. Failures to open or decode the file
+    are DataErrors, as in :func:`load_csv`.
+    """
+    path = Path(path)
+    with _open_text(path) as fh:
+        chunks = _read_chunks(fh)
+        first = next(chunks, "")
+        # The header ends where str.splitlines says, which can be before the
+        # "\n": the rest of that physical line is a data row. Its line end is
+        # one character, since universal newlines turn "\r\n" into "\n".
+        header = (first.partition("\n")[0].splitlines() or [""])[0]
+        yield f"{header}\n{first[len(header) + 1:]}" if first else ""
+        for body in chunks:
+            yield f"{header}\n{body}"
+
+
 def load_csv(
-    path: str | Path, schema: Sequence[AttributeSpec], name: str | None = None
+    source: str | Path | TextIO, schema: Sequence[AttributeSpec], name: str | None = None
 ) -> RelationalTable:
-    """Parse a strict CSV file against a declared schema.
+    """Parse a strict CSV file, or an open text stream, against a declared schema.
 
     The header must match the schema names in order. Cells of quantitative
     attributes are parsed as finite numbers; failures report the 1-based data
     row number. The table is named ``name``, by default the file's stem.
 
-    The file is read one chunk of text at a time, each ending at a line end,
-    and each chunk's lines are split into column slices. A column keeps one
-    object per distinct value: equal cells share one ``str`` (or, for a
+    A stream (such as one text of :func:`csv_chunks` in an ``io.StringIO``)
+    is read from its current position, as it is: open a file with the
+    ``utf-8-sig`` encoding to drop a BOM. Its errors name it by its ``name``
+    attribute (``<stream>`` if it has none), and it must be seekable, since
+    an error is located by reading it again.
+
+    The text is read one chunk at a time, each ending at a line end, and each
+    chunk's lines are split into column slices. A column keeps one object
+    per distinct value: equal cells share one ``str`` (or, for a
     quantitative column, one ``float``). Once the last chunk is in, each
     column list is turned into its tuple and released before the next.
     """
-    path = Path(path)
+    if isinstance(source, (str, os.PathLike)):
+        source = Path(source)
     schema = tuple(schema)
     width = len(schema)
     pools: list[dict[str, str]] = [{} for _ in schema]
     parts: list[list[str]] = [[] for _ in schema]
-    with _open_text(path) as fh:
-        # a chunk ends at a "\n", where str.splitlines also ends a line
-        chunks = map(str.splitlines, iter(lambda: fh.read(_CHUNK_CHARS) + fh.readline(), ""))
+    with _open_text(source) as fh:
+        start = None
+        if not isinstance(source, Path):
+            if not fh.seekable():
+                raise UsageError(f"{_label(source)}: load_csv reads a stream only if it can seek")
+            start = fh.tell()
+        chunks = map(str.splitlines, _read_chunks(fh))
         # the header ends where splitlines says, which can be before the "\n"
         lines = next(chunks, [""])
         if lines[0].split(",") != [s.name for s in schema]:
-            raise _first_row_error(path, schema)
+            raise _first_row_error(source, schema, start)
         for lines in chain([lines[1:]], chunks):
             joined = ",".join(lines)
             # a line splits into width cells exactly when it has width - 1 commas
             if '"' in joined or set(map(str.count, lines, repeat(","))) - {width - 1}:
-                raise _first_row_error(path, schema)
+                raise _first_row_error(source, schema, start)
             flat = joined.split(",") if lines else []  # the header's chunk may hold no row
             for j, (pool, part) in enumerate(zip(pools, parts)):
                 cells = flat[j::width]
@@ -124,21 +175,24 @@ def load_csv(
             try:
                 number = {cell: float(cell) for cell in pool}
             except ValueError:
-                raise _first_row_error(path, schema) from None
+                raise _first_row_error(source, schema, start) from None
             if not all(map(math.isfinite, number.values())):
-                raise _first_row_error(path, schema)
+                raise _first_row_error(source, schema, start)
             part = map(number.__getitem__, part)
         columns.append(tuple(part))
-    return RelationalTable._of(path.stem if name is None else name, schema, columns)
+    return RelationalTable._of(_label(source).stem if name is None else name, schema, columns)
 
 
-def _first_row_error(path: Path, schema: tuple[AttributeSpec, ...]) -> DataError:
-    """The error for a file that failed one of :func:`load_csv`'s bulk checks,
-    found by streaming it again line by line: the header, then per row a
-    quote, the number of values and each finite number. The rest of the file is
-    still read, so text that is not UTF-8 is reported wherever it is."""
-    with _open_text(path) as fh:
-        error = next(_line_errors(path, schema, chain.from_iterable(map(str.splitlines, fh))), None)
+def _first_row_error(source: Path | TextIO, schema: tuple[AttributeSpec, ...], start: int | None) -> DataError:
+    """The error for text that failed one of :func:`load_csv`'s bulk checks,
+    found by reading it again (a stream from ``start``) line by line: the
+    header, then per row a quote, the number of values and each finite
+    number. The rest of the text is still read, so text that is not UTF-8 is
+    reported wherever it is."""
+    with _open_text(source) as fh:
+        if start is not None:
+            fh.seek(start)
+        error = next(_line_errors(_label(source), schema, chain.from_iterable(map(str.splitlines, fh))), None)
         deque(fh, maxlen=0)
     if error is None:
         raise AssertionError("no bad line in a file that failed its bulk checks")
@@ -176,6 +230,28 @@ def _line_errors(path: Path, schema: tuple[AttributeSpec, ...], lines: Iterator[
                 yield DataError(f"{path} row {i}: attribute {schema[j].name!r} has non-finite value {value!r}")
 
 
+def _kept(table: RelationalTable, key: Hashable, make: Callable[[], T]) -> T:
+    """``make()``, made once per ``table`` and ``key`` and kept on the table.
+
+    A table never changes, so what is derived from it holds for its life: a
+    fact file joined chunk by chunk builds each dimension's key index and
+    value maps in its first chunk's join, not in every chunk's.
+    """
+    kept = vars(table).setdefault("_kept", {})
+    if key not in kept:
+        kept[key] = make()
+    return kept[key]
+
+
+def _key_index(column: Sequence[Atom]) -> tuple[dict[Atom, list[int]], bool]:
+    """Each value of ``column`` with the indices of the rows that hold it,
+    in row order, and whether every value is in one row only."""
+    index: dict[Atom, list[int]] = {}
+    for r, key in enumerate(column):
+        index.setdefault(key, []).append(r)
+    return index, all(len(rs) == 1 for rs in index.values())
+
+
 def join_tables(
     fact: RelationalTable,
     links: Sequence[tuple[str, RelationalTable, str]],
@@ -189,13 +265,15 @@ def join_tables(
     the fact table's name: a pair could not say which link it means. Rows
     follow fact-table order, one per matching fact x dimension combination.
     Fact keys without a dimension match abort the join with the orphan keys
-    listed.
+    listed. A dimension's key index and value maps are kept on its table, so
+    joining it again, as each chunk of a fact file does, reuses them.
     """
     if not projected:
         raise SchemaError("join must project at least one attribute")
     source_of: dict[str, int | None] = {fact.name: None}
-    # (fact key column, dimension, {dimension key: its row indices}) per link
-    link_info: list[tuple[tuple[Atom, ...], RelationalTable, dict[Atom, list[int]]]] = []
+    # (fact key column, dimension, dimension key, {its value: its row indices}) per link
+    link_info: list[tuple[tuple[Atom, ...], RelationalTable, str, dict[Atom, list[int]]]] = []
+    one_to_one = True
     for fact_key, dim, dim_key in links:
         if dim.name in source_of:
             raise SchemaError(
@@ -203,17 +281,16 @@ def join_tables(
                 "dimension; a projected (table, attribute) pair could not say which it means"
             )
         source_of[dim.name] = len(link_info)
-        index: dict[Atom, list[int]] = {}
-        for r, key in enumerate(dim.column(dim_key)):
-            index.setdefault(key, []).append(r)
-        link_info.append((fact.column(fact_key), dim, index))
+        index, unique = _kept(dim, dim_key, lambda: _key_index(dim.column(dim_key)))
+        one_to_one = one_to_one and unique
+        link_info.append((fact.column(fact_key), dim, dim_key, index))
 
     orphans: list[tuple[str, Atom]] = []
-    if any(not set(keys) <= index.keys() for keys, _, index in link_info):
+    if any(not set(keys) <= index.keys() for keys, _, _, index in link_info):
         # name the orphans in fact-row order, then link order
         orphan_seen: set[tuple[str, Atom]] = set()
-        for row_keys in zip(*(keys for keys, _, _ in link_info)):
-            for key, (_, dim, index) in zip(row_keys, link_info):
+        for row_keys in zip(*(keys for keys, _, _, _ in link_info)):
+            for key, (_, dim, _, index) in zip(row_keys, link_info):
                 if key not in index and (dim.name, key) not in orphan_seen:
                     orphan_seen.add((dim.name, key))
                     orphans.append((dim.name, key))
@@ -238,7 +315,7 @@ def join_tables(
         out_schema.append(table.spec_of(attr))
 
     columns: list[Iterable[Atom]] = []
-    if all(len(rs) == 1 for _, _, index in link_info for rs in index.values()):
+    if one_to_one:
         # Each fact row meets exactly one row of every dimension: fact
         # columns pass through, and each dimension column is its fact key
         # column mapped through a {key: value} dict.
@@ -246,17 +323,17 @@ def join_tables(
             if source is None:
                 columns.append(fact.columns[pos])
             else:
-                keys, dim, index = link_info[source]
+                keys, dim, dim_key, index = link_info[source]
                 values = dim.columns[pos]
-                value_of = {key: values[r] for key, (r,) in index.items()}
+                value_of = _kept(dim, (dim_key, pos), lambda: {key: values[r] for key, (r,) in index.items()})
                 columns.append(map(value_of.__getitem__, keys))
     else:
         # Expand each fact row into one output row per combination of its
         # matching dimension rows, as row indices, then gather every column.
         fact_rows: list[int] = []
         dim_rows: list[list[int]] = [[] for _ in link_info]
-        for i, row_keys in enumerate(zip(*(keys for keys, _, _ in link_info))):
-            matches = [index[key] for key, (_, _, index) in zip(row_keys, link_info)]
+        for i, row_keys in enumerate(zip(*(keys for keys, _, _, _ in link_info))):
+            matches = [index[key] for key, (_, _, _, index) in zip(row_keys, link_info)]
             for combo in product(*matches):
                 fact_rows.append(i)
                 for rows, r in zip(dim_rows, combo):

@@ -140,6 +140,7 @@ def combine_dims(
     selected_dims: Sequence[str],
     *,
     filters: Mapping[str, Iterable[str]] | None = None,
+    registry: MapCodeRegistry | None = None,
 ) -> tuple[MapCodeRegistry, MdTable]:
     """Assign codes to selected-dimension combinations and emit key/code pairs.
 
@@ -147,6 +148,10 @@ def combine_dims(
     each kept row then maps through them to its (key value, code) pair, so
     the table holds one pair per kept row. ``filters`` restricts rows to
     those whose value for each filtered dimension is in the allowed set.
+
+    Codes come from ``registry``, a new one by default. Passing the registry
+    that coded earlier chunks of the same rows keeps their codes, and gives
+    new combinations the codes a call over all the rows would give them.
     """
     selected = tuple(selected_dims)
     if not selected:
@@ -155,6 +160,10 @@ def combine_dims(
         raise SchemaError(f"selected dimensions contain duplicates: {selected}")
     if key_dim in selected:
         raise SchemaError(f"key dimension {key_dim!r} cannot also be combined")
+    if registry is None:
+        registry = MapCodeRegistry(selected)
+    elif registry.selected_dims != selected:
+        raise SchemaError(f"registry codes {registry.selected_dims}, not the selected dimensions {selected}")
     key_pos = general.index_of(key_dim)
     sel_pos = [general.index_of(d) for d in selected]
 
@@ -178,7 +187,6 @@ def combine_dims(
         keys = tuple(compress(keys, keep))
         chosen = [tuple(compress(column, keep)) for column in chosen]
 
-    registry = MapCodeRegistry(selected)
     code_of = {combo: registry.encode(combo) for combo in dict.fromkeys(zip(*chosen))}
     return registry, MdTable(keys=keys, codes=map(code_of.__getitem__, zip(*chosen)))
 

@@ -3,8 +3,9 @@
 A :class:`TransactionView` stores the groups by code, in the vertical layout
 of Zaki's "Scalable algorithms for association mining": for each code, the
 indices of the groups that carry it. :func:`group_by_key` builds it from the
-(key, code) columns without a container per group; the per-group sorted
-code tuples the scanning miners need are derived from it once, on first use.
+(key, code) columns of one or more chunks of rows, without a container per
+group; the per-group sorted code tuples the scanning miners need are derived
+from it once, on first use.
 
 Three miners share one output contract and are cross-checked in the tests:
 
@@ -39,11 +40,12 @@ import math
 import re
 import sys
 import time
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations, islice
 from typing import Iterable, Mapping, Sequence
 
 from .datamodel import int_from_bit_positions
@@ -129,6 +131,13 @@ class TransactionView:
         object.__setattr__(self, "code_universe", tuple(sorted(self.members)))
 
     @classmethod
+    def _of(cls, keys: tuple[str, ...], members: Mapping[str, Sequence[int]]) -> "TransactionView":
+        """A view whose ``keys`` are distinct by construction, so they are not checked."""
+        self = cls.__new__(cls)
+        vars(self).update(keys=keys, members=members, code_universe=tuple(sorted(members)))
+        return self
+
+    @classmethod
     def from_groups(
         cls, groups: Iterable[tuple[str, Iterable[str]]]
     ) -> "TransactionView":
@@ -147,17 +156,28 @@ class TransactionView:
     @cached_property
     def group_sets(self) -> tuple[tuple[str, ...], ...]:
         """Each group's codes as a sorted, duplicate-free tuple, in group
-        order. A tuple is a fraction of a frozenset's size."""
-        codes_of: list = [[] for _ in self.keys]
+        order. A tuple is a fraction of a frozenset's size.
+
+        No container per group is built besides its tuple: a first pass
+        counts each group's codes, a second lays them out group after group
+        in one flat list, and each group's slice of it becomes its tuple.
+        """
+        sizes = array("q", [0]) * len(self.keys)
         for code in self.code_universe:
             # a repeated index would repeat the code
             for j in set(self.members[code]):
-                codes_of[j].append(code)
-        # each list is replaced by its tuple as soon as it is converted, so
-        # the lists and the tuples are not all alive at once
-        for j, codes in enumerate(codes_of):
-            codes_of[j] = tuple(codes)
-        return tuple(codes_of)
+                sizes[j] += 1
+        ends = array("q", accumulate(sizes))
+        del sizes
+        flat: list = [None] * (ends[-1] if ends else 0)
+        # each group's slice fills from its end, last code first, so that
+        # ends[j] is where group j starts once every code is in
+        for code in reversed(self.code_universe):
+            for j in set(self.members[code]):
+                ends[j] -= 1
+                flat[ends[j]] = code
+        stops = chain(islice(ends, 1, None), [len(flat)])
+        return tuple(tuple(flat[start:stop]) for start, stop in zip(ends, stops))
 
     @cached_property
     def groups(self) -> tuple[tuple[str, frozenset[str]], ...]:
@@ -224,21 +244,25 @@ class MiningStats:
 
 # MdTable lives in mapcode; group_by_key accepts anything with aligned .keys
 # and .codes columns to keep this module importable on its own.
-def group_by_key(md) -> TransactionView:
-    """Number the distinct key values in first-occurrence order, then append
-    each pair's key number to its code's list.
+def group_by_key(*tables) -> TransactionView:
+    """The groups of every (key, code) pair of ``tables``, taken in order.
 
-    No per-group container is built; a repeated pair repeats an index.
+    One dict numbers the distinct key values in first-occurrence order; then
+    each pair's key number is appended to its code's list. No per-group
+    container is built; a repeated pair repeats an index.
     """
-    keys = tuple(dict.fromkeys(md.keys))
-    index = dict(zip(keys, range(len(keys))))
+    index = dict.fromkeys(chain.from_iterable(md.keys for md in tables), 0)
+    # values change and keys stay, so the dict can be renumbered as it is read
+    for j, key in enumerate(index):
+        index[key] = j
     members: dict[str, list[int]] = {}
-    for code, j in zip(md.codes, map(index.__getitem__, md.keys)):
-        try:
-            members[code].append(j)
-        except KeyError:
-            members[code] = [j]
-    return TransactionView(keys=keys, members=members)
+    for md in tables:
+        for code, j in zip(md.codes, map(index.__getitem__, md.keys)):
+            try:
+                members[code].append(j)
+            except KeyError:
+                members[code] = [j]
+    return TransactionView._of(tuple(index), members)
 
 
 def build_item_extents(

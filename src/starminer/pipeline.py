@@ -13,18 +13,19 @@ function of (seed, config): wall-clock timings stay in the in-memory
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import types
 import typing
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
 
 from .datamodel import AttributeSpec, RelationalTable
-from .errors import AgreementError, SchemaError, UsageError
-from .ingest import discretize, join_tables, load_csv, read_header, write_text_atomic
-from .mapcode import DecodedItemset, MapCodeRegistry, Pair, combine_dims, transform_map_code
+from .errors import AgreementError, SchemaError, StarMinerError, UsageError
+from .ingest import csv_chunks, discretize, join_tables, load_csv, read_header, write_text_atomic
+from .mapcode import DecodedItemset, MapCodeRegistry, MdTable, Pair, combine_dims, transform_map_code
 from .mining import (
     FrequentItemset,
     MiningStats,
@@ -37,6 +38,9 @@ from .rules import AssociationRule, DimensionPolicy, format_pair, format_percent
 from .synth import DIMENSION_TABLES, SynthSpec, generate_sales
 
 ALGORITHMS = ("rshar", "apriori", "both")
+# the files a mining run writes in the output directory
+ARTIFACTS = ("itemsets.txt", "itemsets.jsonl", "rules.txt", "rules.jsonl", "stats.json", "registry.csv",
+             "bench_report.json")
 
 BinsConfig = tuple[tuple[str, tuple[tuple[str, float, float], ...]], ...]
 
@@ -320,8 +324,9 @@ def _binned_specs(bins: BinsConfig) -> dict[str, AttributeSpec]:
     return {attr: AttributeSpec(name=attr, bins=b) for attr, b in bins}
 
 
-def _load_inputs(config: RunConfig, paths: Mapping[str, Path]) -> tuple[RelationalTable, dict[str, RelationalTable]]:
-    """The fact table, and each joined dimension by its name."""
+def _schemas(config: RunConfig, paths: Mapping[str, Path]) -> dict[str, tuple[AttributeSpec, ...]]:
+    """The schema of the fact table and of each joined dimension, by name, in
+    the order of ``paths``."""
     binned = _binned_specs(config.bins)
     headers = {name: read_header(p) for name, p in paths.items()}
     for attr in binned:
@@ -329,12 +334,52 @@ def _load_inputs(config: RunConfig, paths: Mapping[str, Path]) -> tuple[Relation
             raise SchemaError(f"--bins attribute {attr!r} not found in any input table")
     # every header is read for the --bins check, but only joined dimensions load
     joined = {"fact", *(dim for _, dim, _ in config.joins)}
-    tables = {
-        name: load_csv(paths[name], tuple(binned.get(a) or AttributeSpec(name=a) for a in h), name=name)
+    return {
+        name: tuple(binned.get(a) or AttributeSpec(name=a) for a in h)
         for name, h in headers.items()
         if name in joined
     }
-    return tables.pop("fact"), tables
+
+
+def _ingest(
+    config: RunConfig,
+    paths: Mapping[str, Path],
+    schemas: Mapping[str, tuple[AttributeSpec, ...]],
+    sources: Iterable[Path | TextIO],
+) -> tuple[MapCodeRegistry, list[MdTable], int]:
+    """Load, join, discretize and code each source of fact rows in turn.
+
+    Returns the registry that coded every source, each source's (key, code)
+    table, and the number of general-table rows. The dimensions load once,
+    after the first source, so an error in a whole fact file wins over a
+    dimension's, as it would if every table loaded first.
+    """
+    assert config.key_dim is not None
+    needed = [config.key_dim, *config.selected_dims, *(d for d, _ in config.filters)]
+    filter_map: dict[str, set[str]] = {}
+    for dim, value in config.filters:
+        filter_map.setdefault(dim, set()).add(value)
+    registry = MapCodeRegistry(config.selected_dims)
+    mds: list[MdTable] = []
+    general_rows = 0
+    for source in sources:
+        fact = load_csv(source, schemas["fact"], name="fact")
+        if not mds:  # the first source
+            dims = {name: load_csv(paths[name], schema, name=name) for name, schema in schemas.items() if name != "fact"}
+            projected = config.projected or _derive_projection(fact, dims, needed)
+            links = [(fact_key, dims[dim], dim_key) for fact_key, dim, dim_key in config.joins]
+        general = join_tables(fact, links, projected)
+        # a stage's input is released once the next stage has consumed it
+        del fact
+        for spec in general.schema:
+            if not spec.is_categorical():
+                general = discretize(general, spec.name)
+        general_rows += general.n_rows
+        _, md = combine_dims(
+            general, config.key_dim, config.selected_dims, filters=filter_map or None, registry=registry
+        )
+        mds.append(md)
+    return registry, mds, general_rows
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
@@ -359,37 +404,35 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         assert config.fact is not None
         paths = {"fact": Path(config.fact), **{name: Path(p) for name, p in config.dims}}
     if config.key_dim is None:
-        return result  # generation-only run
+        # a generation-only run: an earlier mining run's artifacts would sit
+        # beside CSVs they do not describe
+        try:
+            for name in ARTIFACTS:
+                (out / name).unlink(missing_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot remove earlier artifacts from {out}: {exc.strerror}") from None
+        return result
 
-    fact, dims = _load_inputs(config, paths)
-    needed = [config.key_dim, *config.selected_dims, *(d for d, _ in config.filters)]
-    projected = config.projected or _derive_projection(fact, dims, needed)
-    links = [(fact_key, dims[dim], dim_key) for fact_key, dim, dim_key in config.joins]
-    general = join_tables(fact, links, projected)
-    # Each stage's input is released once the next stage has consumed it, so
-    # peak memory holds about two stages' tables rather than every one.
-    del fact, dims, links
-
-    for spec in general.schema:
-        if not spec.is_categorical():
-            general = discretize(general, spec.name)
-    result.general_rows = general.n_rows
-
-    filter_map: dict[str, set[str]] = {}
-    for dim, value in config.filters:
-        filter_map.setdefault(dim, set()).add(value)
-    registry, md = combine_dims(
-        general,
-        config.key_dim,
-        config.selected_dims,
-        filters=filter_map or None,
-    )
-    del general
+    # The fact file streams through the stages one chunk at a time, so only
+    # one chunk's tables are alive beside the dimensions and the (key, code)
+    # pairs. A chunk's error counts rows from the chunk's first line, and a
+    # load error further on in the file must win over it, so any error
+    # reruns the stages once over the whole file, which reports it as a
+    # whole-table run does. The rerun starts outside the handler, whose
+    # traceback would keep the failed pass's tables alive.
+    schemas = _schemas(config, paths)
+    try:
+        registry, mds, general_rows = _ingest(config, paths, schemas, map(io.StringIO, csv_chunks(paths["fact"])))
+    except StarMinerError:
+        mds = None
+    if mds is None:
+        registry, mds, general_rows = _ingest(config, paths, schemas, [paths["fact"]])
+    result.general_rows = general_rows
     result.registry = registry
     result.codes = len(registry)
 
-    view = group_by_key(md)
-    del md
+    view = group_by_key(*mds)
+    del mds
     result.groups = view.n_groups
 
     assert config.minsup is not None and config.minconf is not None

@@ -69,15 +69,15 @@ MUTANTS = [
     (
         "the one-to-one join reads the dimension row before the match",
         "src/starminer/ingest.py",
-        "value_of = {key: values[r] for key, (r,) in index.items()}",
-        "value_of = {key: values[r - 1] for key, (r,) in index.items()}",
+        "{key: values[r] for key, (r,) in index.items()}",
+        "{key: values[r - 1] for key, (r,) in index.items()}",
         ["tests/test_metamorphic.py::test_dimension_rows_no_fact_row_references_change_no_output"],
     ),
     (
         "the one-to-one join is taken with duplicate dimension keys",
         "src/starminer/ingest.py",
-        "if all(len(rs) == 1 for _, _, index in link_info for rs in index.values()):",
-        "if all(len(rs) >= 1 for _, _, index in link_info for rs in index.values()):",
+        "return index, all(len(rs) == 1 for rs in index.values())",
+        "return index, all(len(rs) >= 1 for rs in index.values())",
         ["tests/test_ingest_fast_paths.py::test_join_matches_product_loop"],
     ),
     (
@@ -163,6 +163,48 @@ MUTANTS = [
         "can_share = len(registry.selected_dims) > 1",
         "can_share = len(registry.selected_dims) > 2",
         ["tests/test_render.py::test_unchecked_constructors_build_what_the_public_ones_build"],
+    ),
+    (
+        "each chunk of the fact file is coded by a fresh registry",
+        "src/starminer/pipeline.py",
+        "filters=filter_map or None, registry=registry",
+        "filters=filter_map or None, registry=(registry := MapCodeRegistry(config.selected_dims))",
+        ["tests/test_stream.py::test_a_generated_star_streams_to_the_same_bytes"],
+    ),
+    (
+        "a chunk's error is reported without the whole-table rerun",
+        "src/starminer/pipeline.py",
+        "    except StarMinerError:\n        mds = None\n",
+        "    except StarMinerError:\n        raise\n",
+        ["tests/test_stream.py::test_a_fact_load_error_in_a_late_chunk_wins_over_an_early_orphan"],
+    ),
+    (
+        "group_by_key numbers the keys in sorted order",
+        "src/starminer/mining.py",
+        "index = dict.fromkeys(chain.from_iterable(md.keys for md in tables), 0)",
+        "index = dict.fromkeys(sorted(chain.from_iterable(md.keys for md in tables)), 0)",
+        ["tests/test_ingest_fast_paths.py::test_group_by_key_over_chunks_matches_the_checked_constructor"],
+    ),
+    (
+        "group_sets lays out a repeated member index twice",
+        "src/starminer/mining.py",
+        "            for j in set(self.members[code]):\n                ends[j] -= 1",
+        "            for j in self.members[code]:\n                ends[j] -= 1",
+        ["tests/test_ingest_fast_paths.py::test_group_sets_match_the_list_per_group_build"],
+    ),
+    (
+        "each chunk's join indexes its dimensions again",
+        "src/starminer/ingest.py",
+        'kept = vars(table).setdefault("_kept", {})',
+        "kept = {}",
+        ["tests/test_stream.py::test_each_dimension_is_indexed_once_however_many_chunks_it_joins"],
+    ),
+    (
+        "a generation-only run keeps an earlier run's bench_report.json",
+        "src/starminer/pipeline.py",
+        "            for name in ARTIFACTS:\n",
+        "            for name in ARTIFACTS[:-1]:\n",
+        ["tests/test_pipeline_cli.py::test_a_generation_only_run_removes_an_earlier_mining_runs_artifacts"],
     ),
     (
         "gen_rules' subset lookup skips one-pair antecedents",

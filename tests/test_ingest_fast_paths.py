@@ -9,6 +9,7 @@ Each test asserts that the fast path accepts the same inputs, builds the same
 values and raises the same ``DataError`` text.
 """
 
+import io
 import math
 import tempfile
 import tracemalloc
@@ -27,7 +28,7 @@ from starminer.datamodel import (
     RelationalTable,
     _check_cell,
 )
-from starminer.errors import DataError
+from starminer.errors import DataError, SchemaError, UsageError
 from starminer.ingest import discretize, join_tables, load_csv
 from starminer.mapcode import MapCodeRegistry, MdTable, combine_dims
 from starminer.mining import (
@@ -337,6 +338,61 @@ def test_load_csv_matches_line_parser(body, ends, last_end, bom, chunk):
     assert fast == slow
 
 
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    body=st.lists(st.one_of(GOOD_LINES, BAD_LINES), max_size=6),
+    ends=st.lists(st.sampled_from(TERMINATORS), min_size=6, max_size=6),
+    last_end=st.sampled_from(["", *TERMINATORS]),
+    bom=st.booleans(),
+    chunk=st.integers(1, 8),
+    skipped=st.sampled_from(["", "x\n", "tid,qty,city\n"]),
+)
+@example(body=["t1,1,Melb", "t1,x,Melb"], ends=["\x0b", *LF[1:]], last_end="\n", bom=True, chunk=8, skipped="x\n")
+def test_load_csv_of_a_stream_or_of_its_chunks_matches_the_file(body, ends, last_end, bom, chunk, skipped):
+    # a stream is read from where it stands; csv_chunks' texts each load
+    # alone, and together hold the file's rows or an error of it
+    lines = ["tid,qty,city", *body]
+    text = "\ufeff" * bom + "".join(map(str.__add__, lines, [*ends[: len(lines) - 1], last_end]))
+    with tempfile.TemporaryDirectory() as tmp, patch.object(ingest, "_CHUNK_CHARS", chunk):
+        path = Path(tmp) / "fact.csv"
+        path.write_bytes(text.encode("utf-8"))
+        by_path = outcome(lambda: load_csv(path, LOAD_SCHEMA))
+        with path.open(encoding="utf-8-sig") as fh:
+            by_file = outcome(lambda: load_csv(fh, LOAD_SCHEMA))
+        stream = io.StringIO(skipped + path.read_text(encoding="utf-8-sig"))
+        stream.seek(len(skipped))
+        by_stream = outcome(lambda: load_csv(stream, LOAD_SCHEMA, name="fact"))
+        by_chunks = [outcome(lambda: load_csv(io.StringIO(t), LOAD_SCHEMA, name="fact")) for t in ingest.csv_chunks(path)]
+    assert by_file == by_path
+    assert by_stream == (by_path if by_path[0] == "ok" else ("error", by_path[1].replace(str(path), "<stream>")))
+    if by_path[0] == "ok":
+        assert all(kind == "ok" for kind, _ in by_chunks)
+        assert tuple(row for _, table in by_chunks for row in table.rows) == by_path[1].rows
+    else:
+        assert any(kind == "error" for kind, _ in by_chunks)
+
+
+def test_text_that_is_not_utf8_in_an_open_stream_is_a_data_error_naming_it(tmp_path):
+    path = tmp_path / "fact.csv"
+    path.write_bytes(b"tid,qty,city\n" + b"t1,1,Melb\n" * 5000 + b"\xff\n")
+    with path.open(encoding="utf-8-sig") as fh, pytest.raises(DataError, match=f"^{path}: not valid UTF-8"):
+        load_csv(fh, LOAD_SCHEMA)
+    with pytest.raises(DataError, match=f"^{path}: not valid UTF-8"):
+        list(ingest.csv_chunks(path))
+
+
+class Pipe(io.StringIO):
+    name = "pipe"
+
+    def seekable(self):
+        return False
+
+
+def test_a_stream_that_cannot_seek_is_a_usage_error():
+    with pytest.raises(UsageError, match="^pipe: load_csv reads a stream only if it can seek$"):
+        load_csv(Pipe("tid,qty,city\nt1,1,Melb\n"), LOAD_SCHEMA)
+
+
 def test_load_csv_holds_about_one_chunk_beyond_its_table(tmp_path):
     # tracemalloc counts live Python objects only. It cannot see allocator
     # fragmentation: freed line strings scattered among the kept distinct
@@ -484,6 +540,29 @@ def test_combine_dims_and_group_by_key_match_loops(rows, n_selected, filters):
     assert (view.groups, view.code_universe) == scan_group_by_key(md)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(*[st.sampled_from(["u", "v", "w"])] * 4), max_size=15),
+    cuts=st.lists(st.integers(0, 15), max_size=4),
+)
+def test_combine_dims_over_chunks_with_one_registry_codes_as_over_the_whole(rows, cuts):
+    schema = tuple(AttributeSpec(n) for n in "KBCD")
+    general = RelationalTable(name="general", schema=schema, rows=tuple(rows))
+    registry, md = combine_dims(general, "K", ("B", "C"), filters={"D": {"u", "v"}})
+    bounds = sorted({0, len(rows), *(c for c in cuts if c <= len(rows))})
+    shared = MapCodeRegistry(("B", "C"))
+    parts = [
+        combine_dims(RelationalTable(name="general", schema=schema, rows=tuple(rows[a:b])), "K", ("B", "C"),
+                     filters={"D": {"u", "v"}}, registry=shared)
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    assert all(r is shared for r, _ in parts)
+    assert shared.csv_lines() == registry.csv_lines()
+    assert sum((part.codes for _, part in parts), ()) == md.codes
+    with pytest.raises(SchemaError, match="not the selected dimensions"):
+        combine_dims(general, "K", ("B",), registry=shared)
+
+
 @st.composite
 def shuffled_pairs(draw):
     """(key, code) pairs over a few keys and codes, some repeated, shuffled."""
@@ -528,3 +607,53 @@ def test_group_by_key_by_code_matches_set_per_key_loop(pairs, empty_keys, minsup
         oracle = supports(brute_force_frequent(v, minsup))
         assert supports(fi_gen(v, minsup)[0]) == oracle
         assert supports(apriori_baseline(v, minsup)[0]) == oracle
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=shuffled_pairs(), cuts=st.lists(st.integers(0, 28), max_size=4))
+@example(pairs=[("k2", "0001"), ("k1", "0002"), ("k2", "0002")], cuts=[1, 2])
+def test_group_by_key_over_chunks_matches_the_checked_constructor(pairs, cuts):
+    md = MdTable(keys=[k for k, _ in pairs], codes=[c for _, c in pairs])
+    bounds = sorted({0, len(pairs), *(c for c in cuts if c <= len(pairs))})
+    view = group_by_key(*(MdTable(keys=md.keys[a:b], codes=md.codes[a:b]) for a, b in zip(bounds, bounds[1:])))
+    checked = TransactionView(keys=view.keys, members=view.members)
+    assert (view.keys, view.code_universe) == (checked.keys, checked.code_universe)
+    # groups in first-occurrence order, as one table of every pair gives them
+    assert view.keys == tuple(dict.fromkeys(md.keys))
+    assert (view.groups, view.code_universe) == scan_group_by_key(md) == (group_by_key(md).groups, universe_of(md))
+
+
+def universe_of(md):
+    return tuple(sorted(set(md.codes)))
+
+
+def group_sets_by_lists(view):
+    """The build group_sets replaced: a list per group, then its tuple."""
+    codes_of = [[] for _ in view.keys]
+    for code in view.code_universe:
+        for j in set(view.members[code]):
+            codes_of[j].append(code)
+    return tuple(map(tuple, codes_of))
+
+
+WIDE = {"wide": [f"{c:04d}" for c in range(2000)]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=shuffled_pairs(),
+    empty_keys=st.lists(st.sampled_from(["e1", "e2", "e3"]), unique=True),
+    wide=st.booleans(),
+)
+@example(pairs=[("k1", "0001")], empty_keys=[], wide=True)
+def test_group_sets_match_the_list_per_group_build(pairs, empty_keys, wide):
+    groups = dict.fromkeys(empty_keys, ())
+    for key, code in pairs:
+        groups[key] = (*groups.get(key, ()), code, code)  # each pair twice: a member list repeats its index
+    if wide:
+        groups.update(WIDE)
+    view = TransactionView.from_groups(groups.items())
+    built = view.group_sets
+    assert built == group_sets_by_lists(view)
+    assert all(type(codes) is tuple and list(codes) == sorted(set(codes)) for codes in built)
+    assert len(built) == view.n_groups and (not wide or built[-1] == tuple(WIDE["wide"]))

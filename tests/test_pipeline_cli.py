@@ -633,6 +633,29 @@ def test_generation_only_run_reads_nothing_back(tmp_path, monkeypatch):
                             for name in ("fact", "customer", "product", "times", "channel")}
 
 
+def test_a_generation_only_run_removes_an_earlier_mining_runs_artifacts(tmp_path):
+    out = tmp_path / "out"
+    mine = ["--join", "product_id:product:product_id", "--key-dim", "tid", "--combine-dims", "product_name",
+            "--minsup", "0.02", "--minconf", "0.5", "--algorithm", "both", "--repeatable-dims", "product_name"]
+    assert run_cli("--synth", "300", "--seed", "3", "--out", str(out), *mine) == 0
+    mined = {p.name for p in out.iterdir() if p.is_file()}
+    assert mined == set(pipeline.ARTIFACTS)
+    (out / "notes.txt").write_text("kept", encoding="utf-8")
+
+    # generation only: the earlier artifacts describe the old data, so they go
+    assert run_cli("--synth", "300", "--seed", "4", "--out", str(out)) == 0
+    assert {p.name for p in out.iterdir()} == {"data", "notes.txt"}
+    fresh = tmp_path / "fresh"
+    assert run_cli("--synth", "300", "--seed", "4", "--out", str(fresh)) == 0
+    assert all((out / "data" / p.name).read_bytes() == p.read_bytes() for p in (fresh / "data").iterdir())
+
+    # the other order: a mining run after it writes every artifact of its own data
+    assert run_cli("--synth", "300", "--seed", "4", "--out", str(out), *mine) == 0
+    assert run_cli("--synth", "300", "--seed", "4", "--out", str(fresh), *mine) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file() and p.name != "notes.txt"} == {
+        p.name: p.read_bytes() for p in fresh.iterdir() if p.is_file()}
+
+
 def test_cli_synth_requires_seed(tmp_path):
     assert run_cli("--synth", "50", "--out", str(tmp_path / "out")) == 1
 
