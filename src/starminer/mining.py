@@ -3,7 +3,8 @@
 A :class:`TransactionView` stores the groups by code, in the vertical layout
 of Zaki's "Scalable algorithms for association mining": for each code, the
 indices of the groups that carry it. :func:`group_by_key` builds it from the
-(key, code) columns of one or more chunks of rows, without a container per
+(key, code) columns of a stream of row chunks, grouping each chunk as it
+arrives, with one ``array("i")`` of indices per code and no container per
 group; the per-group sorted code tuples the scanning miners need are derived
 from it once, on first use.
 
@@ -45,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, combinations, islice
+from itertools import accumulate, chain, combinations, filterfalse, islice
 from typing import Iterable, Mapping, Sequence
 
 from .datamodel import int_from_bit_positions
@@ -111,13 +112,16 @@ class TransactionView:
     """Key-dimension groups, stored by code.
 
     ``keys`` holds the distinct group keys in first-occurrence order, so group
-    ``j`` is ``keys[j]``. ``members[c]`` lists the indices of the groups that
-    carry code ``c``; a list may repeat an index, so a support is never read
-    off a list's length. ``code_universe`` is the sorted list of the codes
-    ``members`` holds. ``group_sets``, each group's codes as a sorted tuple,
-    is derived on first use and cached for the miners that scan groups;
-    ``groups`` pairs each key with its group's code set. Views are equal
-    when their groups are.
+    ``j`` is ``keys[j]``. ``members[c]`` is a sequence of the indices of the
+    groups that carry code ``c``, each in ``range(len(keys))``:
+    :func:`group_by_key` stores an ``array("i")`` of 4 bytes an index, and
+    the constructor takes any sequence of ints, such as the lists
+    :meth:`from_groups` builds. A sequence may repeat an index, so a support
+    is never read off its length. ``code_universe`` is the sorted list of the
+    codes ``members`` holds. ``group_sets``, each group's codes as a sorted
+    tuple, is derived on first use and cached for the miners that scan
+    groups; ``groups`` pairs each key with its group's code set. Views are
+    equal when their groups are.
     """
 
     keys: tuple[str, ...]
@@ -128,11 +132,17 @@ class TransactionView:
         object.__setattr__(self, "keys", tuple(self.keys))
         if len(frozenset(self.keys)) != len(self.keys):
             raise DataError("transaction view has duplicate key values")
+        n = len(self.keys)
+        for code, groups in self.members.items():
+            low, high = (min(groups), max(groups)) if groups else (0, -1)
+            if low < 0 or high >= n:
+                raise DataError(f"code {code!r} lists group index {low if low < 0 else high}, outside range({n})")
         object.__setattr__(self, "code_universe", tuple(sorted(self.members)))
 
     @classmethod
     def _of(cls, keys: tuple[str, ...], members: Mapping[str, Sequence[int]]) -> "TransactionView":
-        """A view whose ``keys`` are distinct by construction, so they are not checked."""
+        """A view whose ``keys`` are distinct and whose member indices are in
+        range by construction, so neither is checked."""
         self = cls.__new__(cls)
         vars(self).update(keys=keys, members=members, code_universe=tuple(sorted(members)))
         return self
@@ -244,24 +254,26 @@ class MiningStats:
 
 # MdTable lives in mapcode; group_by_key accepts anything with aligned .keys
 # and .codes columns to keep this module importable on its own.
-def group_by_key(*tables) -> TransactionView:
+def group_by_key(tables: Iterable) -> TransactionView:
     """The groups of every (key, code) pair of ``tables``, taken in order.
 
-    One dict numbers the distinct key values in first-occurrence order; then
-    each pair's key number is appended to its code's list. No per-group
-    container is built; a repeated pair repeats an index.
+    ``tables`` is read one table at a time, each grouped before the next is
+    drawn, and while table i+1 is drawn only table i is still held, so a
+    generator's chunk tables are released as it goes. A table's new keys
+    are numbered in first-occurrence order, after every earlier table's;
+    then each pair appends its key number to its code's ``array("i")``. No
+    per-group container is built; a repeated pair repeats an index.
     """
-    index = dict.fromkeys(chain.from_iterable(md.keys for md in tables), 0)
-    # values change and keys stay, so the dict can be renumbered as it is read
-    for j, key in enumerate(index):
-        index[key] = j
-    members: dict[str, list[int]] = {}
+    index: dict[str, int] = {}
+    members: dict[str, array] = {}
     for md in tables:
+        new_keys = filterfalse(index.__contains__, dict.fromkeys(md.keys))
+        index.update(zip(new_keys, range(len(index), len(index) + len(md.keys))))
         for code, j in zip(md.codes, map(index.__getitem__, md.keys)):
             try:
                 members[code].append(j)
             except KeyError:
-                members[code] = [j]
+                members[code] = array("i", (j,))
     return TransactionView._of(tuple(index), members)
 
 

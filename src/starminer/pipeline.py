@@ -20,7 +20,7 @@ import typing
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .datamodel import AttributeSpec, RelationalTable
 from .errors import AgreementError, SchemaError, StarMinerError, UsageError
@@ -346,12 +346,15 @@ def _ingest(
     paths: Mapping[str, Path],
     schemas: Mapping[str, tuple[AttributeSpec, ...]],
     sources: Iterable[Path | TextIO],
-) -> tuple[MapCodeRegistry, list[MdTable], int]:
-    """Load, join, discretize and code each source of fact rows in turn.
+    result: PipelineResult,
+) -> Iterator[MdTable]:
+    """Load, join, discretize and code each source of fact rows in turn,
+    yielding each source's (key, code) table.
 
-    Returns the registry that coded every source, each source's (key, code)
-    table, and the number of general-table rows. The dimensions load once,
-    after the first source, so an error in a whole fact file wins over a
+    Sets ``result.registry`` to the one registry that codes every source
+    and counts the general-table rows in ``result.general_rows``, both
+    afresh when the first source is drawn. The dimensions load once, after
+    the first source, so an error in a whole fact file wins over a
     dimension's, as it would if every table loaded first.
     """
     assert config.key_dim is not None
@@ -359,27 +362,28 @@ def _ingest(
     filter_map: dict[str, set[str]] = {}
     for dim, value in config.filters:
         filter_map.setdefault(dim, set()).add(value)
-    registry = MapCodeRegistry(config.selected_dims)
-    mds: list[MdTable] = []
-    general_rows = 0
+    registry = result.registry = MapCodeRegistry(config.selected_dims)
+    result.general_rows = 0
+    dims = None
     for source in sources:
         fact = load_csv(source, schemas["fact"], name="fact")
-        if not mds:  # the first source
+        if dims is None:  # the first source
             dims = {name: load_csv(paths[name], schema, name=name) for name, schema in schemas.items() if name != "fact"}
             projected = config.projected or _derive_projection(fact, dims, needed)
             links = [(fact_key, dims[dim], dim_key) for fact_key, dim, dim_key in config.joins]
         general = join_tables(fact, links, projected)
-        # a stage's input is released once the next stage has consumed it
+        # a stage's input is released once the next stage has consumed it,
+        # and a chunk's tables before the next chunk loads
         del fact
         for spec in general.schema:
             if not spec.is_categorical():
                 general = discretize(general, spec.name)
-        general_rows += general.n_rows
+        result.general_rows += general.n_rows
         _, md = combine_dims(
             general, config.key_dim, config.selected_dims, filters=filter_map or None, registry=registry
         )
-        mds.append(md)
-    return registry, mds, general_rows
+        del general
+        yield md
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
@@ -413,26 +417,23 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             raise UsageError(f"cannot remove earlier artifacts from {out}: {exc.strerror}") from None
         return result
 
-    # The fact file streams through the stages one chunk at a time, so only
-    # one chunk's tables are alive beside the dimensions and the (key, code)
-    # pairs. A chunk's error counts rows from the chunk's first line, and a
-    # load error further on in the file must win over it, so any error
-    # reruns the stages once over the whole file, which reports it as a
-    # whole-table run does. The rerun starts outside the handler, whose
-    # traceback would keep the failed pass's tables alive.
+    # The fact file streams through the stages one chunk at a time, and
+    # group_by_key groups each chunk's (key, code) table as soon as it is
+    # made, so only one chunk's tables are alive beside the dimensions and
+    # the groups. A chunk's error counts rows from the chunk's first line,
+    # and a load error further on in the file must win over it, so any error
+    # drops the partial groups and reruns the stages once over the whole
+    # file, which reports it as a whole-table run does. The rerun starts
+    # outside the handler, whose traceback would keep the failed pass alive.
     schemas = _schemas(config, paths)
     try:
-        registry, mds, general_rows = _ingest(config, paths, schemas, map(io.StringIO, csv_chunks(paths["fact"])))
+        view = group_by_key(_ingest(config, paths, schemas, map(io.StringIO, csv_chunks(paths["fact"])), result))
     except StarMinerError:
-        mds = None
-    if mds is None:
-        registry, mds, general_rows = _ingest(config, paths, schemas, [paths["fact"]])
-    result.general_rows = general_rows
-    result.registry = registry
-    result.codes = len(registry)
-
-    view = group_by_key(*mds)
-    del mds
+        view = None
+    if view is None:
+        view = group_by_key(_ingest(config, paths, schemas, [paths["fact"]], result))
+    assert result.registry is not None
+    result.codes = len(result.registry)
     result.groups = view.n_groups
 
     assert config.minsup is not None and config.minconf is not None
@@ -457,7 +458,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     itemsets = outputs[canonical][0]
     result.itemsets = itemsets
 
-    decoded = transform_map_code(itemsets, registry)
+    decoded = transform_map_code(itemsets, result.registry)
     result.decoded = decoded
     policy = DimensionPolicy(repeatable=config.repeatable_dims)
     rules = gen_rules(decoded, config.minconf, policy)

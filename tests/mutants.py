@@ -174,16 +174,37 @@ MUTANTS = [
     (
         "a chunk's error is reported without the whole-table rerun",
         "src/starminer/pipeline.py",
-        "    except StarMinerError:\n        mds = None\n",
+        "    except StarMinerError:\n        view = None\n",
         "    except StarMinerError:\n        raise\n",
         ["tests/test_stream.py::test_a_fact_load_error_in_a_late_chunk_wins_over_an_early_orphan"],
     ),
     (
         "group_by_key numbers the keys in sorted order",
         "src/starminer/mining.py",
-        "index = dict.fromkeys(chain.from_iterable(md.keys for md in tables), 0)",
-        "index = dict.fromkeys(sorted(chain.from_iterable(md.keys for md in tables)), 0)",
+        "new_keys = filterfalse(index.__contains__, dict.fromkeys(md.keys))",
+        "new_keys = filterfalse(index.__contains__, dict.fromkeys(sorted(md.keys)))",
         ["tests/test_ingest_fast_paths.py::test_group_by_key_over_chunks_matches_the_checked_constructor"],
+    ),
+    (
+        "group_by_key's key numbers restart at 0 for each table",
+        "src/starminer/mining.py",
+        "range(len(index), len(index) + len(md.keys))",
+        "range(len(md.keys))",
+        ["tests/test_ingest_fast_paths.py::test_group_by_key_over_chunks_matches_the_checked_constructor"],
+    ),
+    (
+        "group_by_key collects every table before grouping",
+        "src/starminer/mining.py",
+        "    index: dict[str, int] = {}\n    members: dict[str, array] = {}\n",
+        "    tables = list(tables)\n    index: dict[str, int] = {}\n    members: dict[str, array] = {}\n",
+        ["tests/test_ingest_fast_paths.py::test_group_by_key_releases_each_table_before_it_draws_the_one_after"],
+    ),
+    (
+        "the checked view takes a member index past its last group",
+        "src/starminer/mining.py",
+        "if low < 0 or high >= n:",
+        "if low < 0 or high > n:",
+        ["tests/test_mining.py::test_checked_view_rejects_a_member_index_outside_its_groups"],
     ),
     (
         "group_sets lays out a repeated member index twice",

@@ -142,7 +142,7 @@ def test_criterion_3_hybrid_rule_reproduction():
         general = RelationalTable(name="general", schema=schema, rows=tuple(rows))
 
         registry, md = combine_dims(general, "Customer", ["Times", "Location", "Buy"])
-        view = group_by_key(md)
+        view = group_by_key([md])
         assert view.n_groups == 40
         itemsets, _ = fi_gen(view, "0.3")
         rules = gen_rules(
@@ -176,7 +176,7 @@ def test_criterion_4_mapping_code_example():
         assert registry.find(("Direct sales", "Men-Jeans")) == "0001"
         assert md.rows == (("Jan 1998", "0001"),)
 
-        itemsets, _ = fi_gen(group_by_key(md), "1")
+        itemsets, _ = fi_gen(group_by_key([md]), "1")
         [decoded] = transform_map_code(itemsets, registry)
         assert decoded.pairs == (
             ("Channel", "Direct sales"),

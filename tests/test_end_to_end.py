@@ -37,7 +37,7 @@ def test_mined_supports_match_direct_combo_counting():
         rng = random.Random(7000 + seed)
         table = random_general_table(rng, rng.randint(0, 40))
         registry, md = combine_dims(table, "key", ["d1", "d2"])
-        view = group_by_key(md)
+        view = group_by_key([md])
         oracle = direct_combo_groups(table)
 
         assert view.n_groups == len(oracle)
@@ -54,7 +54,7 @@ def test_decoded_pairs_follow_code_and_dimension_order():
     rng = random.Random(11)
     table = random_general_table(rng, 30)
     registry, md = combine_dims(table, "key", ["d1", "d2"])
-    itemsets, _ = fi_gen(group_by_key(md), "0.2")
+    itemsets, _ = fi_gen(group_by_key([md]), "0.2")
     for fi, decoded in zip(itemsets, transform_map_code(itemsets, registry)):
         expanded = []
         for code in fi.items:
@@ -70,7 +70,7 @@ def test_rule_counts_recountable_on_the_view():
     rng = random.Random(23)
     table = random_general_table(rng, 60)
     registry, md = combine_dims(table, "key", ["d1", "d2"])
-    view = group_by_key(md)
+    view = group_by_key([md])
     itemsets, _ = fi_gen(view, "0.2")
     decoded = transform_map_code(itemsets, registry)
     policy = DimensionPolicy(repeatable=["d1", "d2"])

@@ -13,6 +13,8 @@ import io
 import math
 import tempfile
 import tracemalloc
+import weakref
+from array import array
 from itertools import product
 from pathlib import Path
 from unittest.mock import patch
@@ -536,7 +538,7 @@ def test_combine_dims_and_group_by_key_match_loops(rows, n_selected, filters):
     lines, md_rows = scan_combine_dims(general, "K", selected, filters)
     assert (registry.csv_lines(), md.rows) == (lines, md_rows)
 
-    view = group_by_key(MdTable(keys=md.keys + md.keys[:3], codes=md.codes + md.codes[:3]))
+    view = group_by_key([MdTable(keys=md.keys + md.keys[:3], codes=md.codes + md.codes[:3])])
     assert (view.groups, view.code_universe) == scan_group_by_key(md)
 
 
@@ -587,7 +589,7 @@ def supports(itemsets):
 @example(pairs=[("k1", "0001"), ("k1", "0001")], empty_keys=["e1"], minsup="0.5")
 def test_group_by_key_by_code_matches_set_per_key_loop(pairs, empty_keys, minsup):
     md = MdTable(keys=[k for k, _ in pairs], codes=[c for _, c in pairs])
-    view = group_by_key(md)
+    view = group_by_key([md])
     groups, universe = scan_group_by_key(md)
     assert (view.groups, view.code_universe, view.n_groups) == (groups, universe, len(groups))
 
@@ -615,12 +617,48 @@ def test_group_by_key_by_code_matches_set_per_key_loop(pairs, empty_keys, minsup
 def test_group_by_key_over_chunks_matches_the_checked_constructor(pairs, cuts):
     md = MdTable(keys=[k for k, _ in pairs], codes=[c for _, c in pairs])
     bounds = sorted({0, len(pairs), *(c for c in cuts if c <= len(pairs))})
-    view = group_by_key(*(MdTable(keys=md.keys[a:b], codes=md.codes[a:b]) for a, b in zip(bounds, bounds[1:])))
+    view = group_by_key(MdTable(keys=md.keys[a:b], codes=md.codes[a:b]) for a, b in zip(bounds, bounds[1:]))
+    assert all(type(groups) is array and groups.typecode == "i" for groups in view.members.values())
     checked = TransactionView(keys=view.keys, members=view.members)
     assert (view.keys, view.code_universe) == (checked.keys, checked.code_universe)
     # groups in first-occurrence order, as one table of every pair gives them
     assert view.keys == tuple(dict.fromkeys(md.keys))
-    assert (view.groups, view.code_universe) == scan_group_by_key(md) == (group_by_key(md).groups, universe_of(md))
+    assert (view.groups, view.code_universe) == scan_group_by_key(md) == (group_by_key([md]).groups, universe_of(md))
+
+
+def test_group_by_key_releases_each_table_before_it_draws_the_one_after():
+    refs = []
+
+    def tables():
+        for i in range(6):
+            if i >= 2:
+                assert refs[i - 2]() is None, f"table {i - 2} is alive when table {i} is drawn"
+            md = MdTable(keys=(f"k{i}", f"k{i + 1}", f"k{i}"), codes=("0001", f"{i:04d}", "0009"))
+            refs.append(weakref.ref(md))
+            yield md
+            del md
+
+    view = group_by_key(tables())
+    assert len(refs) == 6
+    assert view.keys == tuple(f"k{i}" for i in range(7))
+    assert view.groups[:2] == (("k0", frozenset({"0001", "0009"})), ("k1", frozenset({"0000", "0001", "0009"})))
+    assert view.groups[6] == ("k6", frozenset({"0005"}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=shuffled_pairs(), minsup=st.sampled_from(["0.1", "0.25", "0.5", "1"]))
+@example(pairs=[("k1", "0001"), ("k2", "0001"), ("k1", "0002"), ("k1", "0001")], minsup="0.5")
+def test_miners_read_array_and_list_members_alike(pairs, minsup):
+    md = MdTable(keys=[k for k, _ in pairs], codes=[c for _, c in pairs])
+    arrays = group_by_key([md])
+    lists = TransactionView(keys=arrays.keys, members={c: list(groups) for c, groups in arrays.members.items()})
+    assert all(type(groups) is array for groups in arrays.members.values())
+    assert build_item_extents(arrays) == build_item_extents(lists)
+    assert arrays.group_sets == lists.group_sets
+    for miner in (fi_gen, apriori_baseline):
+        (found, stats), (expected, expected_stats) = miner(arrays, minsup), miner(lists, minsup)
+        assert found == expected and stats.counters() == expected_stats.counters()
+    assert brute_force_frequent(arrays, minsup) == brute_force_frequent(lists, minsup)
 
 
 def universe_of(md):

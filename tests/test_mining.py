@@ -1,4 +1,5 @@
 import random
+from array import array
 from itertools import combinations
 
 import pytest
@@ -45,7 +46,7 @@ def by_items(itemsets):
 
 def test_group_by_key_unions_codes_per_key():
     md = MdTable(keys=("t1", "t1", "t2"), codes=("0001", "0002", "0001"))
-    view = group_by_key(md)
+    view = group_by_key([md])
     assert view.groups == (
         ("t1", frozenset({"0001", "0002"})),
         ("t2", frozenset({"0001"})),
@@ -54,14 +55,14 @@ def test_group_by_key_unions_codes_per_key():
 
 
 def test_group_by_key_empty():
-    view = group_by_key(MdTable(keys=(), codes=()))
+    view = group_by_key([MdTable(keys=(), codes=())])
     assert view.groups == ()
     assert view.code_universe == ()
 
 
 def test_group_by_key_duplicate_pairs_keep_set_semantics():
     md = MdTable(keys=("t1", "t1"), codes=("0001", "0001"))
-    view = group_by_key(md)
+    view = group_by_key([md])
     assert view.groups == (("t1", frozenset({"0001"})),)
 
 
@@ -70,6 +71,17 @@ def test_view_derives_sorted_universe_and_rejects_duplicate_keys():
     assert view.code_universe == ("0001", "0002", "0003")
     with pytest.raises(DataError, match="duplicate key"):
         TransactionView.from_groups([("t1", {"0001"}), ("t1", {"0002"})])
+
+
+def test_checked_view_rejects_a_member_index_outside_its_groups():
+    with pytest.raises(DataError, match=r"code 'y' lists group index -1, outside range\(2\)"):
+        TransactionView(keys=("a", "b"), members={"x": [0, 1], "y": [-1, 5]})
+    with pytest.raises(DataError, match=r"code 'y' lists group index 5, outside range\(2\)"):
+        TransactionView(keys=("a", "b"), members={"x": [0, 1], "y": [1, 5]})
+    with pytest.raises(DataError, match=r"code 'x' lists group index 0, outside range\(0\)"):
+        TransactionView(keys=(), members={"x": array("i", [0])})
+    view = TransactionView(keys=("a", "b"), members={"x": [1, 0, 1], "y": []})
+    assert view.groups == (("a", frozenset({"x"})), ("b", frozenset({"x"})))
 
 
 @settings(max_examples=100, deadline=None)
