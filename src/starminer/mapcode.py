@@ -10,7 +10,7 @@ After mining, the codes expand back into their dimension/value pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, filterfalse
 from typing import Iterable, Mapping, Sequence
 
 from .datamodel import RelationalTable
@@ -152,6 +152,8 @@ def combine_dims(
     Codes come from ``registry``, a new one by default. Passing the registry
     that coded earlier chunks of the same rows keeps their codes, and gives
     new combinations the codes a call over all the rows would give them.
+    Only combinations the registry has not seen are passed to
+    :meth:`MapCodeRegistry.encode`; the others are looked up.
     """
     selected = tuple(selected_dims)
     if not selected:
@@ -187,7 +189,9 @@ def combine_dims(
         keys = tuple(compress(keys, keep))
         chosen = [tuple(compress(column, keep)) for column in chosen]
 
-    code_of = {combo: registry.encode(combo) for combo in dict.fromkeys(zip(*chosen))}
+    code_of = registry._code_by_combo
+    for combo in filterfalse(code_of.__contains__, dict.fromkeys(zip(*chosen))):
+        registry.encode(combo)
     return registry, MdTable(keys=keys, codes=map(code_of.__getitem__, zip(*chosen)))
 
 

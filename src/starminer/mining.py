@@ -12,13 +12,16 @@ Three miners share one output contract and are cross-checked in the tests:
 
 * :func:`fi_gen` makes one pass over the view to build a bit-vector extent
   per code (the equivalence class of groups agreeing on "code present"),
-  then walks the prefix classes depth-first, as Zaki's Eclat does, in
-  reverse lexicographic order, counting each candidate by intersecting bit
-  vectors. One full scan total, and only the bit vectors of the classes on
-  the current path are alive.
+  keeping only the frequent codes' extents, then walks the prefix classes
+  depth-first, as Zaki's Eclat does, in reverse lexicographic order,
+  counting each candidate by intersecting bit vectors. One full scan total,
+  and only the frequent codes' bit vectors and those of the classes on the
+  current path are alive.
 * :func:`apriori_baseline` is the classic level-wise miner: each level with a
-  non-empty candidate set rescans every group. Level 1 tallies the groups'
-  codes; each later level looks up the group's k-subsets among the
+  non-empty candidate set rescans the groups, once per distinct code set
+  weighted by the number of groups that hold it (the rough-set equivalence
+  classes of groups with equal codes). Level 1 tallies the code sets'
+  weights; each later level looks up each code set's k-subsets among the
   candidates.
 * :func:`brute_force_frequent` enumerates every subset of a small universe by
   direct containment counting; it is the oracle the other two are held to.
@@ -119,9 +122,9 @@ class TransactionView:
     :meth:`from_groups` builds. A sequence may repeat an index, so a support
     is never read off its length. ``code_universe`` is the sorted list of the
     codes ``members`` holds. ``group_sets``, each group's codes as a sorted
-    tuple, is derived on first use and cached for the miners that scan
-    groups; ``groups`` pairs each key with its group's code set. Views are
-    equal when their groups are.
+    tuple, equal groups sharing one tuple, is derived on first use and
+    cached for the miners that scan groups; ``groups`` pairs each key with
+    its group's code set. Views are equal when their groups are.
     """
 
     keys: tuple[str, ...]
@@ -166,18 +169,23 @@ class TransactionView:
     @cached_property
     def group_sets(self) -> tuple[tuple[str, ...], ...]:
         """Each group's codes as a sorted, duplicate-free tuple, in group
-        order. A tuple is a fraction of a frozenset's size.
+        order. A tuple is a fraction of a frozenset's size, and groups with
+        equal codes share one tuple, the first one built.
 
         No container per group is built besides its tuple: a first pass
         counts each group's codes, a second lays them out group after group
-        in one flat list, and each group's slice of it becomes its tuple.
+        in one flat list, and each group's slice of it becomes its tuple,
+        or the equal tuple an earlier group already holds. The counts and
+        slice offsets are 4-byte ints, as the member indices are: with 8-byte
+        ones beside the dict that shares the tuples, the quick start at 100k
+        rows peaked 0.3 MiB higher.
         """
-        sizes = array("q", [0]) * len(self.keys)
+        sizes = array("i", [0]) * len(self.keys)
         for code in self.code_universe:
             # a repeated index would repeat the code
             for j in set(self.members[code]):
                 sizes[j] += 1
-        ends = array("q", accumulate(sizes))
+        ends = array("i", accumulate(sizes))
         del sizes
         flat: list = [None] * (ends[-1] if ends else 0)
         # each group's slice fills from its end, last code first, so that
@@ -187,7 +195,9 @@ class TransactionView:
                 ends[j] -= 1
                 flat[ends[j]] = code
         stops = chain(islice(ends, 1, None), [len(flat)])
-        return tuple(tuple(flat[start:stop]) for start, stop in zip(ends, stops))
+        shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+        built = (tuple(flat[start:stop]) for start, stop in zip(ends, stops))
+        return tuple(shared.setdefault(codes, codes) for codes in built)
 
     @cached_property
     def groups(self) -> tuple[tuple[str, frozenset[str]], ...]:
@@ -278,16 +288,23 @@ def group_by_key(tables: Iterable) -> TransactionView:
 
 
 def build_item_extents(
-    view: TransactionView, stats: MiningStats | None = None
+    view: TransactionView, stats: MiningStats | None = None, threshold: int = 0
 ) -> dict[str, int]:
-    """One pass over the view producing a bit vector per code.
+    """One pass over the view producing a bit vector per code whose support
+    reaches ``threshold``.
 
     Bit ``j`` of code ``c``'s mask is set iff group ``j`` carries ``c``: each
     mask is the extent of the two-block partition that "has c" induces on the
-    groups. Codes come in ``code_universe`` order.
+    groups. Every code's mask is built, and kept only if its population
+    count is at least ``threshold``, so at the default of 0 every code is
+    kept. Codes come in ``code_universe`` order.
     """
     n = view.n_groups
-    extents = {c: int_from_bit_positions(view.members[c], n) for c in view.code_universe}
+    extents = {
+        c: mask
+        for c in view.code_universe
+        if (mask := int_from_bit_positions(view.members[c], n)).bit_count() >= threshold
+    }
     if stats is not None:
         stats.full_scans_of_groups += 1
     return extents
@@ -359,9 +376,11 @@ def fi_gen(
 ) -> tuple[list[FrequentItemset], MiningStats]:
     """Mine all itemsets with support >= minsup using bitmap intersections.
 
-    The prefix classes are walked depth-first, as in Zaki's Eclat. A class
-    holds the frequent sets ``prefix + (a,)`` with their masks, a level-1
-    set's mask being its code's extent. :func:`_class_candidates` joins and
+    The extents are built for the frequent codes only, though every code
+    counts as a level-1 candidate. The prefix classes are walked
+    depth-first, as in Zaki's Eclat. A class holds the frequent sets
+    ``prefix + (a,)`` with their masks, a level-1 set's mask being its
+    code's extent. :func:`_class_candidates` joins and
     prunes it; a surviving ``prefix + (a, b)`` is counted as the population
     count of its parent's mask AND ``b``'s extent, and the frequent ones
     form the class of ``prefix + (a,)``, which is walked at once.
@@ -371,7 +390,8 @@ def fi_gen(
     (a,)``, is later than ``prefix`` and so already finished. The prune is
     thus Apriori's, with the level-wise walk's candidate and pruned counts.
     Finished classes keep their tail sets but not their masks, so only the
-    extents and the masks of the classes on the current path are alive. The
+    frequent codes' extents and the masks of the classes on the current
+    path are alive. The
     result is sorted by ``(level, items)``, as a level-wise walk lists it.
 
     No group scan happens after the extent build, so ``full_scans_of_groups``
@@ -383,9 +403,9 @@ def fi_gen(
     stats = MiningStats()
     start = time.perf_counter()
 
-    extents = build_item_extents(view, stats)
     n = view.n_groups
     threshold = support_threshold(f, n)
+    extents = build_item_extents(view, stats, threshold)
     result: list[FrequentItemset] = []
     tail_sets: dict[tuple[str, ...], frozenset[str]] = {}
 
@@ -409,7 +429,7 @@ def fi_gen(
         stats.candidates_pruned += joined - sum(map(len, survivors))
         return prefix, members, survivors
 
-    stats.candidates_generated += len(extents)
+    stats.candidates_generated += len(view.code_universe)
     path = [enter((), frequent((), extents.items()))]
     while path:
         prefix, members, survivors = path[-1]
@@ -428,68 +448,77 @@ def fi_gen(
 
 
 def _count_level(
-    group_sets: Sequence[tuple[str, ...]], candidates: list[tuple[str, ...]], k: int
+    weighted: Iterable[tuple[tuple[str, ...], int]], candidates: list[tuple[str, ...]], k: int
 ) -> dict[tuple[str, ...], int]:
-    """Count each sorted k-candidate in one pass over the groups' sorted
-    code tuples.
+    """Count each sorted k-candidate in one pass over ``weighted``, the
+    distinct sorted code tuples of the groups, each with the number of
+    groups that hold it.
 
-    Level 1 is one tally of every group's codes. At a later level, a group's
-    k-subsets of its codes that occur in some candidate are enumerated and
-    looked up, as Apriori's subset function does; a group with more such
-    subsets than there are candidates tests every candidate for containment
-    instead. Both ways give the same counts.
+    Level 1 is one tally of every code tuple's weight per code. At a later
+    level, a code tuple's k-subsets of its codes that occur in some
+    candidate are enumerated and looked up, as Apriori's subset function
+    does; a code tuple with more such subsets than there are candidates
+    tests every candidate for containment instead. Both ways add the tuple's
+    weight to each candidate it holds, and give the same counts.
     """
     if k == 1:
-        tally = Counter(chain.from_iterable(group_sets))
+        tally: Counter[str] = Counter()
+        for codes, w in weighted:
+            for c in codes:
+                tally[c] += w
         return {cand: tally[cand[0]] for cand in candidates}
     counts = dict.fromkeys(candidates, 0)
     live = frozenset().union(*candidates)
     cand_sets: list[tuple[tuple[str, ...], frozenset[str]]] | None = None
-    for codes in group_sets:
+    for codes, w in weighted:
         if len(codes) < k:
             continue
         present = [c for c in codes if c in live]
         if math.comb(len(present), k) <= len(candidates):
             for combo in combinations(present, k):
                 if combo in counts:
-                    counts[combo] += 1
+                    counts[combo] += w
             continue
         if cand_sets is None:
             cand_sets = [(cand, frozenset(cand)) for cand in candidates]
         wide = frozenset(present)
         for cand, cset in cand_sets:
             if cset <= wide:
-                counts[cand] += 1
+                counts[cand] += w
     return counts
 
 
 def apriori_baseline(
     view: TransactionView, minsup: float | str | Fraction
 ) -> tuple[list[FrequentItemset], MiningStats]:
-    """Classic level-wise miner: re-scan every group once per candidate level.
+    """Classic level-wise miner: re-scan the groups once per candidate level.
 
     Level 1 is every code in ``code_universe``; level k is
     :func:`_next_candidates` of level k-1's frequent sets, and the walk stops
-    at the first empty level. Each level is counted by :func:`_count_level`
-    in one scan of the groups: level 1 by one tally of the groups' codes, and
-    each later level by enumerating each group's k-subsets rather than
-    testing every candidate against every group. Output is identical to
-    :func:`fi_gen`; ``full_scans_of_groups`` equals the number of levels that
-    had a non-empty candidate set, which is the depth of the explored lattice.
+    at the first empty level. The groups are counted as their distinct code
+    tuples, each weighted by the number of groups that hold it, since equal
+    groups hold the same candidates. Each level is counted by
+    :func:`_count_level` in one scan of those tuples: level 1 by one tally of
+    their weights per code, and each later level by enumerating each tuple's
+    k-subsets rather than testing every candidate against every tuple.
+    Output is identical to :func:`fi_gen`; ``full_scans_of_groups`` equals
+    the number of levels that had a non-empty candidate set, which is the
+    depth of the explored lattice.
     """
     f = threshold_in_range("minsup", minsup)
     stats = MiningStats()
     start = time.perf_counter()
     n = view.n_groups
     threshold = support_threshold(f, n)
-    group_sets = view.group_sets
+    # equal groups share one tuple, so the Counter adds no tuple of its own
+    weighted = Counter(view.group_sets).items()
     result: list[FrequentItemset] = []
     candidates = [(code,) for code in view.code_universe]
     stats.candidates_generated += len(candidates)
     k = 1
     while candidates:
         stats.full_scans_of_groups += 1
-        counts = _count_level(group_sets, candidates, k)
+        counts = _count_level(weighted, candidates, k)
         frequent = [cand for cand in candidates if counts[cand] >= threshold]
         result.extend(FrequentItemset._of(cand, counts[cand], counts[cand] / n) for cand in frequent)
         candidates, joined, pruned = _next_candidates(frequent)

@@ -53,6 +53,30 @@ MUTANTS = [
         ["tests/test_fast_paths.py"],
     ),
     (
+        "build_item_extents keeps a code only above the threshold",
+        "src/starminer/mining.py",
+        "(mask := int_from_bit_positions(view.members[c], n)).bit_count() >= threshold",
+        "(mask := int_from_bit_positions(view.members[c], n)).bit_count() > threshold",
+        ["tests/test_fast_paths.py::test_build_item_extents_keeps_the_codes_that_reach_the_threshold",
+         "tests/test_fast_paths.py::test_miners_agree_on_views_with_infrequent_codes"],
+    ),
+    (
+        "apriori counts an enumerated code set once, not by its weight",
+        "src/starminer/mining.py",
+        "                    counts[combo] += w",
+        "                    counts[combo] += 1",
+        ["tests/test_fast_paths.py::test_count_level_enumerates_narrow_groups_and_scans_wide_ones",
+         "tests/test_fast_paths.py::test_weighted_count_level_counts_as_the_expanded_groups"],
+    ),
+    (
+        "apriori counts a wide code set once, not by its weight",
+        "src/starminer/mining.py",
+        "                counts[cand] += w",
+        "                counts[cand] += 1",
+        ["tests/test_fast_paths.py::test_count_level_enumerates_narrow_groups_and_scans_wide_ones",
+         "tests/test_fast_paths.py::test_weighted_count_level_counts_as_the_expanded_groups"],
+    ),
+    (
         "support threshold rounds down",
         "src/starminer/mining.py",
         "math.ceil(f * n_groups)",

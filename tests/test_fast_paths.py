@@ -335,12 +335,41 @@ def test_count_level_enumerates_narrow_groups_and_scans_wide_ones(monkeypatch):
 
     monkeypatch.setattr(mining, "combinations", spy)
     candidates = [("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("c", "d", "e")]
-    # x is in no candidate; "abcdx" has 4 live codes and as many 3-subsets as
-    # there are candidates, the wide group 10, and "ab" is too short
-    groups = [tuple("abc"), tuple("abcdx"), tuple("abcdefg"), tuple("ab")]
-    counts = mining._count_level(groups, candidates, 3)
+    # each code set with its number of groups: x is in no candidate; "abcdx"
+    # has 4 live codes and as many 3-subsets as there are candidates, the
+    # wide set 10, and "ab" is too short
+    weighted = [(tuple("abc"), 2), (tuple("abcdx"), 5), (tuple("abcdefg"), 3), (tuple("ab"), 7)]
+    counts = mining._count_level(weighted, candidates, 3)
     assert enumerated == [("a", "b", "c"), ("a", "b", "c", "d")]
-    assert counts == {("a", "b", "c"): 3, ("a", "b", "d"): 2, ("a", "c", "d"): 2, ("c", "d", "e"): 1}
+    assert counts == {("a", "b", "c"): 10, ("a", "b", "d"): 8, ("a", "c", "d"): 8, ("c", "d", "e"): 3}
+    assert mining._count_level(weighted, [("a",), ("e",), ("x",)], 1) == {("a",): 17, ("e",): 3, ("x",): 5}
+
+
+@st.composite
+def level_candidates(draw):
+    """A level k and a non-empty, sorted list of k-candidates over seven codes."""
+    k = draw(st.integers(1, 4))
+    return k, sorted(draw(st.sets(st.sampled_from(list(combinations("abcdefg", k))), min_size=1, max_size=12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weighted=st.dictionaries(
+        st.lists(st.sampled_from("abcdefg"), max_size=7, unique=True).map(lambda codes: tuple(sorted(codes))),
+        st.integers(1, 4),
+        max_size=8,
+    ),
+    level=level_candidates(),
+)
+# one narrow set enumerated, and one wide set tested against each candidate
+@example(weighted={("a", "b", "c"): 3}, level=(3, [("a", "b", "c"), ("a", "b", "d")])).via("the enumeration path")
+@example(weighted={tuple("abcdefg"): 2}, level=(2, [("a", "b"), ("c", "g")])).via("the wide-group path")
+def test_weighted_count_level_counts_as_the_expanded_groups(weighted, level):
+    k, candidates = level
+    expanded = [codes for codes, w in weighted.items() for _ in range(w)]
+    expected = {cand: sum(1 for codes in expanded if set(cand) <= set(codes)) for cand in candidates}
+    assert mining._count_level(weighted.items(), candidates, k) == expected
+    assert mining._count_level([(codes, 1) for codes in expanded], candidates, k) == expected
 
 
 # --- candidate generation --------------------------------------------------
@@ -477,6 +506,57 @@ def test_depth_first_walk_holds_masks_linear_in_codes():
 
 
 # --- extents and bitmaps ----------------------------------------------------
+
+@st.composite
+def views_with_infrequent_codes(draw):
+    """A view over up to 30 groups and a minsup, with a code at exactly the
+    support threshold, one a group short of it and one further below, beside
+    codes of any support; repeated member indices included."""
+    n = draw(st.integers(1, 30))
+    common = ["0001", "0002", "0003", "0004", "0005", "0006"]
+    members = {}
+    for j in range(n):
+        for code in draw(st.lists(st.sampled_from(common), max_size=5)):
+            members.setdefault(code, []).append(j)
+    minsup = draw(st.sampled_from(["0.1", "0.2", "0.34", "0.5", "0.9", "1"]))
+    threshold = support_threshold(minsup, n)
+    for code, count in (("0100", threshold), ("0101", threshold - 1), ("0102", draw(st.integers(0, threshold - 1)))):
+        if count:
+            members[code] = draw(st.permutations(range(n)))[:count]
+    return TransactionView(keys=[f"g{j}" for j in range(n)], members=members), minsup
+
+
+@settings(max_examples=200, deadline=None)
+@given(views_with_infrequent_codes(), st.integers(0, 31))
+def test_build_item_extents_keeps_the_codes_that_reach_the_threshold(view_minsup, drawn):
+    view, _ = view_minsup
+    full = build_item_extents(view)
+    assert tuple(full) == view.code_universe
+    above_all = max(map(int.bit_count, full.values())) + 1
+    for threshold in (0, 1, drawn, above_all):
+        stats = MiningStats()
+        kept = build_item_extents(view, stats, threshold)
+        assert kept == {c: mask for c, mask in full.items() if mask.bit_count() >= threshold}
+        assert list(kept) == [c for c in full if c in kept]
+        assert stats.full_scans_of_groups == 1
+    assert build_item_extents(view, None, above_all) == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(views_with_infrequent_codes())
+def test_miners_agree_on_views_with_infrequent_codes(view_minsup):
+    view, minsup = view_minsup
+    threshold = support_threshold(minsup, view.n_groups)
+    extents = build_item_extents(view, None, threshold)
+    assert "0100" in extents and "0101" not in extents
+    rshar, rshar_stats = fi_gen(view, minsup)
+    apriori, apriori_stats = apriori_baseline(view, minsup)
+    assert rshar == apriori == mining.brute_force_frequent(view, minsup)
+    # every code is a level-1 candidate, frequent or not, and only the scans differ
+    assert apriori_stats.counters() == loop_apriori(view, minsup)[1].counters()
+    assert rshar_stats.counters() == {**apriori_stats.counters(), "full_scans_of_groups": 1}
+    assert [fi.items for fi in rshar if fi.level == 1] == [(c,) for c in extents]
+
 
 @settings(max_examples=60, deadline=None)
 @given(n_groups=st.integers(0, 70), seed=st.integers(0, 10_000))

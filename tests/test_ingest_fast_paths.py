@@ -553,6 +553,8 @@ def test_combine_dims_over_chunks_with_one_registry_codes_as_over_the_whole(rows
     registry, md = combine_dims(general, "K", ("B", "C"), filters={"D": {"u", "v"}})
     bounds = sorted({0, len(rows), *(c for c in cuts if c <= len(rows))})
     shared = MapCodeRegistry(("B", "C"))
+    encoded = []
+    shared.encode = lambda combo: encoded.append(combo) or MapCodeRegistry.encode(shared, combo)
     parts = [
         combine_dims(RelationalTable(name="general", schema=schema, rows=tuple(rows[a:b])), "K", ("B", "C"),
                      filters={"D": {"u", "v"}}, registry=shared)
@@ -560,6 +562,8 @@ def test_combine_dims_over_chunks_with_one_registry_codes_as_over_the_whole(rows
     ]
     assert all(r is shared for r, _ in parts)
     assert shared.csv_lines() == registry.csv_lines()
+    # encode sees each combination once, when it is new, in first-encounter order
+    assert encoded == [tuple(v for _, v in registry.decode(code)) for code in registry.codes]
     assert sum((part.codes for _, part in parts), ()) == md.codes
     with pytest.raises(SchemaError, match="not the selected dimensions"):
         combine_dims(general, "K", ("B",), registry=shared)

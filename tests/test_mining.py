@@ -92,6 +92,8 @@ def test_group_sets_are_sorted_code_tuples_and_groups_are_sets(code_lists):
     assert view.group_sets == tuple(tuple(sorted(set(codes))) for codes in code_lists)
     assert view.groups == tuple((f"t{j}", frozenset(codes)) for j, codes in enumerate(code_lists))
     assert all(type(codes) is frozenset for _, codes in view.groups)
+    # groups with equal codes share one tuple
+    assert all((a == b) == (a is b) for a, b in combinations(view.group_sets, 2))
 
 
 # --- extents --------------------------------------------------------------------
