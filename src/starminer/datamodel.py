@@ -9,11 +9,29 @@ or as a Python object in the :class:`RelationalTable` constructor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable, TypeVar
 
 from .errors import DataError, SchemaError
 
 Atom = str | int | float
+_T = TypeVar("_T")
+
+
+def _assign(self: _T, *values: Any) -> _T:
+    """Set the fields of the frozen dataclass instance ``self`` to ``values``,
+    one per field in their declared order, without running
+    ``__post_init__``; return it."""
+    # zip(strict=True) would check the count at a cost every miner's itemset
+    # pays; the tests check it instead
+    vars(self).update(zip(type(self).__match_args__, values))
+    return self
+
+
+def _unchecked(cls: type[_T], *values: Any) -> _T:
+    """An instance of the frozen dataclass ``cls`` whose fields are
+    ``values``, built without a check: for callers whose values hold the
+    class's invariants by construction."""
+    return _assign(cls.__new__(cls), *values)
 
 
 @dataclass(frozen=True)
@@ -165,24 +183,16 @@ class RelationalTable:
             raise SchemaError(
                 f"table {name!r}: needs {len(schema)} columns of equal length"
             )
-        self._set(name, schema, cols, n_rows)
+        _assign(self, name, schema, cols, n_rows).__post_init__()
         _scan_rows(name, schema, zip(*cols) if rows is None else rows)
 
     @classmethod
     def _of(cls, name: str, schema: tuple[AttributeSpec, ...], columns: Iterable[Iterable[Atom]]) -> RelationalTable:
         """A stage's output table: one or more columns of cells valid by construction, so none is checked."""
         cols = tuple(map(tuple, columns))
-        table = cls.__new__(cls)
-        table._set(name, schema, cols, len(cols[0]))
+        table = _unchecked(cls, name, schema, cols, len(cols[0]))
+        table.__post_init__()
         return table
-
-    def _set(self, name: str, schema: tuple[AttributeSpec, ...], columns: tuple[tuple[Atom, ...], ...],
-             n_rows: int) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "n_rows", n_rows)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         index: dict[str, int] = {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import compress, filterfalse
 from typing import Iterable, Mapping, Sequence
 
-from .datamodel import RelationalTable
+from .datamodel import RelationalTable, _unchecked
 from .errors import DataError, SchemaError
 from .mining import FrequentItemset
 
@@ -106,7 +106,8 @@ class DecodedItemset:
     order, duplicates dropped). Equality compares the pairs in that order;
     :func:`~starminer.rules.gen_rules` looks itemsets up by their pair set.
     :func:`transform_map_code` builds its itemsets through :meth:`_of`, which
-    checks nothing: it makes each pair tuple duplicate-free itself.
+    checks nothing: it builds each ``pairs`` as a duplicate-free tuple of
+    pair tuples itself.
     """
 
     pairs: tuple[Pair, ...]
@@ -118,12 +119,7 @@ class DecodedItemset:
         if len(set(self.pairs)) != len(self.pairs):
             raise DataError(f"decoded itemset has duplicate pairs: {self.pairs!r}")
 
-    @classmethod
-    def _of(cls, pairs: tuple[Pair, ...], support_count: int, support: float) -> DecodedItemset:
-        """A decoded itemset whose ``pairs`` is a duplicate-free tuple of pair tuples, so it is not checked."""
-        self = cls.__new__(cls)
-        vars(self).update(pairs=pairs, support_count=support_count, support=support)
-        return self
+    _of = classmethod(_unchecked)
 
     @property
     def pair_set(self) -> frozenset[Pair]:

@@ -52,7 +52,7 @@ from functools import cached_property
 from itertools import accumulate, chain, combinations, filterfalse, islice
 from typing import Iterable, Mapping, Sequence
 
-from .datamodel import int_from_bit_positions
+from .datamodel import _unchecked, int_from_bit_positions
 from .errors import DataError, UsageError
 
 
@@ -146,9 +146,9 @@ class TransactionView:
     def _of(cls, keys: tuple[str, ...], members: Mapping[str, Sequence[int]]) -> "TransactionView":
         """A view whose ``keys`` are distinct and whose member indices are in
         range by construction, so neither is checked."""
-        self = cls.__new__(cls)
-        vars(self).update(keys=keys, members=members, code_universe=tuple(sorted(members)))
-        return self
+        view = _unchecked(cls, keys, members)
+        object.__setattr__(view, "code_universe", tuple(sorted(members)))
+        return view
 
     @classmethod
     def from_groups(
@@ -226,12 +226,7 @@ class FrequentItemset:
         if list(self.items) != sorted(set(self.items)):
             raise DataError(f"itemset {self.items!r} must be sorted and duplicate-free")
 
-    @classmethod
-    def _of(cls, items: tuple[str, ...], support_count: int, support: float) -> FrequentItemset:
-        """A miner's itemset: ``items`` is a sorted, duplicate-free tuple, so it is not checked."""
-        self = cls.__new__(cls)
-        vars(self).update(items=items, support_count=support_count, support=support)
-        return self
+    _of = classmethod(_unchecked)
 
     @property
     def level(self) -> int:

@@ -471,26 +471,25 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 def _write_artifacts(config: RunConfig, out: Path, result: PipelineResult) -> None:
     # Each file replaces its old version whole; a failed write leaves every
     # file either as the previous run left it or as this run wrote it. Each
-    # file is rendered just before it is written, so only one file's text is
-    # alive at a time.
-    def write(name: str, content: str) -> None:
+    # line is rendered as it is written, so no file's whole text is alive.
+    def write(name: str, pieces: Iterable[str]) -> None:
         path = out / name
-        write_text_atomic(path, [content])
+        write_text_atomic(path, pieces)
         result.files[name] = path
 
     try:
         render = _Renderer()
-        write("itemsets.txt", "".join(map(render.itemset_text, result.decoded)))
-        write("itemsets.jsonl", "".join(map(render.itemset_json, result.itemsets, result.decoded)))
-        write("rules.txt", "".join(map(render.rule_text, result.rules)))
-        write("rules.jsonl", "".join(map(render.rule_json, result.rules)))
+        write("itemsets.txt", map(render.itemset_text, result.decoded))
+        write("itemsets.jsonl", map(render.itemset_json, result.itemsets, result.decoded))
+        write("rules.txt", map(render.rule_text, result.rules))
+        write("rules.jsonl", map(render.rule_json, result.rules))
 
         # the agreement check has made both miners' itemsets equal to these
         found = {
             "itemsets_per_level": Counter(str(fi.level) for fi in result.itemsets),
             "itemsets_total": len(result.itemsets),
         }
-        write("stats.json", _json_doc({
+        write("stats.json", [_json_doc({
             "minsup": config.minsup,
             "minconf": config.minconf,
             "general_rows": result.general_rows,
@@ -499,18 +498,18 @@ def _write_artifacts(config: RunConfig, out: Path, result: PipelineResult) -> No
             "rules_total": len(result.rules),
             "algorithms": {name: st.counters() for name, st in result.stats.items()},
             **found,
-        }))
+        })])
         if config.algorithm == "both":
-            write("bench_report.json", _json_doc({
+            write("bench_report.json", [_json_doc({
                 "groups": result.groups,
                 "codes": result.codes,
                 "minsup": config.minsup,
                 "algorithms": {name: {**st.counters(), **found} for name, st in result.stats.items()},
                 "agreement": True,
-            }))
+            })])
         else:
             # an earlier run's report would sit beside this run's stats.json
             (out / "bench_report.json").unlink(missing_ok=True)
-        write("registry.csv", "\n".join(result.registry.csv_lines()) + "\n")
+        write("registry.csv", ["\n".join(result.registry.csv_lines()) + "\n"])
     except OSError as exc:
         raise UsageError(f"cannot write artifacts to {out}: {exc.strerror}") from None

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .datamodel import _unchecked
 from .errors import DataError
 from .mapcode import DecodedItemset, Pair
 from .mining import threshold_in_range
@@ -43,6 +44,9 @@ class AssociationRule:
 
     The two sides are disjoint pair sets; ``support`` is the support of their
     union and ``confidence`` its ratio to the antecedent's support.
+    :func:`gen_rules` builds its rules through :meth:`_of`, which checks
+    nothing: their sides split one itemset's pairs and their confidence
+    passed ``minconf``.
     """
 
     antecedent: tuple[Pair, ...]
@@ -65,28 +69,7 @@ class AssociationRule:
                 f"support={self.support}, confidence={self.confidence}"
             )
 
-    @classmethod
-    def _of(
-        cls,
-        antecedent: tuple[Pair, ...],
-        consequent: tuple[Pair, ...],
-        support_count: int,
-        antecedent_count: int,
-        support: float,
-        confidence: float,
-    ) -> AssociationRule:
-        """A rule :func:`gen_rules` derived: its sides split one itemset's
-        pairs and its confidence passed ``minconf``, so nothing is checked."""
-        self = cls.__new__(cls)
-        vars(self).update(
-            antecedent=antecedent,
-            consequent=consequent,
-            support_count=support_count,
-            antecedent_count=antecedent_count,
-            support=support,
-            confidence=confidence,
-        )
-        return self
+    _of = classmethod(_unchecked)
 
 
 def gen_rules(

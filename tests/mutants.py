@@ -258,6 +258,20 @@ MUTANTS = [
         "            while akey & (akey - 1):\n",
         ["tests/test_fast_paths.py"],
     ),
+    (
+        "_assign pairs the fields in reversed order",
+        "src/starminer/datamodel.py",
+        "zip(type(self).__match_args__, values)",
+        "zip(reversed(type(self).__match_args__), values)",
+        ["tests/test_datamodel.py::test_each_unchecked_constructor_builds_what_the_checked_one_builds"],
+    ),
+    (
+        "_write_artifacts joins itemsets.jsonl whole again",
+        "src/starminer/pipeline.py",
+        'write("itemsets.jsonl", map(render.itemset_json, result.itemsets, result.decoded))',
+        'write("itemsets.jsonl", ["".join(map(render.itemset_json, result.itemsets, result.decoded))])',
+        ["tests/test_pipeline_cli.py::test_artifact_write_never_holds_a_whole_file"],
+    ),
 ]
 
 

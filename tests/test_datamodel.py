@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,9 @@ from starminer.datamodel import (
     bitmap_encode,
 )
 from starminer.errors import DataError, SchemaError
+from starminer.mapcode import DecodedItemset
+from starminer.mining import FrequentItemset, TransactionView
+from starminer.rules import AssociationRule
 
 
 def age_table(rows=("Young", "Middle", "Middle"), domain=None):
@@ -211,3 +216,55 @@ def test_bitmap_round_trip(table):
     for attr in table.attribute_names:
         values = [it.value for it in bm.items if it.attribute == attr]
         assert values == list(dict.fromkeys(table.column(attr)))
+
+
+# --- unchecked constructors ---------------------------------------------------
+
+_CODES = st.text("abc", min_size=1, max_size=2)
+_PAIRS = st.tuples(st.sampled_from(["A", "B"]), st.text("xy", max_size=2))
+_COUNTS = st.integers(0, 10**6)
+_FRACTIONS = st.floats(min_value=0, max_value=1, exclude_min=True)
+
+
+@st.composite
+def records(draw):
+    """A record class and values its checked constructor accepts, in the
+    order its ``_of`` takes them."""
+    cls = draw(st.sampled_from([FrequentItemset, DecodedItemset, AssociationRule, TransactionView, RelationalTable]))
+    if cls is FrequentItemset:
+        return cls, (tuple(sorted(draw(st.sets(_CODES)))), draw(_COUNTS), draw(_FRACTIONS))
+    if cls is DecodedItemset:
+        return cls, (tuple(draw(st.lists(_PAIRS, unique=True))), draw(_COUNTS), draw(_FRACTIONS))
+    if cls is AssociationRule:
+        pairs = draw(st.lists(_PAIRS, min_size=2, unique=True))
+        cut = draw(st.integers(1, len(pairs) - 1))
+        support, confidence = sorted(draw(st.lists(_FRACTIONS, min_size=2, max_size=2)))
+        return cls, (tuple(pairs[:cut]), tuple(pairs[cut:]), draw(_COUNTS), draw(_COUNTS), support, confidence)
+    if cls is TransactionView:
+        keys = tuple(draw(st.lists(_CODES, min_size=1, unique=True)))
+        return cls, (keys, draw(st.dictionaries(_CODES, st.lists(st.integers(0, len(keys) - 1)))))
+    names = draw(st.lists(_CODES, min_size=1, max_size=3, unique=True))
+    n_rows = draw(st.integers(0, 4))
+    columns = tuple(tuple(draw(st.lists(_CODES, min_size=n_rows, max_size=n_rows))) for _ in names)
+    return cls, (draw(_CODES), tuple(map(AttributeSpec, names)), columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records())
+def test_each_unchecked_constructor_builds_what_the_checked_one_builds(record):
+    cls, values = record
+    fast = cls._of(*values)
+    if cls is RelationalTable:
+        checked = cls(*values[:2], columns=values[2])
+    else:
+        checked = cls(*values)
+    # a table also keeps its name index; read the keys before == caches a view's groups
+    fields = {f.name for f in dataclasses.fields(cls)} | ({"_index"} if cls is RelationalTable else set())
+    assert vars(fast).keys() == vars(checked).keys() == fields
+    assert fast == checked
+    assert [getattr(fast, name) for name in fields] == [getattr(checked, name) for name in fields]
+
+
+def test_unchecked_table_still_rejects_a_duplicate_attribute_name():
+    with pytest.raises(SchemaError, match="duplicate attribute name 'a'"):
+        RelationalTable._of("t", (AttributeSpec("a"), AttributeSpec("a")), (("x",), ("y",)))

@@ -6,6 +6,7 @@ import os
 import random
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -15,7 +16,8 @@ from starminer.datamodel import RelationalTable
 from starminer.errors import AgreementError
 from starminer.mapcode import MdTable
 from starminer.mining import TransactionView
-from starminer.pipeline import RunConfig, run_pipeline
+from starminer.pipeline import RunConfig, _write_artifacts, run_pipeline
+from starminer.synth import SynthSpec, generate_sales
 
 
 def write_people_csv(tmp_path):
@@ -907,6 +909,29 @@ def test_rshar_run_builds_no_per_group_container(tmp_path, monkeypatch):
     monkeypatch.setattr(TransactionView, "groups", property(forbidden))
     code = run_cli(*STAR_FLAGS, "--minconf", "0.5", "--out", str(tmp_path / "out"))
     assert code == 0
+
+
+def test_artifact_write_never_holds_a_whole_file(tmp_path):
+    # a threshold of 3 groups over 100 products builds a deep lattice, whose
+    # itemsets.jsonl is the largest artifact by far
+    data = generate_sales(SynthSpec(seed=7, n_fact_rows=10_000, n_products=100), tmp_path / "data")
+    config = RunConfig(out_dir=str(tmp_path / "out"), fact=str(data["fact"]), dims=(("product", str(data["product"])),),
+                       joins=(("product_id", "product", "product_id"),), key_dim="tid",
+                       selected_dims=("product_name",), repeatable_dims=("product_name",),
+                       minsup="0.0008", minconf="0.6")
+    result = run_pipeline(config)
+    assert len(result.itemsets) > 1000 and max(fi.level for fi in result.itemsets) >= 4
+    first = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    again = tmp_path / "again"
+    again.mkdir()
+    tracemalloc.start()
+    try:
+        _write_artifacts(config, again, result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (again / "itemsets.jsonl").stat().st_size
+    assert {p.name: p.read_bytes() for p in again.iterdir()} == first
 
 
 def test_failed_artifact_write_leaves_each_file_old_or_new(tmp_path, monkeypatch):
