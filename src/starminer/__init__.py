@@ -18,7 +18,6 @@ from .datamodel import (
 )
 from .errors import AgreementError, DataError, SchemaError, StarMinerError, UsageError
 from .ingest import (
-    csv_chunks,
     discretize,
     join_tables,
     load_csv,
@@ -75,7 +74,6 @@ __all__ = [
     "brute_force_frequent",
     "build_item_extents",
     "combine_dims",
-    "csv_chunks",
     "discretize",
     "exact_fraction",
     "fi_gen",

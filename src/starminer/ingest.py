@@ -3,9 +3,9 @@ discretize quantitative attributes into categorical bins.
 
 CSV dialect is deliberately strict: UTF-8, header row, comma delimiter, and
 no quoting (files that quote delimiters inside values are rejected). A file
-is read one chunk of text at a time, and each of its columns becomes a tuple
-as soon as it is complete; :func:`csv_chunks` also hands a file out as CSV
-texts that load one at a time. Joins enforce referential integrity; a fact
+is read and checked one chunk of text at a time. :func:`load_csv` turns each
+column into a tuple once the last chunk is in; the pipeline instead takes the
+fact file as one table per chunk. Joins enforce referential integrity; a fact
 key with no dimension match is an error, never a silent row drop, because
 dropped rows corrupt support counts downstream.
 """
@@ -16,48 +16,41 @@ import math
 import os
 from collections import deque
 from contextlib import contextmanager
+from functools import partial
 from itertools import chain, product, repeat
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Iterator, Sequence, TextIO, TypeVar
+from typing import IO, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .datamodel import Atom, AttributeSpec, RelationalTable
-from .errors import DataError, SchemaError, UsageError
+from .errors import DataError, SchemaError
 
 T = TypeVar("T")
 
 _MAX_LISTED_ORPHANS = 20
-# Characters of text load_csv reads at once. Larger chunks also scatter their
-# freed strings among the kept distinct values, which then stay resident.
+# Characters of text a CSV file is read in at once. Larger chunks also scatter
+# their freed strings among the kept distinct values, which then stay resident.
 _CHUNK_CHARS = 1 << 16
 
 
-def _label(source: Path | TextIO) -> Path:
-    """The name errors give ``source``: its path, or an open stream's name."""
-    return source if isinstance(source, Path) else Path(getattr(source, "name", "<stream>"))
-
-
 @contextmanager
-def _open_text(source: Path | TextIO) -> Iterator[TextIO]:
-    """A path opened as UTF-8 text, less a leading BOM (which would corrupt
-    the first header name), or an open text stream as it is. Every failure
-    to open or decode it is a DataError that names it."""
+def _open_text(path: Path) -> Iterator[IO[str]]:
+    """``path`` opened as UTF-8 text, less a leading BOM (which would corrupt
+    the first header name). Every failure to open or decode it is a
+    DataError that names it."""
     try:
-        if isinstance(source, Path):
-            with source.open(encoding="utf-8-sig") as fh:
-                yield fh
-        else:
-            yield source
+        with path.open(encoding="utf-8-sig") as fh:
+            yield fh
     except FileNotFoundError:
-        raise DataError(f"no such file: {source}") from None
+        raise DataError(f"no such file: {path}") from None
     except IsADirectoryError:
-        raise DataError(f"{source}: is a directory, expected a CSV file") from None
+        raise DataError(f"{path}: is a directory, expected a CSV file") from None
     except UnicodeDecodeError as exc:
-        raise DataError(f"{_label(source)}: not valid UTF-8 text ({exc.reason})") from None
+        raise DataError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
     except OSError as exc:
-        raise DataError(f"cannot read {_label(source)}: {exc.strerror}") from None
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _read_chunks(fh: TextIO) -> Iterator[str]:
+def _read_chunks(fh: IO[str]) -> Iterator[str]:
     """The rest of ``fh`` in texts of about ``_CHUNK_CHARS`` characters,
     each read on to the next line feed, where str.splitlines also ends a line."""
     return iter(lambda: fh.read(_CHUNK_CHARS) + fh.readline(), "")
@@ -98,101 +91,95 @@ def read_header(path: str | Path) -> list[str]:
     return names
 
 
-def csv_chunks(path: str | Path) -> Iterator[str]:
-    """The strict CSV file at ``path`` as CSV texts that each stand alone:
-    the header line, then about ``_CHUNK_CHARS`` characters of whole lines.
+def _cell_chunks(path: Path, schema: tuple[AttributeSpec, ...]) -> Iterator[list[list[str]]]:
+    """The data rows of the strict CSV file at ``path``, read one chunk at a
+    time, as each chunk's cells column by column.
 
-    :func:`load_csv` of each text, in order, gives the file's rows in order;
-    an empty file is one empty text. Row numbers in a text's errors count
-    from its own first row, so a caller that reports errors to the user
-    loads the whole file to report them. Failures to open or decode the file
-    are DataErrors, as in :func:`load_csv`.
+    The header is checked once, and each chunk's quotes, widths and numbers
+    as it is read; a failed check raises the file's first error, with row
+    numbers counted from its first line. The header's chunk comes first even
+    if it holds no row, so a file of a header alone is one chunk of empty
+    columns. Nothing here holds a chunk once it has been yielded.
     """
-    path = Path(path)
     with _open_text(path) as fh:
-        chunks = _read_chunks(fh)
-        first = next(chunks, "")
-        # The header ends where str.splitlines says, which can be before the
-        # "\n": the rest of that physical line is a data row. Its line end is
-        # one character, since universal newlines turn "\r\n" into "\n".
-        header = (first.partition("\n")[0].splitlines() or [""])[0]
-        yield f"{header}\n{first[len(header) + 1:]}" if first else ""
-        for body in chunks:
-            yield f"{header}\n{body}"
+        chunks = map(str.splitlines, _read_chunks(fh))
+        # the header ends where splitlines says, which can be before the "\n"
+        lines = next(chunks, [""])
+        if lines[0].split(",") != [s.name for s in schema]:
+            raise _first_row_error(path, schema)
+        rows = chain([lines[1:]], chunks)
+        del lines
+        # map keeps no chunk between calls, where a loop's variables would
+        # keep the last one alive while the next is read
+        yield from map(partial(_checked_cells, path, schema), rows)
+
+
+def _checked_cells(path: Path, schema: tuple[AttributeSpec, ...], lines: list[str]) -> list[list[str]]:
+    """The cells of ``lines``, one chunk's rows of the file at ``path``,
+    column by column, once each row holds no quote and one value per
+    attribute, and each quantitative cell is a finite number."""
+    width = len(schema)
+    joined = ",".join(lines)
+    # a line splits into width cells exactly when it has width - 1 commas
+    if '"' in joined or set(map(str.count, lines, repeat(","))) - {width - 1}:
+        raise _first_row_error(path, schema)
+    flat = joined.split(",") if lines else []  # the header's chunk may hold no row
+    columns = [flat[j::width] for j in range(width)]
+    numbers = {cell for spec, cells in zip(schema, columns) if not spec.is_categorical() for cell in cells}
+    try:
+        finite = all(map(math.isfinite, map(float, numbers)))
+    except ValueError:
+        finite = False
+    if not finite:
+        raise _first_row_error(path, schema)
+    return columns
 
 
 def load_csv(
-    source: str | Path | TextIO, schema: Sequence[AttributeSpec], name: str | None = None
+    path: str | Path,
+    schema: Sequence[AttributeSpec],
+    name: str | None = None,
+    chunks: Iterable[list[list[str]]] | None = None,
 ) -> RelationalTable:
-    """Parse a strict CSV file, or an open text stream, against a declared schema.
+    """Parse a strict CSV file against a declared schema.
 
     The header must match the schema names in order. Cells of quantitative
     attributes are parsed as finite numbers; failures report the 1-based data
     row number. The table is named ``name``, by default the file's stem.
 
-    A stream (such as one text of :func:`csv_chunks` in an ``io.StringIO``)
-    is read from its current position, as it is: open a file with the
-    ``utf-8-sig`` encoding to drop a BOM. Its errors name it by its ``name``
-    attribute (``<stream>`` if it has none), and it must be seekable, since
-    an error is located by reading it again.
-
-    The text is read one chunk at a time, each ending at a line end, and each
+    The file is read one chunk at a time, each ending at a line end, and each
     chunk's lines are split into column slices. A column keeps one object
     per distinct value: equal cells share one ``str`` (or, for a
     quantitative column, one ``float``). Once the last chunk is in, each
     column list is turned into its tuple and released before the next.
+
+    Given ``chunks``, some of the file's chunks as ``_cell_chunks`` yields
+    them, the table holds their rows alone, pooled afresh: the pipeline loads
+    the fact file so, one table per chunk.
     """
-    if isinstance(source, (str, os.PathLike)):
-        source = Path(source)
-    schema = tuple(schema)
-    width = len(schema)
+    path, schema = Path(path), tuple(schema)
     pools: list[dict[str, str]] = [{} for _ in schema]
     parts: list[list[str]] = [[] for _ in schema]
-    with _open_text(source) as fh:
-        start = None
-        if not isinstance(source, Path):
-            if not fh.seekable():
-                raise UsageError(f"{_label(source)}: load_csv reads a stream only if it can seek")
-            start = fh.tell()
-        chunks = map(str.splitlines, _read_chunks(fh))
-        # the header ends where splitlines says, which can be before the "\n"
-        lines = next(chunks, [""])
-        if lines[0].split(",") != [s.name for s in schema]:
-            raise _first_row_error(source, schema, start)
-        for lines in chain([lines[1:]], chunks):
-            joined = ",".join(lines)
-            # a line splits into width cells exactly when it has width - 1 commas
-            if '"' in joined or set(map(str.count, lines, repeat(","))) - {width - 1}:
-                raise _first_row_error(source, schema, start)
-            flat = joined.split(",") if lines else []  # the header's chunk may hold no row
-            for j, (pool, part) in enumerate(zip(pools, parts)):
-                cells = flat[j::width]
-                part.extend(map(pool.setdefault, cells, cells))
+    for chunk in _cell_chunks(path, schema) if chunks is None else chunks:
+        for pool, part, cells in zip(pools, parts, chunk):
+            part.extend(map(pool.setdefault, cells, cells))
     columns: list[tuple[Atom, ...]] = []
     for spec in schema:
         pool, part = pools.pop(0), parts.pop(0)
         if not spec.is_categorical():
-            try:
-                number = {cell: float(cell) for cell in pool}
-            except ValueError:
-                raise _first_row_error(source, schema, start) from None
-            if not all(map(math.isfinite, number.values())):
-                raise _first_row_error(source, schema, start)
+            number = {cell: float(cell) for cell in pool}
             part = map(number.__getitem__, part)
         columns.append(tuple(part))
-    return RelationalTable._of(_label(source).stem if name is None else name, schema, columns)
+    return RelationalTable._of(path.stem if name is None else name, schema, columns)
 
 
-def _first_row_error(source: Path | TextIO, schema: tuple[AttributeSpec, ...], start: int | None) -> DataError:
-    """The error for text that failed one of :func:`load_csv`'s bulk checks,
-    found by reading it again (a stream from ``start``) line by line: the
-    header, then per row a quote, the number of values and each finite
-    number. The rest of the text is still read, so text that is not UTF-8 is
-    reported wherever it is."""
-    with _open_text(source) as fh:
-        if start is not None:
-            fh.seek(start)
-        error = next(_line_errors(_label(source), schema, chain.from_iterable(map(str.splitlines, fh))), None)
+def _first_row_error(path: Path, schema: tuple[AttributeSpec, ...]) -> DataError:
+    """The error of a file that failed one of the bulk checks, found by
+    reading it again from its first line, line by line: the header, then per
+    row a quote, the number of values and each finite number. The rest of the
+    file is still read, so text that is not UTF-8 is reported wherever it is."""
+    with _open_text(path) as fh:
+        error = next(_line_errors(path, schema, chain.from_iterable(map(str.splitlines, fh))), None)
         deque(fh, maxlen=0)
     if error is None:
         raise AssertionError("no bad line in a file that failed its bulk checks")

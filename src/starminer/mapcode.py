@@ -18,6 +18,8 @@ from .errors import DataError, SchemaError
 from .mining import FrequentItemset
 
 Pair = tuple[str, str]
+# registry.csv's backslash escapes, for the characters that end a name or a pair
+_ESCAPES = str.maketrans({"\\": "\\\\", ";": "\\;", "=": "\\="})
 
 
 def _unknown_code(code: str) -> DataError:
@@ -71,9 +73,10 @@ class MapCodeRegistry:
         return len(self._code_by_combo)
 
     def csv_lines(self) -> list[str]:
-        """Audit export: one ``code,dim=value;dim=value`` line per entry."""
+        """Audit export: one ``code,dim=value;dim=value`` line per entry, where a
+        backslash escapes each ``\\``, ``;`` and ``=`` in a name or a value."""
         return ["code,combo"] + [
-            f"{code},{';'.join(f'{d}={v}' for d, v in pairs)}"
+            f"{code},{';'.join(f'{d.translate(_ESCAPES)}={v.translate(_ESCAPES)}' for d, v in pairs)}"
             for code, pairs in self._pairs_by_code.items()
         ]
 

@@ -13,18 +13,17 @@ function of (seed, config): wall-clock timings stay in the in-memory
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import types
 import typing
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .datamodel import AttributeSpec, RelationalTable
 from .errors import AgreementError, SchemaError, StarMinerError, UsageError
-from .ingest import csv_chunks, discretize, join_tables, load_csv, read_header, write_text_atomic
+from .ingest import _cell_chunks, discretize, join_tables, load_csv, read_header, write_text_atomic
 from .mapcode import DecodedItemset, MapCodeRegistry, MdTable, Pair, combine_dims, transform_map_code
 from .mining import (
     FrequentItemset,
@@ -341,21 +340,29 @@ def _schemas(config: RunConfig, paths: Mapping[str, Path]) -> dict[str, tuple[At
     }
 
 
+def _fact_tables(path: Path, schema: tuple[AttributeSpec, ...]) -> Iterator[RelationalTable]:
+    """The fact file at ``path`` as one table per chunk of rows, in file
+    order. Each is built by ``load_csv``, with pools of its own, so the load
+    stage covers every fact row. Nothing of a chunk is held once its table
+    is yielded, and a bad row raises the whole file's first error."""
+    return map(lambda chunk: load_csv(path, schema, "fact", [chunk]), _cell_chunks(path, schema))
+
+
 def _ingest(
     config: RunConfig,
     paths: Mapping[str, Path],
     schemas: Mapping[str, tuple[AttributeSpec, ...]],
-    sources: Iterable[Path | TextIO],
+    facts: Iterable[RelationalTable],
     result: PipelineResult,
 ) -> Iterator[MdTable]:
-    """Load, join, discretize and code each source of fact rows in turn,
-    yielding each source's (key, code) table.
+    """Join, discretize and code each table of fact rows in turn, yielding
+    each one's (key, code) table.
 
-    Sets ``result.registry`` to the one registry that codes every source
-    and counts the general-table rows in ``result.general_rows``, both
-    afresh when the first source is drawn. The dimensions load once, after
-    the first source, so an error in a whole fact file wins over a
-    dimension's, as it would if every table loaded first.
+    Sets ``result.registry`` to the one registry that codes every table and
+    counts the general-table rows in ``result.general_rows``, both afresh
+    when the first table is drawn. The dimensions load once, after the first
+    table, so an error in a whole fact file wins over a dimension's, as it
+    would if every table loaded first.
     """
     assert config.key_dim is not None
     needed = [config.key_dim, *config.selected_dims, *(d for d, _ in config.filters)]
@@ -365,9 +372,8 @@ def _ingest(
     registry = result.registry = MapCodeRegistry(config.selected_dims)
     result.general_rows = 0
     dims = None
-    for source in sources:
-        fact = load_csv(source, schemas["fact"], name="fact")
-        if dims is None:  # the first source
+    for fact in facts:
+        if dims is None:  # the first table
             dims = {name: load_csv(paths[name], schema, name=name) for name, schema in schemas.items() if name != "fact"}
             projected = config.projected or _derive_projection(fact, dims, needed)
             links = [(fact_key, dims[dim], dim_key) for fact_key, dim, dim_key in config.joins]
@@ -417,21 +423,23 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             raise UsageError(f"cannot remove earlier artifacts from {out}: {exc.strerror}") from None
         return result
 
-    # The fact file streams through the stages one chunk at a time, and
+    # The fact file streams through the stages one table per chunk, and
     # group_by_key groups each chunk's (key, code) table as soon as it is
     # made, so only one chunk's tables are alive beside the dimensions and
-    # the groups. A chunk's error counts rows from the chunk's first line,
-    # and a load error further on in the file must win over it, so any error
-    # drops the partial groups and reruns the stages once over the whole
-    # file, which reports it as a whole-table run does. The rerun starts
-    # outside the handler, whose traceback would keep the failed pass alive.
+    # the groups. A load error further on in the file must win over an
+    # earlier chunk's join or bin error, so any error drops the partial
+    # groups and reruns the stages once over the whole file, which reports
+    # it as a whole-table run does. The rerun starts outside the handler,
+    # whose traceback would keep the failed pass alive; map keeps no
+    # reference to its one table.
     schemas = _schemas(config, paths)
+    fact, schema = paths["fact"], schemas["fact"]
     try:
-        view = group_by_key(_ingest(config, paths, schemas, map(io.StringIO, csv_chunks(paths["fact"])), result))
+        view = group_by_key(_ingest(config, paths, schemas, _fact_tables(fact, schema), result))
     except StarMinerError:
         view = None
     if view is None:
-        view = group_by_key(_ingest(config, paths, schemas, [paths["fact"]], result))
+        view = group_by_key(_ingest(config, paths, schemas, map(load_csv, [fact], [schema], ["fact"]), result))
     assert result.registry is not None
     result.codes = len(result.registry)
     result.groups = view.n_groups

@@ -128,8 +128,8 @@ MUTANTS = [
     (
         "load_csv takes non-finite numbers",
         "src/starminer/ingest.py",
-        "if not all(map(math.isfinite, number.values())):",
-        "if False:",
+        "finite = all(map(math.isfinite, map(float, numbers)))",
+        "finite = [*map(float, numbers)] is not None",
         ["tests/test_ingest_fast_paths.py::test_load_csv_matches_line_parser"],
     ),
     (
@@ -271,6 +271,27 @@ MUTANTS = [
         'write("itemsets.jsonl", map(render.itemset_json, result.itemsets, result.decoded))',
         'write("itemsets.jsonl", ["".join(map(render.itemset_json, result.itemsets, result.decoded))])',
         ["tests/test_pipeline_cli.py::test_artifact_write_never_holds_a_whole_file"],
+    ),
+    (
+        "the per-chunk reader shares one pool across all chunks",
+        "src/starminer/ingest.py",
+        "    pools: list[dict[str, str]] = [{} for _ in schema]\n",
+        "    pools: list[dict[str, str]] = [*vars(load_csv).setdefault(\"pools\", [{} for _ in schema])]\n",
+        ["tests/test_stream.py::test_the_chunk_reader_holds_nothing_of_a_chunk_when_it_reads_the_next"],
+    ),
+    (
+        "a header-only file yields no table",
+        "src/starminer/ingest.py",
+        "        rows = chain([lines[1:]], chunks)\n",
+        "        rows = chain(filter(None, [lines[1:]]), chunks)\n",
+        ["tests/test_stream.py::test_a_header_only_fact_file_and_an_empty_one"],
+    ),
+    (
+        "the reader skips its quote check",
+        "src/starminer/ingest.py",
+        """    if '"' in joined or set(map(str.count, lines, repeat(","))) - {width - 1}:""",
+        """    if set(map(str.count, lines, repeat(","))) - {width - 1}:""",
+        ["tests/test_ingest_fast_paths.py::test_load_csv_matches_line_parser"],
     ),
 ]
 

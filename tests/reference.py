@@ -13,6 +13,7 @@ run: pair sets and code sets are sorted tuples and records are sorted.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +46,28 @@ class Expected:
     itemsets: list[tuple[tuple[str, ...], tuple[Pair, ...], int]]  # codes, pairs, count
     rules: list[tuple[tuple[Pair, ...], tuple[Pair, ...], int, int]]  # antecedent, consequent, counts
     registry: list[tuple[str, tuple[Pair, ...]]]  # code, pairs in selected-dimension order
+
+
+def parse_registry(text: str) -> list[tuple[str, tuple[Pair, ...]]]:
+    """The entries of a ``registry.csv`` text after its header: each code
+    with its (dimension, value) pairs. A backslash escapes the character
+    after it; an unescaped ``=`` ends a name, and an unescaped ``;`` a pair."""
+    entries = []
+    for line in text.splitlines()[1:]:
+        code, combo = line.split(",", 1)
+        pairs, fields, field = [], [], ""
+        for escaped, mark, plain in re.findall(r"\\(.)|([;=])|([^\\;=]+)", combo):
+            if not mark:
+                field += escaped or plain
+                continue
+            fields.append(field)
+            field = ""
+            if mark == ";":
+                pairs.append(tuple(fields))
+                fields = []
+        pairs.append((*fields, field))
+        entries.append((code, tuple(pairs)))
+    return entries
 
 
 def read_csv(path: Path, binned: set[str]) -> list[dict[str, str]]:

@@ -123,10 +123,7 @@ def written(out: Path) -> reference.Expected:
     def pairs(items):
         return tuple(sorted((p["dimension"], p["value"]) for p in items))
 
-    registry = []
-    for line in (out / "registry.csv").read_text(encoding="utf-8").splitlines()[1:]:
-        code, combo = line.split(",")
-        registry.append((code, tuple(tuple(part.split("=")) for part in combo.split(";"))))
+    registry = reference.parse_registry((out / "registry.csv").read_text(encoding="utf-8"))
     return reference.Expected(
         itemsets=sorted((tuple(sorted(r["codes"])), pairs(r["items"]), r["support_count"])
                         for r in records("itemsets.jsonl")),
@@ -151,9 +148,24 @@ DEDUPE = (
 )
 
 
+# Names and values that hold registry.csv's separators and its escape.
+ESCAPED = (
+    {
+        "product.csv": "product_id,name=\\;\nP1,Salt=Pepper;Lemon\\\nP2,Beer\n",
+        "fact.csv": "tid,product_id\nT1,P1\nT1,P2\nT2,P1\n",
+    },
+    reference.Inputs(
+        fact=Path("fact.csv"), dims=(("product", Path("product.csv")),),
+        joins=(("product_id", "product", "product_id"),), key_dim="tid", selected=("name=\\;",),
+        filters=(), bins=(), minsup="0.5", minconf="0.5", repeatable=(),
+    ),
+)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(schema=star_schemas())
 @example(schema=DEDUPE)
+@example(schema=ESCAPED)
 def test_cli_matches_the_reference_pipeline(schema):
     files, inputs = schema
     with tempfile.TemporaryDirectory() as tmp:

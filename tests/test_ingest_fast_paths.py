@@ -9,7 +9,6 @@ Each test asserts that the fast path accepts the same inputs, builds the same
 values and raises the same ``DataError`` text.
 """
 
-import io
 import math
 import tempfile
 import tracemalloc
@@ -23,14 +22,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from starminer import ingest
+from starminer import ingest, pipeline
 from starminer.datamodel import (
     AttributeSpec,
     Bin,
     RelationalTable,
     _check_cell,
 )
-from starminer.errors import DataError, SchemaError, UsageError
+from starminer.errors import DataError, SchemaError
 from starminer.ingest import discretize, join_tables, load_csv
 from starminer.mapcode import MapCodeRegistry, MdTable, combine_dims
 from starminer.mining import (
@@ -347,52 +346,34 @@ def test_load_csv_matches_line_parser(body, ends, last_end, bom, chunk):
     last_end=st.sampled_from(["", *TERMINATORS]),
     bom=st.booleans(),
     chunk=st.integers(1, 8),
-    skipped=st.sampled_from(["", "x\n", "tid,qty,city\n"]),
 )
-@example(body=["t1,1,Melb", "t1,x,Melb"], ends=["\x0b", *LF[1:]], last_end="\n", bom=True, chunk=8, skipped="x\n")
-def test_load_csv_of_a_stream_or_of_its_chunks_matches_the_file(body, ends, last_end, bom, chunk, skipped):
-    # a stream is read from where it stands; csv_chunks' texts each load
-    # alone, and together hold the file's rows or an error of it
+@example(body=["t1,1,Melb", "t1,x,Melb"], ends=["\x0b", *LF[1:]], last_end="\n", bom=True, chunk=8)
+def test_fact_tables_hold_load_csvs_rows_or_raise_its_error(body, ends, last_end, bom, chunk):
+    # the per-chunk tables, in order, hold the file's rows; a bad row raises
+    # the whole file's first error, with its row number in the file
     lines = ["tid,qty,city", *body]
     text = "\ufeff" * bom + "".join(map(str.__add__, lines, [*ends[: len(lines) - 1], last_end]))
     with tempfile.TemporaryDirectory() as tmp, patch.object(ingest, "_CHUNK_CHARS", chunk):
         path = Path(tmp) / "fact.csv"
         path.write_bytes(text.encode("utf-8"))
-        by_path = outcome(lambda: load_csv(path, LOAD_SCHEMA))
-        with path.open(encoding="utf-8-sig") as fh:
-            by_file = outcome(lambda: load_csv(fh, LOAD_SCHEMA))
-        stream = io.StringIO(skipped + path.read_text(encoding="utf-8-sig"))
-        stream.seek(len(skipped))
-        by_stream = outcome(lambda: load_csv(stream, LOAD_SCHEMA, name="fact"))
-        by_chunks = [outcome(lambda: load_csv(io.StringIO(t), LOAD_SCHEMA, name="fact")) for t in ingest.csv_chunks(path)]
-    assert by_file == by_path
-    assert by_stream == (by_path if by_path[0] == "ok" else ("error", by_path[1].replace(str(path), "<stream>")))
-    if by_path[0] == "ok":
-        assert all(kind == "ok" for kind, _ in by_chunks)
-        assert tuple(row for _, table in by_chunks for row in table.rows) == by_path[1].rows
-    else:
-        assert any(kind == "error" for kind, _ in by_chunks)
+        whole = outcome(lambda: load_csv(path, LOAD_SCHEMA, name="fact"))
+        by_chunks = outcome(lambda: list(pipeline._fact_tables(path, LOAD_SCHEMA)))
+    if by_chunks[0] == "ok":
+        for table in by_chunks[1]:
+            assert_checked_rebuild_equal(table)
+            assert table.name == "fact" and all(map(one_object_per_value, table.columns))
+        by_chunks = ("ok", tuple(row for table in by_chunks[1] for row in table.rows))
+        whole = (whole[0], whole[1].rows) if whole[0] == "ok" else whole
+    assert by_chunks == whole
 
 
-def test_text_that_is_not_utf8_in_an_open_stream_is_a_data_error_naming_it(tmp_path):
+def test_text_that_is_not_utf8_is_a_data_error_naming_the_file(tmp_path):
     path = tmp_path / "fact.csv"
     path.write_bytes(b"tid,qty,city\n" + b"t1,1,Melb\n" * 5000 + b"\xff\n")
-    with path.open(encoding="utf-8-sig") as fh, pytest.raises(DataError, match=f"^{path}: not valid UTF-8"):
-        load_csv(fh, LOAD_SCHEMA)
     with pytest.raises(DataError, match=f"^{path}: not valid UTF-8"):
-        list(ingest.csv_chunks(path))
-
-
-class Pipe(io.StringIO):
-    name = "pipe"
-
-    def seekable(self):
-        return False
-
-
-def test_a_stream_that_cannot_seek_is_a_usage_error():
-    with pytest.raises(UsageError, match="^pipe: load_csv reads a stream only if it can seek$"):
-        load_csv(Pipe("tid,qty,city\nt1,1,Melb\n"), LOAD_SCHEMA)
+        load_csv(path, LOAD_SCHEMA)
+    with pytest.raises(DataError, match=f"^{path}: not valid UTF-8"):
+        list(pipeline._fact_tables(path, LOAD_SCHEMA))
 
 
 def test_load_csv_holds_about_one_chunk_beyond_its_table(tmp_path):

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import reference
 from starminer.datamodel import AttributeSpec, RelationalTable
 from starminer.errors import DataError, SchemaError
 from starminer.mapcode import (
@@ -136,9 +139,27 @@ def test_code_width_grows_past_9999():
 def test_registry_csv_export_format():
     registry = MapCodeRegistry(("Channel", "Product"))
     registry.encode(("Direct sales", "Men-Jeans"))
+    registry.encode(("Direct=sales", "Salt;Pepper\\"))
     assert registry.csv_lines() == [
         "code,combo",
         "0001,Channel=Direct sales;Product=Men-Jeans",
+        "0002,Channel=Direct\\=sales;Product=Salt\\;Pepper\\\\",
+    ]
+
+
+SEPARATED = st.text(alphabet="a\\;= ", max_size=6)
+
+
+@given(
+    dims=st.lists(SEPARATED.filter(bool), min_size=1, max_size=3, unique=True),
+    rows=st.lists(st.lists(SEPARATED, min_size=3, max_size=3), min_size=1, max_size=4),
+)
+def test_registry_csv_parses_back_to_names_and_values_that_hold_its_separators(dims, rows):
+    registry = MapCodeRegistry(dims)
+    combos = list(dict.fromkeys(tuple(row[: len(dims)]) for row in rows))
+    codes = [registry.encode(combo) for combo in combos]
+    assert reference.parse_registry("\n".join(registry.csv_lines())) == [
+        (code, tuple(zip(dims, combo))) for code, combo in zip(codes, combos)
     ]
 
 

@@ -804,6 +804,10 @@ NAMED_LOAD_FAILURES = [
      "{fact}: header names must be non-empty and distinct, got ['tid', 'p', 'p']"),
     ("empty-dim-header-name", "tid,v,p\nT1,1,a\n", ["--dim=d={tmp}/d.csv", "--join=p:d:pid"],
      "{tmp}/d.csv: header names must be non-empty and distinct, got ['pid', '']"),
+    # U+2028 ends a row, as every line boundary of str.splitlines does, so
+    # p5.csv's one line in an editor is two rows of one value each
+    ("line-separator-in-a-value", "tid,v,p\nT1,1,P1\n", ["--dim=p5={tmp}/p5.csv", "--join=p:p5:pid"],
+     "{tmp}/p5.csv row 2: expected 2 values, got 1"),
 ]
 
 
@@ -816,6 +820,7 @@ def test_cli_load_errors_name_their_file_in_file_order(tmp_path, capsys, fact_te
     fact = tmp_path / "f.csv"
     fact.write_text(fact_text, encoding="utf-8")
     (tmp_path / "d.csv").write_text("pid,\na,x\n", encoding="utf-8")
+    (tmp_path / "p5.csv").write_text("pid,name\nP1,Salt\u2028Pepper\n", encoding="utf-8")
     code = run_cli(
         "--fact", str(fact), "--key-dim", "tid", "--combine-dims", "p",
         "--minsup", "0.5", "--minconf", "0.5", "--out", str(tmp_path / "out"),

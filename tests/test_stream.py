@@ -1,18 +1,20 @@
 """The fact file streamed through ingest one chunk at a time, against the
 whole-table run it replaces.
 
-``run_pipeline`` passes the fact file through ``load_csv``, ``join_tables``,
-``discretize`` and ``combine_dims`` in texts of about ``ingest._CHUNK_CHARS``
-characters, and reruns those stages once over the whole file when a chunk
-raises. These tests shrink the chunks to a few characters, so that small
-inputs cross many chunk boundaries, and hold each streamed run to a
-whole-table run of the same input: exit code, error line and every byte
-written to ``--out``.
+``run_pipeline`` reads the fact file as one table per chunk of about
+``ingest._CHUNK_CHARS`` characters, passes each through ``join_tables``,
+``discretize`` and ``combine_dims``, and reruns those stages once over the
+whole file when a chunk raises. These tests shrink the chunks to a few
+characters, so that small inputs cross many chunk boundaries, and hold each
+streamed run to a whole-table run of the same input: exit code, error line
+and every byte written to ``--out``.
 """
 
 import contextlib
 import io
 import tempfile
+import tracemalloc
+import weakref
 from pathlib import Path
 from unittest.mock import patch
 
@@ -22,12 +24,13 @@ from hypothesis import strategies as st
 
 from starminer import ingest, pipeline
 from starminer.cli import main
+from starminer.datamodel import AttributeSpec
 from starminer.errors import DataError
 from starminer.synth import DIMENSION_TABLES, SynthSpec, generate_sales
 from test_differential import DEDUPE, star_schemas
 
 
-def no_chunks(path):
+def no_chunks(path, schema):
     raise DataError("no chunks")
 
 
@@ -39,7 +42,7 @@ def run(argv: list[str], chunk: int, whole: bool = False) -> tuple[int, str, dic
     out = Path(argv[argv.index("--out") + 1])
     err = io.StringIO()
     with (patch.object(ingest, "_CHUNK_CHARS", chunk),
-          patch.object(pipeline, "csv_chunks", no_chunks if whole else ingest.csv_chunks),
+          patch.object(pipeline, "_fact_tables", no_chunks if whole else pipeline._fact_tables),
           contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
         code = main(argv)
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
@@ -113,10 +116,10 @@ def good_rows() -> list[str]:
 def chunk_of(fact: Path, row: int) -> int:
     """The index of the 64-character chunk that holds data row ``row`` (1-based)."""
     seen = 0
-    with patch.object(ingest, "_CHUNK_CHARS", 64):
-        texts = list(ingest.csv_chunks(fact))
+    with patch.object(ingest, "_CHUNK_CHARS", 64), fact.open(encoding="utf-8-sig") as fh:
+        texts = list(ingest._read_chunks(fh))
     for i, text in enumerate(texts):
-        seen += len(text.splitlines()) - 1
+        seen += len(text.splitlines()) - (i == 0)  # the first chunk starts with the header
         if seen >= row:
             return i
     raise AssertionError(f"no row {row}")
@@ -206,6 +209,10 @@ def test_a_header_only_fact_file_and_an_empty_one(tmp_path):
     code, err, files = streamed_and_whole(star(tmp_path, []), 64)
     assert (code, err) == (0, "")
     assert files["itemsets.txt"] == b"" and b'"groups": 0' in files["stats.json"]
+    # the header's chunk is one empty table, which draws the dimensions in
+    code, err, _ = streamed_and_whole(star(tmp_path, [], dim='cust_id,age\nc0,"Young"\n'), 64)
+    assert (code, err) == (2, f"starminer: data error: {tmp_path / 'customer.csv'} row 1: quoted values are not "
+                              "supported; this format forbids delimiters inside values\n")
 
     (tmp_path / "empty.csv").write_text("", encoding="utf-8")
     argv = star(tmp_path, good_rows())
@@ -235,17 +242,45 @@ def test_each_dimension_is_indexed_once_however_many_chunks_it_joins(tmp_path):
     assert files == run(argv, 64, whole=True)[2]
 
 
-# --- csv_chunks ---------------------------------------------------------------
+# --- the chunk reader ---------------------------------------------------------
 
-def test_csv_chunks_repeat_the_header_before_whole_lines(tmp_path):
+def test_fact_tables_cut_the_file_into_its_rows_in_order(tmp_path):
     fact = tmp_path / "fact.csv"
     fact.write_bytes("\ufefftid,v\x0bt0,0\r\n".encode() + b"".join(b"t%d,%d\n" % (i, i) for i in range(1, 30)))
+    schema = (AttributeSpec("tid"), AttributeSpec("v", bins=(("lo", 0, 100),)))
     with patch.object(ingest, "_CHUNK_CHARS", 16):
-        texts = list(ingest.csv_chunks(fact))
-    assert len(texts) > 3
-    assert all(text.startswith("tid,v\n") and text.endswith("\n") for text in texts)
-    assert [line for text in texts for line in text.splitlines()[1:]] == [f"t{i},{i}" for i in range(30)]
-    fact.write_bytes(b"")
-    assert list(ingest.csv_chunks(fact)) == [""]
+        tables = list(pipeline._fact_tables(fact, schema))
+    assert len(tables) > 3 and all(table.name == "fact" and table.n_rows for table in tables)
+    assert [row for table in tables for row in table.rows] == [(f"t{i}", float(i)) for i in range(30)]
     fact.write_bytes(b"tid,v")
-    assert list(ingest.csv_chunks(fact)) == ["tid,v\n"]
+    assert [table.rows for table in pipeline._fact_tables(fact, schema)] == [()]
+    fact.write_bytes(b"")
+    with pytest.raises(DataError, match=f"^{fact}: empty file, expected a header row$"):
+        list(pipeline._fact_tables(fact, schema))
+
+
+def test_the_chunk_reader_holds_nothing_of_a_chunk_when_it_reads_the_next(tmp_path):
+    # every row has a new tid, so a pool kept from one chunk to the next
+    # would grow with the file, as would a chunk's lines or cells kept by
+    # the reader while it reads the next one
+    fact = tmp_path / "fact.csv"
+    fact.write_text("tid,v\n" + "".join(f"t{i:06},{i % 7}\n" for i in range(40_000)), encoding="utf-8")
+    schema = (AttributeSpec("tid"), AttributeSpec("v", bins=(("lo", 0, 100),)))
+    chunks, first, most = 0, None, 0
+    with patch.object(ingest, "_CHUNK_CHARS", 1 << 13):
+        tracemalloc.start()
+        try:
+            for table in pipeline._fact_tables(fact, schema):
+                ref = weakref.ref(table)
+                del table
+                assert ref() is None, f"the reader holds chunk {chunks}'s table"
+                chunks += 1
+                # what is alive as the reader goes on to the next chunk,
+                # beyond what was alive once it had read the first one
+                alive = tracemalloc.get_traced_memory()[0]
+                first = alive if first is None else first
+                most = max(most, alive - first)
+        finally:
+            tracemalloc.stop()
+    assert chunks > 30
+    assert most < 1 << 13, most
