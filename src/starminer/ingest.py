@@ -239,6 +239,23 @@ def _key_index(column: Sequence[Atom]) -> tuple[dict[Atom, list[int]], bool]:
     return index, all(len(rs) == 1 for rs in index.values())
 
 
+def _orphan_error(orphans: list[tuple[str, Atom]]) -> DataError:
+    """The error of fact keys without a dimension match, which keeps their
+    distinct (dimension, key) pairs in fact-row order as ``orphans``."""
+    shown = ", ".join(f"{k!r} (dimension {d!r})" for d, k in orphans[:_MAX_LISTED_ORPHANS])
+    more = "" if len(orphans) <= _MAX_LISTED_ORPHANS else f" and {len(orphans) - _MAX_LISTED_ORPHANS} more"
+    error = DataError(f"fact keys without a dimension match: {shown}{more}")
+    error.orphans = orphans
+    return error
+
+
+def _bin_error(attr: str, value: Atom, row: int) -> DataError:
+    """The error of ``value`` of ``attr`` in 1-based ``row`` being in no bin; keeps the three as ``outside``."""
+    error = DataError(f"row {row}: value {value!r} of attribute {attr!r} falls outside every declared bin")
+    error.outside = attr, value, row
+    return error
+
+
 def join_tables(
     fact: RelationalTable,
     links: Sequence[tuple[str, RelationalTable, str]],
@@ -282,9 +299,7 @@ def join_tables(
                     orphan_seen.add((dim.name, key))
                     orphans.append((dim.name, key))
     if orphans:
-        shown = ", ".join(f"{k!r} (dimension {d!r})" for d, k in orphans[:_MAX_LISTED_ORPHANS])
-        more = "" if len(orphans) <= _MAX_LISTED_ORPHANS else f" and {len(orphans) - _MAX_LISTED_ORPHANS} more"
-        raise DataError(f"fact keys without a dimension match: {shown}{more}")
+        raise _orphan_error(orphans)
 
     # Resolve each projected attribute to (source, column position) where
     # source is None for the fact table or a link index for a dimension.
@@ -360,10 +375,7 @@ def discretize(table: RelationalTable, attr: str) -> RelationalTable:
                 label_of[value] = b.label
                 break
         else:
-            raise DataError(
-                f"row {column.index(value) + 1}: value {value!r} of attribute {attr!r} "
-                "falls outside every declared bin"
-            )
+            raise _bin_error(attr, value, column.index(value) + 1)
 
     columns = list(table.columns)
     columns[pos] = map(label_of.__getitem__, column)

@@ -16,14 +16,15 @@ import dataclasses
 import json
 import types
 import typing
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .datamodel import AttributeSpec, RelationalTable
+from .datamodel import Atom, AttributeSpec, RelationalTable
 from .errors import AgreementError, SchemaError, StarMinerError, UsageError
-from .ingest import _cell_chunks, discretize, join_tables, load_csv, read_header, write_text_atomic
+from .ingest import _bin_error, _cell_chunks, _orphan_error, discretize, join_tables, load_csv, read_header
+from .ingest import write_text_atomic
 from .mapcode import DecodedItemset, MapCodeRegistry, MdTable, Pair, combine_dims, transform_map_code
 from .mining import (
     FrequentItemset,
@@ -359,10 +360,10 @@ def _ingest(
     each one's (key, code) table.
 
     Sets ``result.registry`` to the one registry that codes every table and
-    counts the general-table rows in ``result.general_rows``, both afresh
-    when the first table is drawn. The dimensions load once, after the first
-    table, so an error in a whole fact file wins over a dimension's, as it
-    would if every table loaded first.
+    adds the general-table rows to ``result.general_rows``. The dimensions
+    load once, after the first table. Once a table fails, none is yielded,
+    but each later one is still drawn, joined and binned, so that the end
+    of the file raises the error a whole-table run raises first.
     """
     assert config.key_dim is not None
     needed = [config.key_dim, *config.selected_dims, *(d for d, _ in config.filters)]
@@ -370,26 +371,47 @@ def _ingest(
     for dim, value in config.filters:
         filter_map.setdefault(dim, set()).add(value)
     registry = result.registry = MapCodeRegistry(config.selected_dims)
-    result.general_rows = 0
-    dims = None
+    links = None
+    orphans: dict[tuple[str, Atom], None] = {}  # of every table, in fact-row order
+    failed: tuple[int, StarMinerError] | None = None  # the first-ranked error
     for fact in facts:
-        if dims is None:  # the first table
-            dims = {name: load_csv(paths[name], schema, name=name) for name, schema in schemas.items() if name != "fact"}
-            projected = config.projected or _derive_projection(fact, dims, needed)
+        if links is None:  # the first table
+            try:
+                dims = {name: load_csv(paths[name], s, name=name) for name, s in schemas.items() if name != "fact"}
+                projected = config.projected or _derive_projection(fact, dims, needed)
+            except StarMinerError:
+                deque(facts, maxlen=0)  # a fact load error further on wins
+                raise
             links = [(fact_key, dims[dim], dim_key) for fact_key, dim, dim_key in config.joins]
-        general = join_tables(fact, links, projected)
-        # a stage's input is released once the next stage has consumed it,
-        # and a chunk's tables before the next chunk loads
-        del fact
-        for spec in general.schema:
-            if not spec.is_categorical():
-                general = discretize(general, spec.name)
-        result.general_rows += general.n_rows
-        _, md = combine_dims(
-            general, config.key_dim, config.selected_dims, filters=filter_map or None, registry=registry
-        )
-        del general
-        yield md
+        rank = -1  # orders the errors: any join error, bin errors by column, any other
+        try:
+            general = join_tables(fact, links, projected)
+            # a stage's input is released once the next stage has consumed it,
+            # and a chunk's tables before the next chunk loads
+            del fact
+            start = result.general_rows
+            result.general_rows += general.n_rows
+            for rank, spec in enumerate(general.schema):
+                if not spec.is_categorical():
+                    general = discretize(general, spec.name)
+            rank = len(general.schema)
+            if not failed:
+                _, md = combine_dims(
+                    general, config.key_dim, config.selected_dims, filters=filter_map or None, registry=registry
+                )
+                del general
+                yield md
+        except StarMinerError as exc:
+            orphans.update(dict.fromkeys(getattr(exc, "orphans", ())))
+            if hasattr(exc, "outside"):
+                attr, value, row = exc.outside
+                exc = _bin_error(attr, value, start + row)
+            if failed is None or rank < failed[0]:
+                failed = rank, exc.with_traceback(None)  # a traceback keeps the chunk's frames
+    if orphans:
+        raise _orphan_error(list(orphans))
+    if failed:
+        raise failed[1]
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
@@ -426,20 +448,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     # The fact file streams through the stages one table per chunk, and
     # group_by_key groups each chunk's (key, code) table as soon as it is
     # made, so only one chunk's tables are alive beside the dimensions and
-    # the groups. A load error further on in the file must win over an
-    # earlier chunk's join or bin error, so any error drops the partial
-    # groups and reruns the stages once over the whole file, which reports
-    # it as a whole-table run does. The rerun starts outside the handler,
-    # whose traceback would keep the failed pass alive; map keeps no
-    # reference to its one table.
+    # the groups.
     schemas = _schemas(config, paths)
-    fact, schema = paths["fact"], schemas["fact"]
-    try:
-        view = group_by_key(_ingest(config, paths, schemas, _fact_tables(fact, schema), result))
-    except StarMinerError:
-        view = None
-    if view is None:
-        view = group_by_key(_ingest(config, paths, schemas, map(load_csv, [fact], [schema], ["fact"]), result))
+    view = group_by_key(_ingest(config, paths, schemas, _fact_tables(paths["fact"], schemas["fact"]), result))
     assert result.registry is not None
     result.codes = len(result.registry)
     result.groups = view.n_groups

@@ -135,8 +135,8 @@ MUTANTS = [
     (
         "an out-of-bin value is reported one row early",
         "src/starminer/ingest.py",
-        "row {column.index(value) + 1}:",
-        "row {column.index(value)}:",
+        "_bin_error(attr, value, column.index(value) + 1)",
+        "_bin_error(attr, value, column.index(value))",
         ["tests/test_ingest_fast_paths.py::test_discretize_matches_bin_search"],
     ),
     (
@@ -196,11 +196,39 @@ MUTANTS = [
         ["tests/test_stream.py::test_a_generated_star_streams_to_the_same_bytes"],
     ),
     (
-        "a chunk's error is reported without the whole-table rerun",
+        "a chunk's error is reported without reading the rest of the fact file",
         "src/starminer/pipeline.py",
-        "    except StarMinerError:\n        view = None\n",
-        "    except StarMinerError:\n        raise\n",
+        "                failed = rank, exc.with_traceback(None)",
+        "                failed = rank, exc.with_traceback(None)\n            break",
         ["tests/test_stream.py::test_a_fact_load_error_in_a_late_chunk_wins_over_an_early_orphan"],
+    ),
+    (
+        "a dimension's error is reported without reading the rest of the fact file",
+        "src/starminer/pipeline.py",
+        "                deque(facts, maxlen=0)",
+        "                pass",
+        ["tests/test_stream.py::test_a_fact_load_error_in_a_late_chunk_wins_over_a_dimension_load_error"],
+    ),
+    (
+        "a later chunk's orphans are dropped",
+        "src/starminer/pipeline.py",
+        'orphans.update(dict.fromkeys(getattr(exc, "orphans", ())))',
+        'orphans = orphans or dict.fromkeys(getattr(exc, "orphans", ()))',
+        ["tests/test_stream.py::test_orphans_are_listed_in_fact_row_order_across_chunks_up_to_the_cap"],
+    ),
+    (
+        "a bin error keeps its chunk-local row",
+        "src/starminer/pipeline.py",
+        "exc = _bin_error(attr, value, start + row)",
+        "exc = _bin_error(attr, value, row)",
+        ["tests/test_stream.py::test_the_first_binned_column_is_checked_over_every_chunk_before_the_next"],
+    ),
+    (
+        "the first failed chunk's error is raised at once",
+        "src/starminer/pipeline.py",
+        "            if failed is None or rank < failed[0]:\n                failed = rank, exc.with_traceback(None)",
+        "            raise",
+        ["tests/test_stream.py::test_the_first_binned_column_is_checked_over_every_chunk_before_the_next"],
     ),
     (
         "group_by_key numbers the keys in sorted order",

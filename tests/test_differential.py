@@ -8,20 +8,26 @@ registry that ``reference.py`` computes straight from the CSVs, or exit 2
 where the reference finds an orphan key or a value outside every bin.
 Thresholds are drawn as decimals that land exactly on count ratios where a
 terminating decimal can, so the ``>=`` comparisons are tested at equality.
+A second run, whose fact file streams in chunks of a few rows, must exit
+with the same code and error line and write the same bytes.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import tempfile
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from starminer import ingest
 from starminer.cli import main
 
 KEYS = ["k0", "k1", "k2"]
@@ -133,6 +139,15 @@ def written(out: Path) -> reference.Expected:
     )
 
 
+def cli_run(argv: list[str]) -> tuple[int, str, dict[str, bytes]]:
+    """Exit code, stderr and the bytes of each ``--out`` file of one CLI run."""
+    out = Path(argv[argv.index("--out") + 1])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue(), {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+
+
 # Two code sets that expand to one pair set, with counts 2 and 1: the rule
 # from {A:a0, B:b0} to {A:a1, B:b1} must carry the larger count.
 DEDUPE = (
@@ -179,7 +194,7 @@ def test_cli_matches_the_reference_pipeline(schema):
             expected = reference.run(inputs)
         except reference.Rejected:
             expected = None
-        code = main([
+        argv = [
             "--fact", str(inputs.fact),
             *(f"--dim={name}={path}" for name, path in inputs.dims),
             *(f"--join={':'.join(link)}" for link in inputs.joins),
@@ -188,11 +203,14 @@ def test_cli_matches_the_reference_pipeline(schema):
             *(f"--bins={attr}=" + ",".join(f"{label}:{lo}:{hi}" for label, lo, hi in bins)
               for attr, bins in inputs.bins),
             *([f"--repeatable-dims={','.join(inputs.repeatable)}"] if inputs.repeatable else []),
-            "--minsup", inputs.minsup, "--minconf", inputs.minconf,
-            "--algorithm", "both", "--out", str(tmp / "out"),
-        ])
+            "--minsup", inputs.minsup, "--minconf", inputs.minconf, "--algorithm", "both",
+        ]
+        code, err, files = cli_run([*argv, "--out", str(tmp / "out")])
         if expected is None:
             assert code == 2
         else:
             assert code == 0
             assert written(tmp / "out") == expected
+        # the fact file streamed in chunks of a few rows fails or writes alike
+        with patch.object(ingest, "_CHUNK_CHARS", 64):
+            assert cli_run([*argv, "--out", str(tmp / "out64")]) == (code, err, files)

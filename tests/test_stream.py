@@ -2,16 +2,16 @@
 whole-table run it replaces.
 
 ``run_pipeline`` reads the fact file as one table per chunk of about
-``ingest._CHUNK_CHARS`` characters, passes each through ``join_tables``,
-``discretize`` and ``combine_dims``, and reruns those stages once over the
-whole file when a chunk raises. These tests shrink the chunks to a few
-characters, so that small inputs cross many chunk boundaries, and hold each
-streamed run to a whole-table run of the same input: exit code, error line
-and every byte written to ``--out``.
+``ingest._CHUNK_CHARS`` characters and passes each through ``join_tables``,
+``discretize`` and ``combine_dims``. After a chunk fails, the later chunks
+are still read, joined and binned, and the error raised at the end of the
+file is the one a whole-table run raises first. These tests shrink the
+chunks to a few characters, so that small inputs cross many chunk
+boundaries, and hold each streamed run to a whole-table run of the same
+input, whose one chunk holds the whole file: exit code, error line and
+every byte written to ``--out``.
 """
 
-import contextlib
-import io
 import tempfile
 import tracemalloc
 import weakref
@@ -23,30 +23,19 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from starminer import ingest, pipeline
-from starminer.cli import main
 from starminer.datamodel import AttributeSpec
 from starminer.errors import DataError
 from starminer.synth import DIMENSION_TABLES, SynthSpec, generate_sales
-from test_differential import DEDUPE, star_schemas
-
-
-def no_chunks(path, schema):
-    raise DataError("no chunks")
+from test_differential import DEDUPE, cli_run, star_schemas
 
 
 def run(argv: list[str], chunk: int, whole: bool = False) -> tuple[int, str, dict[str, bytes]]:
     """Exit code, stderr and the bytes of each ``--out`` file of one CLI run
     that streams its fact file in chunks of ``chunk`` characters. With
-    ``whole``, streaming fails at once, so the stages run over the whole
-    file only, as they did before the fact file streamed."""
-    out = Path(argv[argv.index("--out") + 1])
-    err = io.StringIO()
-    with (patch.object(ingest, "_CHUNK_CHARS", chunk),
-          patch.object(pipeline, "_fact_tables", no_chunks if whole else pipeline._fact_tables),
-          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
-        code = main(argv)
-    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
-    return code, err.getvalue(), files
+    ``whole``, one chunk holds the whole file, so the stages run over the
+    whole table at once, as they did before the fact file streamed."""
+    with patch.object(ingest, "_CHUNK_CHARS", 1 << 30 if whole else chunk):
+        return cli_run(argv)
 
 
 def streamed_and_whole(argv: list[str], chunk: int) -> tuple[int, str, dict[str, bytes]]:
