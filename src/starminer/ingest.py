@@ -16,8 +16,7 @@ import math
 import os
 from collections import deque
 from contextlib import contextmanager
-from functools import partial
-from itertools import chain, product, repeat
+from itertools import product, repeat
 from pathlib import Path
 from typing import IO, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
@@ -96,33 +95,39 @@ def _cell_chunks(path: Path, schema: tuple[AttributeSpec, ...]) -> Iterator[list
     time, as each chunk's cells column by column.
 
     The header is checked once, and each chunk's quotes, widths and numbers
-    as it is read; a failed check raises the file's first error, with row
-    numbers counted from its first line. The header's chunk comes first even
-    if it holds no row, so a file of a header alone is one chunk of empty
-    columns. Nothing here holds a chunk once it has been yielded.
+    as it is read. A failed chunk is searched line by line, numbered from the
+    file row of its first line, for its first error, raised once the rest of
+    the file is read. The header's chunk comes first even if it holds no row,
+    so a file of a header alone is one chunk of empty columns. Nothing here
+    holds a chunk's lines once its cells are made, or its cells once yielded.
     """
     with _open_text(path) as fh:
         chunks = map(str.splitlines, _read_chunks(fh))
         # the header ends where splitlines says, which can be before the "\n"
-        lines = next(chunks, [""])
-        if lines[0].split(",") != [s.name for s in schema]:
-            raise _first_row_error(path, schema)
-        rows = chain([lines[1:]], chunks)
-        del lines
-        # map keeps no chunk between calls, where a loop's variables would
-        # keep the last one alive while the next is read
-        yield from map(partial(_checked_cells, path, schema), rows)
+        lines, row = next(chunks, []), 0  # the header is row 0
+        if lines and lines[0].split(",") == [s.name for s in schema]:
+            lines, row = lines[1:], 1
+            while (cells := _checked_cells(schema, lines)) is not None:
+                row += len(lines)
+                del lines
+                yield cells
+                del cells
+                if (lines := next(chunks, None)) is None:
+                    return
+        error = next(_line_errors(path, schema, lines, row))
+        deque(chunks, maxlen=0)  # text further on that is not UTF-8 still wins
+        raise error
 
 
-def _checked_cells(path: Path, schema: tuple[AttributeSpec, ...], lines: list[str]) -> list[list[str]]:
-    """The cells of ``lines``, one chunk's rows of the file at ``path``,
-    column by column, once each row holds no quote and one value per
-    attribute, and each quantitative cell is a finite number."""
+def _checked_cells(schema: tuple[AttributeSpec, ...], lines: list[str]) -> list[list[str]] | None:
+    """The cells of ``lines``, one chunk's rows, column by column, if each
+    row holds no quote and one value per attribute, and each quantitative
+    cell is a finite number; otherwise None."""
     width = len(schema)
     joined = ",".join(lines)
     # a line splits into width cells exactly when it has width - 1 commas
     if '"' in joined or set(map(str.count, lines, repeat(","))) - {width - 1}:
-        raise _first_row_error(path, schema)
+        return None
     flat = joined.split(",") if lines else []  # the header's chunk may hold no row
     columns = [flat[j::width] for j in range(width)]
     numbers = {cell for spec, cells in zip(schema, columns) if not spec.is_categorical() for cell in cells}
@@ -130,9 +135,7 @@ def _checked_cells(path: Path, schema: tuple[AttributeSpec, ...], lines: list[st
         finite = all(map(math.isfinite, map(float, numbers)))
     except ValueError:
         finite = False
-    if not finite:
-        raise _first_row_error(path, schema)
-    return columns
+    return columns if finite else None
 
 
 def load_csv(
@@ -173,29 +176,19 @@ def load_csv(
     return RelationalTable._of(path.stem if name is None else name, schema, columns)
 
 
-def _first_row_error(path: Path, schema: tuple[AttributeSpec, ...]) -> DataError:
-    """The error of a file that failed one of the bulk checks, found by
-    reading it again from its first line, line by line: the header, then per
-    row a quote, the number of values and each finite number. The rest of the
-    file is still read, so text that is not UTF-8 is reported wherever it is."""
-    with _open_text(path) as fh:
-        error = next(_line_errors(path, schema, chain.from_iterable(map(str.splitlines, fh))), None)
-        deque(fh, maxlen=0)
-    if error is None:
-        raise AssertionError("no bad line in a file that failed its bulk checks")
-    return error
-
-
-def _line_errors(path: Path, schema: tuple[AttributeSpec, ...], lines: Iterator[str]) -> Iterator[DataError]:
-    """The errors of ``lines`` in file order; only the first one is read."""
-    header = next(lines, None)
+def _line_errors(path: Path, schema: tuple[AttributeSpec, ...], lines: list[str], row: int) -> Iterator[DataError]:
+    """The errors of ``lines``, the file's lines from its row ``row`` on: at
+    row 0 the header, then per row a quote, the number of values and each
+    finite number. Only the first one is read."""
     expected = [s.name for s in schema]
-    if header is None:
+    if not lines:  # only an empty file's first chunk holds no line
         yield DataError(f"{path}: empty file, expected a header row")
-    elif header.split(",") != expected:
-        yield DataError(f"{path}: header mismatch: expected {expected}, got {header.split(',')}")
     numeric = [j for j, spec in enumerate(schema) if not spec.is_categorical()]
-    for i, line in enumerate(lines, start=1):
+    for i, line in enumerate(lines, row):
+        if i == 0:
+            if line.split(",") != expected:
+                yield DataError(f"{path}: header mismatch: expected {expected}, got {line.split(',')}")
+            continue
         if '"' in line:
             yield DataError(
                 f"{path} row {i}: quoted values are not supported; this format "

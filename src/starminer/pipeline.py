@@ -292,7 +292,7 @@ class _Renderer:
 
 
 def _derive_projection(
-    fact: RelationalTable,
+    fact: tuple[AttributeSpec, ...],
     dims: Mapping[str, RelationalTable],
     needed: Sequence[str],
 ) -> tuple[tuple[str, str], ...]:
@@ -304,8 +304,8 @@ def _derive_projection(
     """
     projected: list[tuple[str, str]] = []
     for attr in dict.fromkeys(needed):
-        if attr in fact.attribute_names:
-            projected.append((fact.name, attr))
+        if attr in (spec.name for spec in fact):
+            projected.append(("fact", attr))
             continue
         owners = [name for name, t in dims.items() if attr in t.attribute_names]
         if not owners:
@@ -361,9 +361,9 @@ def _ingest(
 
     Sets ``result.registry`` to the one registry that codes every table and
     adds the general-table rows to ``result.general_rows``. The dimensions
-    load once, after the first table. Once a table fails, none is yielded,
-    but each later one is still drawn, joined and binned, so that the end
-    of the file raises the error a whole-table run raises first.
+    load before the first table is drawn. Once a table fails, none is
+    yielded, but each later one is still drawn, joined and binned, so that
+    the end of the file raises the error a whole-table run raises first.
     """
     assert config.key_dim is not None
     needed = [config.key_dim, *config.selected_dims, *(d for d, _ in config.filters)]
@@ -371,18 +371,16 @@ def _ingest(
     for dim, value in config.filters:
         filter_map.setdefault(dim, set()).add(value)
     registry = result.registry = MapCodeRegistry(config.selected_dims)
-    links = None
+    try:
+        dims = {name: load_csv(paths[name], s, name=name) for name, s in schemas.items() if name != "fact"}
+        projected = config.projected or _derive_projection(schemas["fact"], dims, needed)
+    except StarMinerError:
+        deque(facts, maxlen=0)  # a fact load error further on wins
+        raise
+    links = [(fact_key, dims[dim], dim_key) for fact_key, dim, dim_key in config.joins]
     orphans: dict[tuple[str, Atom], None] = {}  # of every table, in fact-row order
     failed: tuple[int, StarMinerError] | None = None  # the first-ranked error
     for fact in facts:
-        if links is None:  # the first table
-            try:
-                dims = {name: load_csv(paths[name], s, name=name) for name, s in schemas.items() if name != "fact"}
-                projected = config.projected or _derive_projection(fact, dims, needed)
-            except StarMinerError:
-                deque(facts, maxlen=0)  # a fact load error further on wins
-                raise
-            links = [(fact_key, dims[dim], dim_key) for fact_key, dim, dim_key in config.joins]
         rank = -1  # orders the errors: any join error, bin errors by column, any other
         try:
             general = join_tables(fact, links, projected)

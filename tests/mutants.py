@@ -205,8 +205,8 @@ MUTANTS = [
     (
         "a dimension's error is reported without reading the rest of the fact file",
         "src/starminer/pipeline.py",
-        "                deque(facts, maxlen=0)",
-        "                pass",
+        "        deque(facts, maxlen=0)",
+        "        pass",
         ["tests/test_stream.py::test_a_fact_load_error_in_a_late_chunk_wins_over_a_dimension_load_error"],
     ),
     (
@@ -228,7 +228,8 @@ MUTANTS = [
         "src/starminer/pipeline.py",
         "            if failed is None or rank < failed[0]:\n                failed = rank, exc.with_traceback(None)",
         "            raise",
-        ["tests/test_stream.py::test_the_first_binned_column_is_checked_over_every_chunk_before_the_next"],
+        ["tests/test_stream.py::test_the_first_binned_column_is_checked_over_every_chunk_before_the_next",
+         "tests/test_stream.py::test_a_late_orphan_wins_over_an_early_value_outside_every_bin"],
     ),
     (
         "group_by_key numbers the keys in sorted order",
@@ -310,9 +311,23 @@ MUTANTS = [
     (
         "a header-only file yields no table",
         "src/starminer/ingest.py",
-        "        rows = chain([lines[1:]], chunks)\n",
-        "        rows = chain(filter(None, [lines[1:]]), chunks)\n",
-        ["tests/test_stream.py::test_a_header_only_fact_file_and_an_empty_one"],
+        "            lines, row = lines[1:], 1\n",
+        "            lines, row = lines[1:], 1\n            if not lines:\n                return\n",
+        ["tests/test_stream.py::test_fact_tables_cut_the_file_into_its_rows_in_order"],
+    ),
+    (
+        "a bad row in a later chunk is numbered from its chunk's first line",
+        "src/starminer/ingest.py",
+        "                row += len(lines)\n",
+        "                row = 1\n",
+        ["tests/test_stream.py::test_a_fact_load_error_in_a_late_chunk_wins_over_an_early_orphan"],
+    ),
+    (
+        "a failed chunk does not read the rest of the file",
+        "src/starminer/ingest.py",
+        "        deque(chunks, maxlen=0)",
+        "        pass",
+        ["tests/test_ingest_fast_paths.py::test_text_that_is_not_utf8_wins_over_an_earlier_bad_line"],
     ),
     (
         "the reader skips its quote check",

@@ -1,10 +1,11 @@
 """A deliberately naive starminer, written from the README's contract.
 
-It shares no code with ``starminer``. It reads each CSV whole, joins with
-nested loops one row at a time, bins and filters each joined row, numbers
-the combined-dimension codes in first-encounter order, counts every subset
-of every transaction, and enumerates rules with exact fractions. The
-differential test holds the CLI's artifacts to what it returns.
+It shares no code with ``starminer``. It reads the fact CSV whole, then
+each dimension's, joins with nested loops one row at a time, bins and
+filters each joined row, numbers the combined-dimension codes in
+first-encounter order, counts every subset of every transaction, and
+enumerates rules with exact fractions. The differential test holds the
+CLI's artifacts, and its error line for a malformed row, to what it returns.
 
 Results are free of formatting, as ``perfbench/check.output_digest`` reads a
 run: pair sets and code sets are sorted tuples and records are sorted.
@@ -25,6 +26,10 @@ Pair = tuple[str, str]
 
 class Rejected(Exception):
     """The input breaks the contract; the CLI must exit 2 on it."""
+
+
+class Malformed(Rejected):
+    """A row breaks the CSV format; the message is the CLI's error line."""
 
 
 @dataclass(frozen=True)
@@ -71,25 +76,30 @@ def parse_registry(text: str) -> list[tuple[str, tuple[Pair, ...]]]:
 
 
 def read_csv(path: Path, binned: set[str]) -> list[dict[str, str]]:
-    """Every data row as a {name: value} dict. A binned value must be a
-    finite number wherever it occurs, joined or not."""
+    """Every data row as a {name: value} dict. A row must hold no quote and
+    one value per name, and a binned value must be a finite number wherever
+    it occurs, joined or not; the first row that breaks one of these, in
+    that order, is :class:`Malformed`, numbered from the file's first row."""
     lines = path.read_text(encoding="utf-8-sig").split("\n")
     if lines[-1] == "":
         lines.pop()
     header = lines[0].split(",")
     rows = []
-    for line in lines[1:]:
+    for i, line in enumerate(lines[1:], 1):
+        where = f"starminer: data error: {path} row {i}"
         cells = line.split(",")
-        if '"' in line or len(cells) != len(header):
-            raise Rejected(f"{path}: malformed row {line!r}")
+        if '"' in line:
+            raise Malformed(f"{where}: quoted values are not supported; this format forbids delimiters inside values")
+        if len(cells) != len(header):
+            raise Malformed(f"{where}: expected {len(header)} values, got {len(cells)}")
         row = dict(zip(header, cells))
-        for name in binned & row.keys():
+        for name in filter(binned.__contains__, header):
             try:
-                finite = math.isfinite(float(row[name]))
+                value = float(row[name])
             except ValueError:
-                finite = False
-            if not finite:
-                raise Rejected(f"{path}: {name} value {row[name]!r} is not a finite number")
+                raise Malformed(f"{where}: cannot parse {row[name]!r} as a number for attribute {name!r}") from None
+            if not math.isfinite(value):
+                raise Malformed(f"{where}: attribute {name!r} has non-finite value {value!r}")
         rows.append(row)
     return rows
 
@@ -98,9 +108,11 @@ def transactions(inputs: Inputs) -> tuple[dict[tuple[str, ...], str], dict[str, 
     """The code of each selected-dimension combination, and each key's set of
     codes, over the joined, binned and filtered rows."""
     binned = dict(inputs.bins)
+    # the fact file is read first: its malformed row wins over a dimension's
+    fact = read_csv(inputs.fact, set(binned))
     tables = {name: read_csv(path, set(binned)) for name, path in inputs.dims}
     joined = []
-    for fact_row in read_csv(inputs.fact, set(binned)):
+    for fact_row in fact:
         # one joined row per combination of matching dimension rows; the fact
         # table's value wins where a dimension repeats one of its names
         partial = [fact_row]

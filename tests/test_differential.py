@@ -5,7 +5,11 @@ with repeated keys, so a fact row can join several dimension rows), bins a
 quantitative column, filters, and combines one to three dimensions into
 codes. ``cli.main --algorithm both`` must then write the itemsets, rules and
 registry that ``reference.py`` computes straight from the CSVs, or exit 2
-where the reference finds an orphan key or a value outside every bin.
+where the reference finds an orphan key or a value outside every bin. Now
+and then one row of one file is malformed: it holds a quote, a value too
+few or too many, or a binned value that is not a finite number. The CLI
+must then exit 2 with the reference's error line for the file's first bad
+row, the fact file's before any dimension's.
 Thresholds are drawn as decimals that land exactly on count ratios where a
 terminating decimal can, so the ``>=`` comparisons are tested at equality.
 A second run, whose fact file streams in chunks of a few rows, must exit
@@ -87,6 +91,26 @@ def star_schemas(draw):
         st.tuples(st.sampled_from(tids), *map(st.sampled_from, fact_columns)), min_size=2, max_size=14, unique=True,
     ))
     files["fact.csv"] = "".join(",".join(r) + "\n" for r in [fact_header, *fact_rows])
+    # now and then one malformed row, in the fact file or a dimension file
+    faults = ["quote", "fewer", "more", *["number"] * (quantitative != "none")]
+    fault = draw(st.sampled_from([None, None, None, *faults]))
+    if fault:
+        name = f"{quantitative}.csv" if fault == "number" else draw(st.sampled_from(sorted(files)))
+        lines = files[name].splitlines()
+        header = lines[0].split(",")
+        i = draw(st.integers(1, len(lines) - 1))
+        cells = lines[i].split(",")
+        j = draw(st.integers(0, len(cells) - 1))
+        if fault == "quote":
+            cells[j] = f'"{cells[j]}"'
+        elif fault == "fewer":
+            del cells[j]
+        elif fault == "more":
+            cells.insert(j, cells[j])
+        else:
+            cells[header.index("q")] = draw(st.sampled_from(["x", "", "nan", "-inf", "1e999"]))
+        lines[i] = ",".join(cells)
+        files[name] = "".join(line + "\n" for line in lines)
 
     names = sorted(domains)
     selected = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
@@ -191,9 +215,9 @@ def test_cli_matches_the_reference_pipeline(schema):
             inputs, fact=tmp / inputs.fact, dims=tuple((name, tmp / path) for name, path in inputs.dims)
         )
         try:
-            expected = reference.run(inputs)
-        except reference.Rejected:
-            expected = None
+            expected, error = reference.run(inputs), None
+        except reference.Rejected as exc:
+            expected, error = None, exc
         argv = [
             "--fact", str(inputs.fact),
             *(f"--dim={name}={path}" for name, path in inputs.dims),
@@ -208,6 +232,8 @@ def test_cli_matches_the_reference_pipeline(schema):
         code, err, files = cli_run([*argv, "--out", str(tmp / "out")])
         if expected is None:
             assert code == 2
+            if isinstance(error, reference.Malformed):
+                assert err == f"{error}\n"
         else:
             assert code == 0
             assert written(tmp / "out") == expected

@@ -145,7 +145,7 @@ def test_a_late_orphan_wins_over_an_early_value_outside_every_bin(tmp_path):
     rows = good_rows()
     rows[1] = "t02,c0,99,5"
     rows[29] = "t30,cX,5,5"
-    argv = star(tmp_path, rows)
+    argv = star(tmp_path, rows, combine="age,v")
     assert chunk_of(tmp_path / "fact.csv", 2) == 0 and chunk_of(tmp_path / "fact.csv", 30) >= 2
     code, err, _ = streamed_and_whole(argv, 64)
     assert (code, err) == (2, "starminer: data error: fact keys without a dimension match: 'cX' (dimension 'customer')\n")
@@ -198,7 +198,7 @@ def test_a_header_only_fact_file_and_an_empty_one(tmp_path):
     code, err, files = streamed_and_whole(star(tmp_path, []), 64)
     assert (code, err) == (0, "")
     assert files["itemsets.txt"] == b"" and b'"groups": 0' in files["stats.json"]
-    # the header's chunk is one empty table, which draws the dimensions in
+    # the dimensions load even when the fact file holds no row
     code, err, _ = streamed_and_whole(star(tmp_path, [], dim='cust_id,age\nc0,"Young"\n'), 64)
     assert (code, err) == (2, f"starminer: data error: {tmp_path / 'customer.csv'} row 1: quoted values are not "
                               "supported; this format forbids delimiters inside values\n")
@@ -246,6 +246,23 @@ def test_fact_tables_cut_the_file_into_its_rows_in_order(tmp_path):
     fact.write_bytes(b"")
     with pytest.raises(DataError, match=f"^{fact}: empty file, expected a header row$"):
         list(pipeline._fact_tables(fact, schema))
+
+
+def test_a_bad_last_row_is_found_in_its_chunk_without_opening_the_file_again(tmp_path):
+    rows = good_rows()
+    rows[-1] = 't40,c1,"5",5'
+    star(tmp_path, rows)
+    fact = tmp_path / "fact.csv"
+    assert chunk_of(fact, ROWS) >= 4
+    schema = (AttributeSpec("tid"), AttributeSpec("cust"), AttributeSpec("v", bins=(("lo", 0, 10),)),
+              AttributeSpec("w"))
+    for load in (lambda: ingest.load_csv(fact, schema), lambda: list(pipeline._fact_tables(fact, schema))):
+        with patch.object(ingest, "_open_text", wraps=ingest._open_text) as opened:
+            with patch.object(ingest, "_CHUNK_CHARS", 64), pytest.raises(DataError) as error:
+                load()
+        assert str(error.value) == (f"{fact} row 40: quoted values are not supported; this format forbids "
+                                    "delimiters inside values")
+        assert opened.call_count == 1
 
 
 def test_the_chunk_reader_holds_nothing_of_a_chunk_when_it_reads_the_next(tmp_path):
