@@ -105,6 +105,15 @@ MUTANTS = [
         ["tests/test_ingest_fast_paths.py::test_join_matches_product_loop"],
     ),
     (
+        "join_tables lists the orphans link by link, not fact row by fact row",
+        "src/starminer/ingest.py",
+        "        for row_keys in zip(*(keys for keys, _, _, _ in link_info)):\n"
+        "            for key, (_, dim, _, index) in zip(row_keys, link_info):\n",
+        "        for keys, dim, _, index in link_info:\n"
+        "            for key in keys:\n",
+        ["tests/test_differential.py::test_cli_matches_the_reference_pipeline"],
+    ),
+    (
         "join_tables accepts one dimension linked twice",
         "src/starminer/ingest.py",
         "        if dim.name in source_of:",
@@ -217,6 +226,13 @@ MUTANTS = [
         ["tests/test_stream.py::test_orphans_are_listed_in_fact_row_order_across_chunks_up_to_the_cap"],
     ),
     (
+        "an orphan error loads the whole fact file again before it is raised",
+        "src/starminer/pipeline.py",
+        "    if orphans:\n        raise _orphan_error(list(orphans))",
+        '    if orphans:\n        load_csv(paths["fact"], schemas["fact"])\n        raise _orphan_error(list(orphans))',
+        ["tests/test_error_path_memory.py::test_a_last_row_orphan_peaks_no_higher_than_the_clean_run"],
+    ),
+    (
         "a bin error keeps its chunk-local row",
         "src/starminer/pipeline.py",
         "exc = _bin_error(attr, value, start + row)",
@@ -236,14 +252,14 @@ MUTANTS = [
         "src/starminer/mining.py",
         "new_keys = filterfalse(index.__contains__, dict.fromkeys(md.keys))",
         "new_keys = filterfalse(index.__contains__, dict.fromkeys(sorted(md.keys)))",
-        ["tests/test_ingest_fast_paths.py::test_group_by_key_over_chunks_matches_the_checked_constructor"],
+        ["tests/test_ingest_fast_paths.py::test_group_by_key_by_code_matches_set_per_key_loop"],
     ),
     (
         "group_by_key's key numbers restart at 0 for each table",
         "src/starminer/mining.py",
         "range(len(index), len(index) + len(md.keys))",
         "range(len(md.keys))",
-        ["tests/test_ingest_fast_paths.py::test_group_by_key_over_chunks_matches_the_checked_constructor"],
+        ["tests/test_ingest_fast_paths.py::test_group_by_key_by_code_matches_set_per_key_loop"],
     ),
     (
         "group_by_key collects every table before grouping",

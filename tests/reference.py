@@ -4,8 +4,10 @@ It shares no code with ``starminer``. It reads the fact CSV whole, then
 each dimension's, joins with nested loops one row at a time, bins and
 filters each joined row, numbers the combined-dimension codes in
 first-encounter order, counts every subset of every transaction, and
-enumerates rules with exact fractions. The differential test holds the
-CLI's artifacts, and its error line for a malformed row, to what it returns.
+enumerates rules with exact fractions. An input that breaks the contract
+raises :class:`Rejected` with the CLI's error line: for a malformed row,
+for the orphan keys, or for a value outside every bin. The differential
+test holds the CLI's artifacts, exit code and error line to what it returns.
 
 Results are free of formatting, as ``perfbench/check.output_digest`` reads a
 run: pair sets and code sets are sorted tuples and records are sorted.
@@ -25,11 +27,8 @@ Pair = tuple[str, str]
 
 
 class Rejected(Exception):
-    """The input breaks the contract; the CLI must exit 2 on it."""
-
-
-class Malformed(Rejected):
-    """A row breaks the CSV format; the message is the CLI's error line."""
+    """The input breaks the contract: the CLI must exit 2 with this message
+    as its one line on stderr."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ def read_csv(path: Path, binned: set[str]) -> list[dict[str, str]]:
     """Every data row as a {name: value} dict. A row must hold no quote and
     one value per name, and a binned value must be a finite number wherever
     it occurs, joined or not; the first row that breaks one of these, in
-    that order, is :class:`Malformed`, numbered from the file's first row."""
+    that order, is :class:`Rejected`, numbered from the file's first row."""
     lines = path.read_text(encoding="utf-8-sig").split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -89,17 +88,17 @@ def read_csv(path: Path, binned: set[str]) -> list[dict[str, str]]:
         where = f"starminer: data error: {path} row {i}"
         cells = line.split(",")
         if '"' in line:
-            raise Malformed(f"{where}: quoted values are not supported; this format forbids delimiters inside values")
+            raise Rejected(f"{where}: quoted values are not supported; this format forbids delimiters inside values")
         if len(cells) != len(header):
-            raise Malformed(f"{where}: expected {len(header)} values, got {len(cells)}")
+            raise Rejected(f"{where}: expected {len(header)} values, got {len(cells)}")
         row = dict(zip(header, cells))
         for name in filter(binned.__contains__, header):
             try:
                 value = float(row[name])
             except ValueError:
-                raise Malformed(f"{where}: cannot parse {row[name]!r} as a number for attribute {name!r}") from None
+                raise Rejected(f"{where}: cannot parse {row[name]!r} as a number for attribute {name!r}") from None
             if not math.isfinite(value):
-                raise Malformed(f"{where}: attribute {name!r} has non-finite value {value!r}")
+                raise Rejected(f"{where}: attribute {name!r} has non-finite value {value!r}")
         rows.append(row)
     return rows
 
@@ -112,6 +111,7 @@ def transactions(inputs: Inputs) -> tuple[dict[tuple[str, ...], str], dict[str, 
     fact = read_csv(inputs.fact, set(binned))
     tables = {name: read_csv(path, set(binned)) for name, path in inputs.dims}
     joined = []
+    orphans: dict[tuple[str, str], None] = {}  # (dimension, key) in fact-row order, then link order
     for fact_row in fact:
         # one joined row per combination of matching dimension rows; the fact
         # table's value wins where a dimension repeats one of its names
@@ -119,24 +119,31 @@ def transactions(inputs: Inputs) -> tuple[dict[tuple[str, ...], str], dict[str, 
         for fact_key, dim, dim_key in inputs.joins:
             matches = [r for r in tables[dim] if r[dim_key] == fact_row[fact_key]]
             if not matches:
-                raise Rejected(f"fact key {fact_row[fact_key]!r} has no row in {dim}")
+                orphans[dim, fact_row[fact_key]] = None
             partial = [{**match, **row} for row in partial for match in matches]
         joined.extend(partial)
+    if orphans:
+        shown = ", ".join(f"{key!r} (dimension {dim!r})" for dim, key in list(orphans)[:20])
+        more = f" and {len(orphans) - 20} more" if len(orphans) > 20 else ""
+        raise Rejected(f"starminer: data error: fact keys without a dimension match: {shown}{more}")
 
     allowed: dict[str, set[str]] = {}
     for dim, value in inputs.filters:
         allowed.setdefault(dim, set()).add(value)
-    needed = {inputs.key_dim, *inputs.selected, *allowed}
-    code_of: dict[tuple[str, ...], str] = {}
-    groups: dict[str, set[str]] = {}
-    for row in joined:
-        row = {name: row[name] for name in needed}
-        for name in needed & binned.keys():
+    needed = dict.fromkeys([inputs.key_dim, *inputs.selected, *allowed])  # the general table's columns
+    rows = [{name: row[name] for name in needed} for row in joined]
+    # each binned column in turn, over every row, filtered out or not
+    for name in filter(binned.__contains__, needed):
+        for i, row in enumerate(rows, 1):
             value = float(row[name])
             labels = [label for label, lo, hi in binned[name] if lo <= value < hi]
             if not labels:
-                raise Rejected(f"{name} value {value} is in no bin")
+                raise Rejected(f"starminer: data error: row {i}: value {value!r} of attribute {name!r} "
+                               "falls outside every declared bin")
             row[name] = labels[0]
+    code_of: dict[tuple[str, ...], str] = {}
+    groups: dict[str, set[str]] = {}
+    for row in rows:
         if all(row[dim] in values for dim, values in allowed.items()):
             combo = tuple(row[d] for d in inputs.selected)
             code = code_of.setdefault(combo, f"{len(code_of) + 1:04d}")

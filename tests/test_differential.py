@@ -5,15 +5,17 @@ with repeated keys, so a fact row can join several dimension rows), bins a
 quantitative column, filters, and combines one to three dimensions into
 codes. ``cli.main --algorithm both`` must then write the itemsets, rules and
 registry that ``reference.py`` computes straight from the CSVs, or exit 2
-where the reference finds an orphan key or a value outside every bin. Now
-and then one row of one file is malformed: it holds a quote, a value too
-few or too many, or a binned value that is not a finite number. The CLI
-must then exit 2 with the reference's error line for the file's first bad
-row, the fact file's before any dimension's.
+with the reference's error line: for the orphan keys, for the first value
+outside every bin, or for a malformed row. Now and then one row of one file
+is malformed: it holds a quote, a value too few or too many, or a binned
+value that is not a finite number. Its line names the file's first bad row,
+the fact file's before any dimension's.
 Thresholds are drawn as decimals that land exactly on count ratios where a
 terminating decimal can, so the ``>=`` comparisons are tested at equality.
-A second run, whose fact file streams in chunks of a few rows, must exit
-with the same code and error line and write the same bytes.
+The first run reads each small fact file as one chunk. A second run, whose
+fact file streams through ingest in chunks of 1, 16 or 64 characters, so
+that it crosses a chunk boundary every row or few rows, must exit with the
+same code and error line and write the same bytes.
 """
 
 import contextlib
@@ -201,11 +203,28 @@ ESCAPED = (
 )
 
 
+# Two links, each with an orphan key, on rows in the opposite order to the
+# links: the orphans are listed by fact row, then by link.
+ORPHAN_ORDER = (
+    {
+        "d0.csv": "d0_id,d0_a0\nk0,v0\n",
+        "d1.csv": "d1_id,d1_a0\nk0,w0\n",
+        "fact.csv": "tid,d0_id,d1_id\nt0,k0,kY\nt1,kX,k0\nt2,kX,kY\n",
+    },
+    reference.Inputs(
+        fact=Path("fact.csv"), dims=(("d0", Path("d0.csv")), ("d1", Path("d1.csv"))),
+        joins=(("d0_id", "d0", "d0_id"), ("d1_id", "d1", "d1_id")), key_dim="tid", selected=("d0_a0",),
+        filters=(), bins=(), minsup="0.5", minconf="0.5", repeatable=(),
+    ),
+)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(schema=star_schemas())
-@example(schema=DEDUPE)
-@example(schema=ESCAPED)
-def test_cli_matches_the_reference_pipeline(schema):
+@given(schema=star_schemas(), chunk=st.sampled_from([1, 16, 64]))
+@example(schema=DEDUPE, chunk=1)
+@example(schema=ESCAPED, chunk=64)
+@example(schema=ORPHAN_ORDER, chunk=16)
+def test_cli_matches_the_reference_pipeline(schema, chunk):
     files, inputs = schema
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -215,9 +234,9 @@ def test_cli_matches_the_reference_pipeline(schema):
             inputs, fact=tmp / inputs.fact, dims=tuple((name, tmp / path) for name, path in inputs.dims)
         )
         try:
-            expected, error = reference.run(inputs), None
+            expected, error = reference.run(inputs), ""
         except reference.Rejected as exc:
-            expected, error = None, exc
+            expected, error = None, f"{exc}\n"
         argv = [
             "--fact", str(inputs.fact),
             *(f"--dim={name}={path}" for name, path in inputs.dims),
@@ -230,13 +249,9 @@ def test_cli_matches_the_reference_pipeline(schema):
             "--minsup", inputs.minsup, "--minconf", inputs.minconf, "--algorithm", "both",
         ]
         code, err, files = cli_run([*argv, "--out", str(tmp / "out")])
-        if expected is None:
-            assert code == 2
-            if isinstance(error, reference.Malformed):
-                assert err == f"{error}\n"
-        else:
-            assert code == 0
+        assert (code, err) == (2 if expected is None else 0, error)
+        if expected is not None:
             assert written(tmp / "out") == expected
-        # the fact file streamed in chunks of a few rows fails or writes alike
-        with patch.object(ingest, "_CHUNK_CHARS", 64):
-            assert cli_run([*argv, "--out", str(tmp / "out64")]) == (code, err, files)
+        # the fact file streamed in chunks of a few characters fails or writes alike
+        with patch.object(ingest, "_CHUNK_CHARS", chunk):
+            assert cli_run([*argv, "--out", str(tmp / "streamed")]) == (code, err, files)

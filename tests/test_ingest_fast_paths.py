@@ -323,9 +323,12 @@ LF = ["\n"] * 6
 # a bad row in the second chunk, after a first chunk that holds a good row
 @example(body=["t1,1,Melb", "t1,1"], ends=["\x0b", *LF[1:]], last_end="\n", bom=False, chunk=8)
 @example(body=["t1,1,Melb", "t1,x,Melb"], ends=["\x0b", *LF[1:]], last_end="\n", bom=False, chunk=8)
+@example(body=["t1,1,Melb", "t1,x,Melb"], ends=["\x0b", *LF[1:]], last_end="\n", bom=True, chunk=8)
 def test_load_csv_matches_line_parser(body, ends, last_end, bom, chunk):
     # chunks of 1 to 8 characters (each read on to the next "\n") put chunk
-    # boundaries between every pair of physical lines
+    # boundaries between every pair of physical lines. The fact file's
+    # per-chunk tables, in order, hold load_csv's rows, or raise the whole
+    # file's first error, with its row number in the file.
     lines = ["tid,qty,city", *body]
     text = "\ufeff" * bom + "".join(map(str.__add__, lines, [*ends[: len(lines) - 1], last_end]))
     with tempfile.TemporaryDirectory() as tmp, patch.object(ingest, "_CHUNK_CHARS", chunk):
@@ -333,38 +336,16 @@ def test_load_csv_matches_line_parser(body, ends, last_end, bom, chunk):
         path.write_bytes(text.encode("utf-8"))
         fast = outcome(lambda: load_csv(path, LOAD_SCHEMA))
         slow = outcome(lambda: scan_load_csv(path, LOAD_SCHEMA))
+        by_chunks = outcome(lambda: list(pipeline._fact_tables(path, LOAD_SCHEMA)))
     if fast[0] == "ok":
         assert_checked_rebuild_equal(fast[1])
         fast = ("ok", fast[1].rows)
-    assert fast == slow
-
-
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    body=st.lists(st.one_of(GOOD_LINES, BAD_LINES), max_size=6),
-    ends=st.lists(st.sampled_from(TERMINATORS), min_size=6, max_size=6),
-    last_end=st.sampled_from(["", *TERMINATORS]),
-    bom=st.booleans(),
-    chunk=st.integers(1, 8),
-)
-@example(body=["t1,1,Melb", "t1,x,Melb"], ends=["\x0b", *LF[1:]], last_end="\n", bom=True, chunk=8)
-def test_fact_tables_hold_load_csvs_rows_or_raise_its_error(body, ends, last_end, bom, chunk):
-    # the per-chunk tables, in order, hold the file's rows; a bad row raises
-    # the whole file's first error, with its row number in the file
-    lines = ["tid,qty,city", *body]
-    text = "\ufeff" * bom + "".join(map(str.__add__, lines, [*ends[: len(lines) - 1], last_end]))
-    with tempfile.TemporaryDirectory() as tmp, patch.object(ingest, "_CHUNK_CHARS", chunk):
-        path = Path(tmp) / "fact.csv"
-        path.write_bytes(text.encode("utf-8"))
-        whole = outcome(lambda: load_csv(path, LOAD_SCHEMA, name="fact"))
-        by_chunks = outcome(lambda: list(pipeline._fact_tables(path, LOAD_SCHEMA)))
     if by_chunks[0] == "ok":
         for table in by_chunks[1]:
             assert_checked_rebuild_equal(table)
             assert table.name == "fact" and all(map(one_object_per_value, table.columns))
         by_chunks = ("ok", tuple(row for table in by_chunks[1] for row in table.rows))
-        whole = (whole[0], whole[1].rows) if whole[0] == "ok" else whole
-    assert by_chunks == whole
+    assert fast == slow == by_chunks
 
 
 def test_text_that_is_not_utf8_is_a_data_error_naming_the_file(tmp_path):
@@ -568,21 +549,42 @@ def supports(itemsets):
 @settings(max_examples=300, deadline=None)
 @given(
     pairs=shuffled_pairs(),
+    cuts=st.lists(st.integers(0, 28), max_size=4),
     empty_keys=st.lists(st.sampled_from(["e1", "e2", "e3"]), unique=True),
     minsup=st.sampled_from(["0.1", "0.25", "0.5", "1"]),
 )
-@example(pairs=[("k1", "0001"), ("k1", "0001")], empty_keys=["e1"], minsup="0.5")
-def test_group_by_key_by_code_matches_set_per_key_loop(pairs, empty_keys, minsup):
+@example(pairs=[("k1", "0001"), ("k1", "0001")], cuts=[], empty_keys=["e1"], minsup="0.5")
+@example(pairs=[("k2", "0001"), ("k1", "0002"), ("k2", "0002")], cuts=[1, 2], empty_keys=[], minsup="0.5")
+@example(pairs=[("k1", "0001"), ("k2", "0001"), ("k1", "0002"), ("k1", "0001")], cuts=[], empty_keys=[],
+         minsup="0.5")
+def test_group_by_key_by_code_matches_set_per_key_loop(pairs, cuts, empty_keys, minsup):
     md = MdTable(keys=[k for k, _ in pairs], codes=[c for _, c in pairs])
-    view = group_by_key([md])
     groups, universe = scan_group_by_key(md)
+    # the pairs cut into tables at the cuts group as one table of every pair does
+    bounds = sorted({0, len(pairs), *(c for c in cuts if c <= len(pairs))})
+    view = group_by_key(MdTable(keys=md.keys[a:b], codes=md.codes[a:b]) for a, b in zip(bounds, bounds[1:]))
+    assert all(type(members) is array and members.typecode == "i" for members in view.members.values())
+    checked = TransactionView(keys=view.keys, members=view.members)
+    assert (view.keys, view.code_universe) == (checked.keys, checked.code_universe)
+    # groups in first-occurrence order
+    assert view.keys == tuple(dict.fromkeys(md.keys))
     assert (view.groups, view.code_universe, view.n_groups) == (groups, universe, len(groups))
+    assert (groups, universe) == (group_by_key([md]).groups, universe_of(md))
 
     extents = build_item_extents(view)
     assert tuple(extents) == universe
     for code, mask in extents.items():
         carriers = [j for j, (_, codes) in enumerate(groups) if code in codes]
         assert mask == sum(1 << j for j in carriers)
+
+    # the miners read list members as they read the arrays
+    lists = TransactionView(keys=view.keys, members={c: list(members) for c, members in view.members.items()})
+    assert build_item_extents(lists) == extents
+    assert lists.group_sets == view.group_sets
+    for miner in (fi_gen, apriori_baseline):
+        (found, stats), (expected, expected_stats) = miner(view, minsup), miner(lists, minsup)
+        assert found == expected and stats.counters() == expected_stats.counters()
+    assert brute_force_frequent(view, minsup) == brute_force_frequent(lists, minsup)
 
     with_empty = groups + tuple((key, frozenset()) for key in empty_keys)
     round_trip = TransactionView.from_groups(with_empty)
@@ -594,21 +596,6 @@ def test_group_by_key_by_code_matches_set_per_key_loop(pairs, empty_keys, minsup
         oracle = supports(brute_force_frequent(v, minsup))
         assert supports(fi_gen(v, minsup)[0]) == oracle
         assert supports(apriori_baseline(v, minsup)[0]) == oracle
-
-
-@settings(max_examples=300, deadline=None)
-@given(pairs=shuffled_pairs(), cuts=st.lists(st.integers(0, 28), max_size=4))
-@example(pairs=[("k2", "0001"), ("k1", "0002"), ("k2", "0002")], cuts=[1, 2])
-def test_group_by_key_over_chunks_matches_the_checked_constructor(pairs, cuts):
-    md = MdTable(keys=[k for k, _ in pairs], codes=[c for _, c in pairs])
-    bounds = sorted({0, len(pairs), *(c for c in cuts if c <= len(pairs))})
-    view = group_by_key(MdTable(keys=md.keys[a:b], codes=md.codes[a:b]) for a, b in zip(bounds, bounds[1:]))
-    assert all(type(groups) is array and groups.typecode == "i" for groups in view.members.values())
-    checked = TransactionView(keys=view.keys, members=view.members)
-    assert (view.keys, view.code_universe) == (checked.keys, checked.code_universe)
-    # groups in first-occurrence order, as one table of every pair gives them
-    assert view.keys == tuple(dict.fromkeys(md.keys))
-    assert (view.groups, view.code_universe) == scan_group_by_key(md) == (group_by_key([md]).groups, universe_of(md))
 
 
 def test_group_by_key_releases_each_table_before_it_draws_the_one_after():
@@ -628,22 +615,6 @@ def test_group_by_key_releases_each_table_before_it_draws_the_one_after():
     assert view.keys == tuple(f"k{i}" for i in range(7))
     assert view.groups[:2] == (("k0", frozenset({"0001", "0009"})), ("k1", frozenset({"0000", "0001", "0009"})))
     assert view.groups[6] == ("k6", frozenset({"0005"}))
-
-
-@settings(max_examples=200, deadline=None)
-@given(pairs=shuffled_pairs(), minsup=st.sampled_from(["0.1", "0.25", "0.5", "1"]))
-@example(pairs=[("k1", "0001"), ("k2", "0001"), ("k1", "0002"), ("k1", "0001")], minsup="0.5")
-def test_miners_read_array_and_list_members_alike(pairs, minsup):
-    md = MdTable(keys=[k for k, _ in pairs], codes=[c for _, c in pairs])
-    arrays = group_by_key([md])
-    lists = TransactionView(keys=arrays.keys, members={c: list(groups) for c, groups in arrays.members.items()})
-    assert all(type(groups) is array for groups in arrays.members.values())
-    assert build_item_extents(arrays) == build_item_extents(lists)
-    assert arrays.group_sets == lists.group_sets
-    for miner in (fi_gen, apriori_baseline):
-        (found, stats), (expected, expected_stats) = miner(arrays, minsup), miner(lists, minsup)
-        assert found == expected and stats.counters() == expected_stats.counters()
-    assert brute_force_frequent(arrays, minsup) == brute_force_frequent(lists, minsup)
 
 
 def universe_of(md):

@@ -1,5 +1,5 @@
 """The fact file streamed through ingest one chunk at a time, against the
-whole-table run it replaces.
+whole-table run it replaces, on fixed inputs.
 
 ``run_pipeline`` reads the fact file as one table per chunk of about
 ``ingest._CHUNK_CHARS`` characters and passes each through ``join_tables``,
@@ -9,24 +9,24 @@ file is the one a whole-table run raises first. These tests shrink the
 chunks to a few characters, so that small inputs cross many chunk
 boundaries, and hold each streamed run to a whole-table run of the same
 input, whose one chunk holds the whole file: exit code, error line and
-every byte written to ``--out``.
+every byte written to ``--out``. Most place their rows so that the errors,
+line ends or chunk boundaries they check fall in known chunks. Random star
+schemas are streamed in ``test_differential.py``, whose one property test
+holds both runs to the reference pipeline.
 """
 
-import tempfile
 import tracemalloc
 import weakref
 from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
-from hypothesis import strategies as st
 
 from starminer import ingest, pipeline
 from starminer.datamodel import AttributeSpec
 from starminer.errors import DataError
 from starminer.synth import DIMENSION_TABLES, SynthSpec, generate_sales
-from test_differential import DEDUPE, cli_run, star_schemas
+from test_differential import cli_run
 
 
 def run(argv: list[str], chunk: int, whole: bool = False) -> tuple[int, str, dict[str, bytes]]:
@@ -46,32 +46,6 @@ def streamed_and_whole(argv: list[str], chunk: int) -> tuple[int, str, dict[str,
     streamed = run(argv, chunk)
     assert streamed == whole
     return streamed
-
-
-def cli_argv(tmp: Path, inputs, out: str = "out") -> list[str]:
-    return [
-        "--fact", str(tmp / inputs.fact),
-        *(f"--dim={name}={tmp / path}" for name, path in inputs.dims),
-        *(f"--join={':'.join(link)}" for link in inputs.joins),
-        "--key-dim", inputs.key_dim, "--combine-dims", ",".join(inputs.selected),
-        *(f"--filter={dim}={value}" for dim, value in inputs.filters),
-        *(f"--bins={attr}=" + ",".join(f"{label}:{lo}:{hi}" for label, lo, hi in bins) for attr, bins in inputs.bins),
-        *([f"--repeatable-dims={','.join(inputs.repeatable)}"] if inputs.repeatable else []),
-        "--minsup", inputs.minsup, "--minconf", inputs.minconf,
-        "--algorithm", "both", "--out", str(tmp / out),
-    ]
-
-
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(schema=star_schemas(), chunk=st.sampled_from([1, 16, 64]))
-@example(schema=DEDUPE, chunk=1)
-def test_streamed_runs_match_whole_table_runs(schema, chunk):
-    files, inputs = schema
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        for name, text in files.items():
-            (tmp / name).write_text(text, encoding="utf-8")
-        streamed_and_whole(cli_argv(tmp, inputs), chunk)
 
 
 def test_a_generated_star_streams_to_the_same_bytes(tmp_path):
