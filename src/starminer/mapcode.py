@@ -10,7 +10,7 @@ After mining, the codes expand back into their dimension/value pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, filterfalse
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .datamodel import RelationalTable, _unchecked
@@ -144,15 +144,15 @@ def combine_dims(
     """Assign codes to selected-dimension combinations and emit key/code pairs.
 
     Codes go to the distinct value combinations in first-encounter order;
-    each kept row then maps through them to its (key value, code) pair, so
-    the table holds one pair per kept row. ``filters`` restricts rows to
-    those whose value for each filtered dimension is in the allowed set.
+    each kept row maps to its (key value, code) pair, so the table holds one
+    pair per kept row. ``filters`` restricts rows to those whose value for
+    each filtered dimension is in the allowed set.
 
     Codes come from ``registry``, a new one by default. Passing the registry
     that coded earlier chunks of the same rows keeps their codes, and gives
     new combinations the codes a call over all the rows would give them.
-    Only combinations the registry has not seen are passed to
-    :meth:`MapCodeRegistry.encode`; the others are looked up.
+    The rows' combinations are zipped once: each is looked up, and only one
+    the registry has not seen is passed to :meth:`MapCodeRegistry.encode`.
     """
     selected = tuple(selected_dims)
     if not selected:
@@ -186,12 +186,10 @@ def combine_dims(
         masks = [map(allowed.__contains__, general.columns[pos]) for pos, allowed in filt]
         keep = list(masks[0] if len(masks) == 1 else map(all, zip(*masks)))
         keys = tuple(compress(keys, keep))
-        chosen = [tuple(compress(column, keep)) for column in chosen]
+        chosen = [compress(column, keep) for column in chosen]
 
-    code_of = registry._code_by_combo
-    for combo in filterfalse(code_of.__contains__, dict.fromkeys(zip(*chosen))):
-        registry.encode(combo)
-    return registry, MdTable(keys=keys, codes=map(code_of.__getitem__, zip(*chosen)))
+    code_of = registry._code_by_combo.get
+    return registry, MdTable(keys=keys, codes=[code_of(combo) or registry.encode(combo) for combo in zip(*chosen)])
 
 
 def transform_map_code(

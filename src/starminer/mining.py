@@ -386,8 +386,10 @@ def fi_gen(
     thus Apriori's, with the level-wise walk's candidate and pruned counts.
     Finished classes keep their tail sets but not their masks, so only the
     frequent codes' extents and the masks of the classes on the current
-    path are alive. The
-    result is sorted by ``(level, items)``, as a level-wise walk lists it.
+    path are alive. A class's survivors are counted in one loop that keeps
+    the masks of the frequent ones only, and each frequent set is kept as an
+    ``(items, count)`` pair; the pairs are sorted by ``(level, items)``, as
+    a level-wise walk lists them, and only then made itemsets.
 
     No group scan happens after the extent build, so ``full_scans_of_groups``
     is always 1. Counting runs on the calling thread: AND and ``bit_count``
@@ -401,18 +403,8 @@ def fi_gen(
     n = view.n_groups
     threshold = support_threshold(f, n)
     extents = build_item_extents(view, stats, threshold)
-    result: list[FrequentItemset] = []
+    found: list[tuple[tuple[str, ...], int]] = [((c,), mask.bit_count()) for c, mask in extents.items()]
     tail_sets: dict[tuple[str, ...], frozenset[str]] = {}
-
-    def frequent(head, counted):
-        """The ``(b, mask)`` pairs of ``counted`` whose mask reaches the
-        threshold, each also added to the result as ``head + (b,)``."""
-        kept = []
-        for b, mask in counted:
-            if (count := mask.bit_count()) >= threshold:
-                kept.append((b, mask))
-                result.append(FrequentItemset._of(head + (b,), count, count / n))
-        return kept
 
     def enter(prefix, members):
         """The path entry ``(prefix, members, survivors)`` of a class.
@@ -425,7 +417,7 @@ def fi_gen(
         return prefix, members, survivors
 
     stats.candidates_generated += len(view.code_universe)
-    path = [enter((), frequent((), extents.items()))]
+    path = [enter((), list(extents.items()))]
     while path:
         prefix, members, survivors = path[-1]
         if not members:
@@ -433,11 +425,16 @@ def fi_gen(
             continue
         a, mask = members.pop()
         head = prefix + (a,)
-        child = frequent(head, [(b, mask & extents[b]) for b in survivors.pop()])
+        child = []
+        for b in survivors.pop():
+            if (count := (both := mask & extents[b]).bit_count()) >= threshold:
+                child.append((b, both))
+                found.append((head + (b,), count))
         if child:
             tail_sets[head] = frozenset(b for b, _ in child)
             path.append(enter(head, child))
-    result.sort(key=lambda itemset: (len(itemset.items), itemset.items))
+    found.sort(key=lambda pair: (len(pair[0]), pair[0]))
+    result = [FrequentItemset._of(items, count, count / n) for items, count in found]
     stats.elapsed = time.perf_counter() - start
     return result, stats
 

@@ -341,19 +341,24 @@ def _schemas(config: RunConfig, paths: Mapping[str, Path]) -> dict[str, tuple[At
     }
 
 
-def _fact_tables(path: Path, schema: tuple[AttributeSpec, ...]) -> Iterator[RelationalTable]:
+def _fact_tables(path: Path, schema: tuple[AttributeSpec, ...], read: Sequence[int]) -> Iterator[RelationalTable]:
     """The fact file at ``path`` as one table per chunk of rows, in file
-    order. Each is built by ``load_csv``, with pools of its own, so the load
-    stage covers every fact row. Nothing of a chunk is held once its table
-    is yielded, and a bad row raises the whole file's first error."""
-    return map(lambda chunk: load_csv(path, schema, "fact", [chunk]), _cell_chunks(path, schema))
+    order, of the columns at the positions ``read``, in file order.
+
+    Each is built by ``load_csv`` from its chunk's cells as plain tuples,
+    with no pools (a whole-file load, such as a dimension's, keeps one
+    object per distinct value), so the load stage covers every fact row;
+    every line is still checked whole, in the columns not read too. Nothing
+    of a chunk is held once its table is yielded, and a bad row raises the
+    whole file's first error."""
+    read_schema = tuple(schema[j] for j in read)
+    return map(lambda chunk: load_csv(path, read_schema, "fact", [chunk]), _cell_chunks(path, schema, read))
 
 
 def _ingest(
     config: RunConfig,
     paths: Mapping[str, Path],
     schemas: Mapping[str, tuple[AttributeSpec, ...]],
-    facts: Iterable[RelationalTable],
     result: PipelineResult,
 ) -> Iterator[MdTable]:
     """Join, discretize and code each table of fact rows in turn, yielding
@@ -361,9 +366,12 @@ def _ingest(
 
     Sets ``result.registry`` to the one registry that codes every table and
     adds the general-table rows to ``result.general_rows``. The dimensions
-    load before the first table is drawn. Once a table fails, none is
-    yielded, but each later one is still drawn, joined and binned, so that
-    the end of the file raises the error a whole-table run raises first.
+    load, and the projection is resolved, before the fact file is read; the
+    fact tables then hold only the columns the run reads, each join's fact
+    key and each fact attribute of the projection. Once a table fails, none
+    is yielded, but each later one is still drawn, joined and binned, so
+    that the end of the file raises the error a whole-table run raises
+    first.
     """
     assert config.key_dim is not None
     needed = [config.key_dim, *config.selected_dims, *(d for d, _ in config.filters)]
@@ -371,16 +379,21 @@ def _ingest(
     for dim, value in config.filters:
         filter_map.setdefault(dim, set()).add(value)
     registry = result.registry = MapCodeRegistry(config.selected_dims)
+    fact_path, fact_schema = paths["fact"], schemas["fact"]
     try:
         dims = {name: load_csv(paths[name], s, name=name) for name, s in schemas.items() if name != "fact"}
-        projected = config.projected or _derive_projection(schemas["fact"], dims, needed)
+        projected = config.projected or _derive_projection(fact_schema, dims, needed)
     except StarMinerError:
-        deque(facts, maxlen=0)  # a fact load error further on wins
+        deque(_cell_chunks(fact_path, fact_schema, ()), maxlen=0)  # a fact load error further on wins
         raise
+    taken = {*(fact_key for fact_key, _, _ in config.joins), *(attr for table, attr in projected if table == "fact")}
+    # a table of no column could not count its rows; a run that reads no
+    # fact column fails in its join, which finds a key or attribute missing
+    read = [j for j, spec in enumerate(fact_schema) if spec.name in taken] or [0]
     links = [(fact_key, dims[dim], dim_key) for fact_key, dim, dim_key in config.joins]
     orphans: dict[tuple[str, Atom], None] = {}  # of every table, in fact-row order
     failed: tuple[int, StarMinerError] | None = None  # the first-ranked error
-    for fact in facts:
+    for fact in _fact_tables(fact_path, fact_schema, read):
         rank = -1  # orders the errors: any join error, bin errors by column, any other
         try:
             general = join_tables(fact, links, projected)
@@ -448,7 +461,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     # made, so only one chunk's tables are alive beside the dimensions and
     # the groups.
     schemas = _schemas(config, paths)
-    view = group_by_key(_ingest(config, paths, schemas, _fact_tables(paths["fact"], schemas["fact"]), result))
+    view = group_by_key(_ingest(config, paths, schemas, result))
     assert result.registry is not None
     result.codes = len(result.registry)
     result.groups = view.n_groups

@@ -32,10 +32,12 @@ MUTANTS = [
         "src/starminer/mining.py",
         "a, mask = members.pop()\n"
         "        head = prefix + (a,)\n"
-        "        child = frequent(head, [(b, mask & extents[b]) for b in survivors.pop()])",
+        "        child = []\n"
+        "        for b in survivors.pop():",
         "a, mask = members.pop(0)\n"
         "        head = prefix + (a,)\n"
-        "        child = frequent(head, [(b, mask & extents[b]) for b in survivors.pop(0)])",
+        "        child = []\n"
+        "        for b in survivors.pop(0):",
         ["tests/test_fast_paths.py"],
     ),
     (
@@ -48,8 +50,8 @@ MUTANTS = [
     (
         "an itemset is frequent only above the threshold",
         "src/starminer/mining.py",
-        "(count := mask.bit_count()) >= threshold",
-        "(count := mask.bit_count()) > threshold",
+        "(count := (both := mask & extents[b]).bit_count()) >= threshold",
+        "(count := (both := mask & extents[b]).bit_count()) > threshold",
         ["tests/test_fast_paths.py"],
     ),
     (
@@ -186,8 +188,10 @@ MUTANTS = [
     (
         "codes are numbered in key order",
         "src/starminer/mapcode.py",
-        "dict.fromkeys(zip(*chosen))",
-        "dict.fromkeys(c for _, c in sorted(zip(keys, zip(*chosen))))",
+        "    code_of = registry._code_by_combo.get\n",
+        "    code_of = registry._code_by_combo.get\n"
+        "    for _, combo in sorted(zip(keys, zip(*chosen))):\n"
+        "        code_of(combo) or registry.encode(combo)\n",
         ["tests/test_metamorphic.py::test_renaming_every_key_one_to_one_changes_no_output"],
     ),
     (
@@ -214,7 +218,7 @@ MUTANTS = [
     (
         "a dimension's error is reported without reading the rest of the fact file",
         "src/starminer/pipeline.py",
-        "        deque(facts, maxlen=0)",
+        "        deque(_cell_chunks(fact_path, fact_schema, ()), maxlen=0)",
         "        pass",
         ["tests/test_stream.py::test_a_fact_load_error_in_a_late_chunk_wins_over_a_dimension_load_error"],
     ),
@@ -320,8 +324,9 @@ MUTANTS = [
     (
         "the per-chunk reader shares one pool across all chunks",
         "src/starminer/ingest.py",
-        "    pools: list[dict[str, str]] = [{} for _ in schema]\n",
-        "    pools: list[dict[str, str]] = [*vars(load_csv).setdefault(\"pools\", [{} for _ in schema])]\n",
+        "            cells = chain.from_iterable(parts)\n",
+        "            cells = [*chain.from_iterable(parts)]\n"
+        "            cells = map(vars(load_csv).setdefault(\"pool\", {}).setdefault, cells, cells)\n",
         ["tests/test_stream.py::test_the_chunk_reader_holds_nothing_of_a_chunk_when_it_reads_the_next"],
     ),
     (
@@ -351,6 +356,21 @@ MUTANTS = [
         """    if '"' in joined or set(map(str.count, lines, repeat(","))) - {width - 1}:""",
         """    if set(map(str.count, lines, repeat(","))) - {width - 1}:""",
         ["tests/test_ingest_fast_paths.py::test_load_csv_matches_line_parser"],
+    ),
+    (
+        "the reader skips the number check of an unread column",
+        "src/starminer/ingest.py",
+        "numbers = {cell for j, spec in enumerate(schema) if not spec",
+        "numbers = {cell for j, spec in zip(read, map(schema.__getitem__, read)) if not spec",
+        ["tests/test_ingest_fast_paths.py::test_load_csv_matches_line_parser",
+         "tests/test_stream.py::test_a_bad_cell_in_a_fact_column_the_run_does_not_read_still_fails"],
+    ),
+    (
+        "the chunk table leaves out a join key column",
+        "src/starminer/pipeline.py",
+        "taken = {*(fact_key for fact_key, _, _ in config.joins), *(attr",
+        "taken = {*(attr",
+        ["tests/test_stream.py::test_a_generated_star_streams_to_the_same_bytes"],
     ),
 ]
 

@@ -305,30 +305,36 @@ LF = ["\n"] * 6
     last_end=st.sampled_from(["", *TERMINATORS]),
     bom=st.booleans(),
     chunk=st.integers(1, 8),
+    read=st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True).map(sorted),
 )
-@example(body=["t1,x,Melb", 't1,1,"Melb"'], ends=LF, last_end="\n", bom=False, chunk=8)
-@example(body=['t1,1,"Melb"', "t1,x,Melb"], ends=LF, last_end="\n", bom=False, chunk=8)
-@example(body=["t1,1,Melb", "t1,1", 't1,1,"Melb"'], ends=LF, last_end="", bom=False, chunk=8)
-@example(body=["t1,1,Melb", "t2,2.5,Perth", "t1,x,Melb", "t1,1"], ends=LF, last_end="\n", bom=True, chunk=2)
+# a bad number or width, or a quote, in a column that is not read
+@example(body=["t1,x,Melb", 't1,1,"Melb"'], ends=LF, last_end="\n", bom=False, chunk=8, read=[0, 2])
+@example(body=['t1,1,"Melb"', "t1,x,Melb"], ends=LF, last_end="\n", bom=False, chunk=8, read=[1])
+@example(body=["t1,1,Melb", "t1,1", 't1,1,"Melb"'], ends=LF, last_end="", bom=False, chunk=8, read=[0])
+@example(body=["t1,1,Melb", "t2,2.5,Perth", "t1,x,Melb", "t1,1"], ends=LF, last_end="\n", bom=True, chunk=2,
+         read=[0, 1, 2])
 # the header ends at a \x0b: the rest of its physical line is a data row
-@example(body=["t1,1,Melb"], ends=["\x0b", *LF[1:]], last_end="\n", bom=False, chunk=8)
-@example(body=["t1,1,Melb"], ends=["\x0b", *LF[1:]], last_end="", bom=True, chunk=1)
+@example(body=["t1,1,Melb"], ends=["\x0b", *LF[1:]], last_end="\n", bom=False, chunk=8, read=[0, 1, 2])
+@example(body=["t1,1,Melb"], ends=["\x0b", *LF[1:]], last_end="", bom=True, chunk=1, read=[2])
 # a trailing blank line
-@example(body=["t1,1,Melb", ""], ends=LF, last_end="\n", bom=False, chunk=8)
-@example(body=["t1,1,Melb", ""], ends=["\r\n"] * 6, last_end="\r\n", bom=False, chunk=3)
+@example(body=["t1,1,Melb", ""], ends=LF, last_end="\n", bom=False, chunk=8, read=[0, 1, 2])
+@example(body=["t1,1,Melb", ""], ends=["\r\n"] * 6, last_end="\r\n", bom=False, chunk=3, read=[1, 2])
 # a quote on the first, then on the last, of a chunk's lines (chunk 2 runs
 # from the first data row to the next \n)
-@example(body=['t1,1,"Melb"', "t1,1,Melb"], ends=["\n", "\x0b", *LF[2:]], last_end="\n", bom=False, chunk=8)
-@example(body=["t1,1,Melb", 't1,1,"Melb"'], ends=["\n", "\x0b", *LF[2:]], last_end="\n", bom=False, chunk=8)
+@example(body=['t1,1,"Melb"', "t1,1,Melb"], ends=["\n", "\x0b", *LF[2:]], last_end="\n", bom=False, chunk=8,
+         read=[0, 1, 2])
+@example(body=["t1,1,Melb", 't1,1,"Melb"'], ends=["\n", "\x0b", *LF[2:]], last_end="\n", bom=False, chunk=8,
+         read=[0])
 # a bad row in the second chunk, after a first chunk that holds a good row
-@example(body=["t1,1,Melb", "t1,1"], ends=["\x0b", *LF[1:]], last_end="\n", bom=False, chunk=8)
-@example(body=["t1,1,Melb", "t1,x,Melb"], ends=["\x0b", *LF[1:]], last_end="\n", bom=False, chunk=8)
-@example(body=["t1,1,Melb", "t1,x,Melb"], ends=["\x0b", *LF[1:]], last_end="\n", bom=True, chunk=8)
-def test_load_csv_matches_line_parser(body, ends, last_end, bom, chunk):
+@example(body=["t1,1,Melb", "t1,1"], ends=["\x0b", *LF[1:]], last_end="\n", bom=False, chunk=8, read=[2])
+@example(body=["t1,1,Melb", "t1,x,Melb"], ends=["\x0b", *LF[1:]], last_end="\n", bom=False, chunk=8, read=[0, 2])
+@example(body=["t1,1,Melb", "t1,x,Melb"], ends=["\x0b", *LF[1:]], last_end="\n", bom=True, chunk=8, read=[0, 1, 2])
+def test_load_csv_matches_line_parser(body, ends, last_end, bom, chunk, read):
     # chunks of 1 to 8 characters (each read on to the next "\n") put chunk
     # boundaries between every pair of physical lines. The fact file's
-    # per-chunk tables, in order, hold load_csv's rows, or raise the whole
-    # file's first error, with its row number in the file.
+    # per-chunk tables of the columns ``read``, in order, hold those columns
+    # of load_csv's rows, or raise the whole file's first error, with its row
+    # number in the file: a column that is not read is still checked.
     lines = ["tid,qty,city", *body]
     text = "\ufeff" * bom + "".join(map(str.__add__, lines, [*ends[: len(lines) - 1], last_end]))
     with tempfile.TemporaryDirectory() as tmp, patch.object(ingest, "_CHUNK_CHARS", chunk):
@@ -336,16 +342,18 @@ def test_load_csv_matches_line_parser(body, ends, last_end, bom, chunk):
         path.write_bytes(text.encode("utf-8"))
         fast = outcome(lambda: load_csv(path, LOAD_SCHEMA))
         slow = outcome(lambda: scan_load_csv(path, LOAD_SCHEMA))
-        by_chunks = outcome(lambda: list(pipeline._fact_tables(path, LOAD_SCHEMA)))
+        by_chunks = outcome(lambda: list(pipeline._fact_tables(path, LOAD_SCHEMA, read)))
     if fast[0] == "ok":
         assert_checked_rebuild_equal(fast[1])
         fast = ("ok", fast[1].rows)
     if by_chunks[0] == "ok":
         for table in by_chunks[1]:
             assert_checked_rebuild_equal(table)
-            assert table.name == "fact" and all(map(one_object_per_value, table.columns))
+            # exactly the read columns, in file order
+            assert table.name == "fact" and table.schema == tuple(LOAD_SCHEMA[j] for j in read)
         by_chunks = ("ok", tuple(row for table in by_chunks[1] for row in table.rows))
-    assert fast == slow == by_chunks
+    assert fast == slow
+    assert by_chunks == (("ok", tuple(tuple(row[j] for j in read) for row in fast[1])) if fast[0] == "ok" else fast)
 
 
 def test_text_that_is_not_utf8_is_a_data_error_naming_the_file(tmp_path):
@@ -354,7 +362,7 @@ def test_text_that_is_not_utf8_is_a_data_error_naming_the_file(tmp_path):
     with pytest.raises(DataError, match=f"^{path}: not valid UTF-8"):
         load_csv(path, LOAD_SCHEMA)
     with pytest.raises(DataError, match=f"^{path}: not valid UTF-8"):
-        list(pipeline._fact_tables(path, LOAD_SCHEMA))
+        list(pipeline._fact_tables(path, LOAD_SCHEMA, [0, 1, 2]))
 
 
 def test_load_csv_holds_about_one_chunk_beyond_its_table(tmp_path):

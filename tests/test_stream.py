@@ -148,6 +148,55 @@ def test_a_fact_load_error_in_a_late_chunk_wins_over_a_dimension_load_error(tmp_
                               "supported; this format forbids delimiters inside values\n")
 
 
+@pytest.mark.parametrize("row, message", [
+    ('t30,c1,5,"5"', "quoted values are not supported; this format forbids delimiters inside values"),
+    ("t30,c1,5,5,5", "expected 4 values, got 5"),
+    ("t30,c1,x,5", "cannot parse 'x' as a number for attribute 'v'"),
+])
+def test_a_bad_cell_in_a_fact_column_the_run_does_not_read_still_fails(tmp_path, row, message):
+    # the run reads tid and cust only: w is in no stage, and v is binned but
+    # neither combined nor filtered, so no stage projects it
+    rows = good_rows()
+    rows[29] = row
+    argv = star(tmp_path, rows)
+    assert chunk_of(tmp_path / "fact.csv", 30) >= 2
+    read = []
+    load_csv = pipeline.load_csv
+
+    def recorded(path, schema, name=None, chunks=None):
+        if chunks is not None:
+            read.append([spec.name for spec in schema])
+        return load_csv(path, schema, name, chunks)
+
+    with patch.object(pipeline, "load_csv", recorded):
+        code, err, _ = streamed_and_whole(argv, 64)
+    assert (code, err) == (2, f"starminer: data error: {tmp_path / 'fact.csv'} row 30: {message}\n")
+    assert len(read) >= 2 and all(names == ["tid", "cust"] for names in read)
+
+
+def test_a_run_that_reads_no_fact_column_drains_the_file_and_fails_as_before(tmp_path):
+    # the projection fails, so no fact column is read: the file is still
+    # checked to its end, and a bad row in it wins over the projection error
+    star(tmp_path, good_rows())
+    fact = ["--fact", str(tmp_path / "fact.csv")]
+    mine = ["--minsup", "0.1", "--minconf", "0.5", "--out", str(tmp_path / "out")]
+    argv = [*fact, "--key-dim", "nosuch", "--combine-dims", "other", *mine]
+    code, err, _ = streamed_and_whole(argv, 64)
+    assert (code, err) == (2, "starminer: data error: attribute 'nosuch' is in neither the fact table nor a "
+                              "joined dimension\n")
+    rows = good_rows()
+    rows[-1] = "t40,c1,5"
+    star(tmp_path, rows)
+    code, err, _ = streamed_and_whole(argv, 64)
+    assert (code, err) == (2, f"starminer: data error: {tmp_path / 'fact.csv'} row 40: expected 4 values, got 3\n")
+    # the projection holds, but the join's fact key is not in the fact table
+    star(tmp_path, good_rows())
+    argv = [*fact, "--dim", f"customer={tmp_path / 'customer.csv'}", "--join", "nosuch:customer:cust_id",
+            "--key-dim", "cust_id", "--combine-dims", "age", *mine]
+    code, err, _ = streamed_and_whole(argv, 64)
+    assert (code, err) == (2, "starminer: data error: table 'fact' has no attribute 'nosuch'\n")
+
+
 def test_orphans_are_listed_in_fact_row_order_across_chunks_up_to_the_cap(tmp_path):
     rows = good_rows()
     orphans = [f"x{39 - i}" for i in range(0, ROWS, 2)][:25] + ["x39"]  # 20 distinct, then repeats
@@ -212,14 +261,14 @@ def test_fact_tables_cut_the_file_into_its_rows_in_order(tmp_path):
     fact.write_bytes("\ufefftid,v\x0bt0,0\r\n".encode() + b"".join(b"t%d,%d\n" % (i, i) for i in range(1, 30)))
     schema = (AttributeSpec("tid"), AttributeSpec("v", bins=(("lo", 0, 100),)))
     with patch.object(ingest, "_CHUNK_CHARS", 16):
-        tables = list(pipeline._fact_tables(fact, schema))
+        tables = list(pipeline._fact_tables(fact, schema, range(len(schema))))
     assert len(tables) > 3 and all(table.name == "fact" and table.n_rows for table in tables)
     assert [row for table in tables for row in table.rows] == [(f"t{i}", float(i)) for i in range(30)]
     fact.write_bytes(b"tid,v")
-    assert [table.rows for table in pipeline._fact_tables(fact, schema)] == [()]
+    assert [table.rows for table in pipeline._fact_tables(fact, schema, range(len(schema)))] == [()]
     fact.write_bytes(b"")
     with pytest.raises(DataError, match=f"^{fact}: empty file, expected a header row$"):
-        list(pipeline._fact_tables(fact, schema))
+        list(pipeline._fact_tables(fact, schema, range(len(schema))))
 
 
 def test_a_bad_last_row_is_found_in_its_chunk_without_opening_the_file_again(tmp_path):
@@ -230,7 +279,8 @@ def test_a_bad_last_row_is_found_in_its_chunk_without_opening_the_file_again(tmp
     assert chunk_of(fact, ROWS) >= 4
     schema = (AttributeSpec("tid"), AttributeSpec("cust"), AttributeSpec("v", bins=(("lo", 0, 10),)),
               AttributeSpec("w"))
-    for load in (lambda: ingest.load_csv(fact, schema), lambda: list(pipeline._fact_tables(fact, schema))):
+    every = range(len(schema))
+    for load in (lambda: ingest.load_csv(fact, schema), lambda: list(pipeline._fact_tables(fact, schema, every))):
         with patch.object(ingest, "_open_text", wraps=ingest._open_text) as opened:
             with patch.object(ingest, "_CHUNK_CHARS", 64), pytest.raises(DataError) as error:
                 load()
@@ -250,7 +300,7 @@ def test_the_chunk_reader_holds_nothing_of_a_chunk_when_it_reads_the_next(tmp_pa
     with patch.object(ingest, "_CHUNK_CHARS", 1 << 13):
         tracemalloc.start()
         try:
-            for table in pipeline._fact_tables(fact, schema):
+            for table in pipeline._fact_tables(fact, schema, range(len(schema))):
                 ref = weakref.ref(table)
                 del table
                 assert ref() is None, f"the reader holds chunk {chunks}'s table"
