@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 data/schema error, 3 the two mining
-algorithms disagreed (which is a bug, never a data problem). Any other
-exception is a bug too, and propagates with its traceback.
+algorithms disagreed (which is a bug, never a data problem), 4 out of
+memory (a ``MemoryError``, reported once the run's frames are freed). Any
+other exception is a bug too, and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .pipeline import ALGORITHMS, RunConfig, run_pipeline
 USAGE_EXIT = 1
 DATA_EXIT = 2
 DISAGREEMENT_EXIT = 3
+MEMORY_EXIT = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,6 +180,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    config = result = None
     try:
         config = config_from_args(args)
         result = run_pipeline(config)
@@ -190,6 +193,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AgreementError as exc:
         print(f"starminer: disagreement: {exc}", file=sys.stderr)
         return DISAGREEMENT_EXIT
+    except MemoryError:
+        pass  # reported below, once this block has freed the miner's frames
+    if result is None:
+        minsup = getattr(config, "minsup", None)
+        at = f" at minsup {minsup}" if minsup is not None else ""
+        print(f"starminer: out of memory: the run{at} needs more memory than this process may use", file=sys.stderr)
+        return MEMORY_EXIT
 
     if config.key_dim is None:
         print(f"generated synthetic data under {Path(config.out_dir) / 'data'}")

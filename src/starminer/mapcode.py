@@ -107,7 +107,7 @@ class DecodedItemset:
 
     Pairs keep decode order (codes ascending, each combo in selected-dimension
     order, duplicates dropped). Equality compares the pairs in that order;
-    :func:`~starminer.rules.gen_rules` looks itemsets up by their pair set.
+    :func:`~starminer.rules.gen_rules` keys each pair set as an int bitmask.
     :func:`transform_map_code` builds its itemsets through :meth:`_of`, which
     checks nothing: it builds each ``pairs`` as a duplicate-free tuple of
     pair tuples itself.

@@ -26,11 +26,11 @@ Three miners share one output contract and are cross-checked in the tests:
 * :func:`brute_force_frequent` enumerates every subset of a small universe by
   direct containment counting; it is the oracle the other two are held to.
 
-Both walks build a class's candidates with one step,
-:func:`_class_candidates`, which joins a prefix class and applies Apriori's
-subset prune to it. :func:`fi_gen` calls it once per class it enters;
-:func:`apriori_baseline`, through :func:`_next_candidates`, calls it for
-every class of a level.
+Both walks build their candidates with one step per member of a prefix
+class, :func:`_joins`, which joins the member with the later ones and
+applies Apriori's subset prune. :func:`fi_gen` calls it when its walk takes
+a member; :func:`apriori_baseline`, through :func:`_next_candidates`, for
+every member of every class of a level.
 
 Support thresholds use exact rational arithmetic: ``minsup`` may be a decimal
 string ("0.0045"), a Fraction, or a float (converted through its shortest
@@ -305,35 +305,29 @@ def build_item_extents(
     return extents
 
 
-def _class_candidates(
+def _joins(
     prefix: tuple[str, ...],
-    items: list[str],
+    a: str,
+    later: list[str],
     tail_sets: Mapping[tuple[str, ...], frozenset[str]],
-) -> tuple[int, list[list[str]]]:
-    """Join one prefix class and apply Apriori's subset prune to it.
+) -> list[str]:
+    """The items ``b`` of ``later`` whose candidate ``prefix + (a, b)``
+    passes Apriori's subset prune.
 
-    The class holds the frequent sets ``prefix + (a,)`` for the sorted
-    ``items`` (Zaki's equivalence class of ``prefix``). Joining ``a`` with a
-    later ``b`` gives the candidate ``prefix + (a, b)``. Its two parents are
-    frequent; every other subset of one item less drops one prefix item
-    ``p``, and it is frequent exactly when ``b`` is in ``tail_sets`` of the
-    class ``prefix - p + (a,)``. So the b's kept for ``a`` are the later
-    items that lie in all ``len(prefix)`` such tail sets, filtered class-wise
-    with no candidate tuple built.
-
-    Returns ``(joined, survivors)``: the number of joined pairs, and for
-    each item, in order, the b's that survive the prune, in order.
+    ``prefix + (a,)`` and each ``prefix + (b,)`` are frequent members of the
+    class of ``prefix`` (Zaki's equivalence class), ``later`` holding those
+    after ``a`` in order. Every other subset of the candidate with one item
+    less drops a prefix item ``p``, and is frequent exactly when ``b`` is in
+    ``tail_sets`` of the class ``prefix - p + (a,)``. No candidate tuple is
+    built, and no tail set is looked up once no ``b`` is left.
     """
-    drops = [prefix[:j] + prefix[j + 1 :] for j in range(len(prefix))]
-    survivors: list[list[str]] = []
-    for i, a in enumerate(items):
-        kept = items[i + 1 :]
-        for sub in drops:
-            allowed = tail_sets.get(sub + (a,), frozenset())
-            kept = [b for b in kept if b in allowed]
-        survivors.append(kept)
-    m = len(items)
-    return m * (m - 1) // 2, survivors
+    kept = later
+    for j in range(len(prefix)):
+        if not kept:
+            break
+        allowed = tail_sets.get(prefix[:j] + prefix[j + 1 :] + (a,), frozenset())
+        kept = [b for b in kept if b in allowed]
+    return kept
 
 
 def _next_candidates(
@@ -342,11 +336,11 @@ def _next_candidates(
     """The k-candidates of the sorted, duplicate-free frequent (k-1)-sets.
 
     ``prev`` falls into prefix classes, the sets sharing their first k-2
-    items; each is joined and pruned by :func:`_class_candidates` against
-    the tail sets of the whole level. Returns ``(kept, joined, pruned)``:
-    the surviving candidates in the order the plain join would list them,
-    the number of joined pairs, and how many of those had an infrequent
-    subset.
+    items; each member of each class is joined with the later members and
+    pruned by :func:`_joins` against the tail sets of the whole level.
+    Returns ``(kept, joined, pruned)``: the surviving candidates in the
+    order the plain join would list them, the number of joined pairs, and
+    how many of those had an infrequent subset.
     """
     tails: dict[tuple[str, ...], list[str]] = {}
     for itemset in prev:
@@ -355,11 +349,10 @@ def _next_candidates(
     kept: list[tuple[str, ...]] = []
     joined = 0
     for prefix, items in tails.items():
-        pairs, survivors = _class_candidates(prefix, items, tail_sets)
-        joined += pairs
-        for a, bs in zip(items, survivors):
-            head = prefix + (a,)
-            kept.extend(head + (b,) for b in bs)
+        for i, a in enumerate(items):
+            later = items[i + 1 :]
+            joined += len(later)
+            kept.extend(prefix + (a, b) for b in _joins(prefix, a, later, tail_sets))
     return kept, joined, joined - len(kept)
 
 
@@ -375,10 +368,10 @@ def fi_gen(
     counts as a level-1 candidate. The prefix classes are walked
     depth-first, as in Zaki's Eclat. A class holds the frequent sets
     ``prefix + (a,)`` with their masks, a level-1 set's mask being its
-    code's extent. :func:`_class_candidates` joins and
-    prunes it; a surviving ``prefix + (a, b)`` is counted as the population
-    count of its parent's mask AND ``b``'s extent, and the frequent ones
-    form the class of ``prefix + (a,)``, which is walked at once.
+    code's extent. When the walk takes a member ``a``, :func:`_joins` joins
+    it with the later members and prunes; a surviving ``prefix + (a, b)`` is
+    counted as the population count of ``a``'s mask AND ``b``'s extent, and
+    the frequent ones form the class of ``prefix + (a,)``, walked at once.
 
     Members are taken last item first, so the walk is in reverse
     lexicographic order: each class the prune looks up, ``prefix - p +
@@ -386,8 +379,8 @@ def fi_gen(
     thus Apriori's, with the level-wise walk's candidate and pruned counts.
     Finished classes keep their tail sets but not their masks, so only the
     frequent codes' extents and the masks of the classes on the current
-    path are alive. A class's survivors are counted in one loop that keeps
-    the masks of the frequent ones only, and each frequent set is kept as an
+    path are alive: a class on the path is ``(prefix, items, masks)``, with
+    the masks of the items not yet taken. Each frequent set is kept as an
     ``(items, count)`` pair; the pairs are sorted by ``(level, items)``, as
     a level-wise walk lists them, and only then made itemsets.
 
@@ -406,33 +399,28 @@ def fi_gen(
     found: list[tuple[tuple[str, ...], int]] = [((c,), mask.bit_count()) for c, mask in extents.items()]
     tail_sets: dict[tuple[str, ...], frozenset[str]] = {}
 
-    def enter(prefix, members):
-        """The path entry ``(prefix, members, survivors)`` of a class.
-        ``members`` pairs each item with the mask of ``prefix + (item,)``,
-        in item order, and ``survivors`` holds each item's candidates; the
-        walk uses both up from the end."""
-        joined, survivors = _class_candidates(prefix, [a for a, _ in members], tail_sets)
-        stats.candidates_generated += joined
-        stats.candidates_pruned += joined - sum(map(len, survivors))
-        return prefix, members, survivors
-
     stats.candidates_generated += len(view.code_universe)
-    path = [enter((), list(extents.items()))]
+    path = [((), list(extents), list(extents.values()))]
     while path:
-        prefix, members, survivors = path[-1]
-        if not members:
+        prefix, items, masks = path[-1]
+        if not masks:
             path.pop()
             continue
-        a, mask = members.pop()
+        mask = masks.pop()
+        a, later = items[len(masks)], items[len(masks) + 1 :]
+        joins = _joins(prefix, a, later, tail_sets)
+        stats.candidates_generated += len(later)
+        stats.candidates_pruned += len(later) - len(joins)
         head = prefix + (a,)
-        child = []
-        for b in survivors.pop():
+        child, child_masks = [], []
+        for b in joins:
             if (count := (both := mask & extents[b]).bit_count()) >= threshold:
-                child.append((b, both))
+                child.append(b)
+                child_masks.append(both)
                 found.append((head + (b,), count))
         if child:
-            tail_sets[head] = frozenset(b for b, _ in child)
-            path.append(enter(head, child))
+            tail_sets[head] = frozenset(child)
+            path.append((head, child, child_masks))
     found.sort(key=lambda pair: (len(pair[0]), pair[0]))
     result = [FrequentItemset._of(items, count, count / n) for items, count in found]
     stats.elapsed = time.perf_counter() - start

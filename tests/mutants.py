@@ -30,15 +30,18 @@ MUTANTS = [
     (
         "fi_gen walks its classes in ascending order",
         "src/starminer/mining.py",
-        "a, mask = members.pop()\n"
-        "        head = prefix + (a,)\n"
-        "        child = []\n"
-        "        for b in survivors.pop():",
-        "a, mask = members.pop(0)\n"
-        "        head = prefix + (a,)\n"
-        "        child = []\n"
-        "        for b in survivors.pop(0):",
+        "        mask = masks.pop()\n"
+        "        a, later = items[len(masks)], items[len(masks) + 1 :]\n",
+        "        mask = masks.pop(0)\n"
+        "        a, later = items[-len(masks) - 1], items[len(items) - len(masks) :]\n",
         ["tests/test_fast_paths.py"],
+    ),
+    (
+        "the prune tests only the subset without the first prefix item",
+        "src/starminer/mining.py",
+        "    for j in range(len(prefix)):\n",
+        "    for j in range(min(len(prefix), 1)):\n",
+        ["tests/test_fast_paths.py::test_next_candidates_matches_join_then_prune"],
     ),
     (
         "n_groups counts (group, code) pairs",
@@ -135,6 +138,14 @@ MUTANTS = [
         "    except UsageError as exc:",
         "    except ValueError as exc:",
         ["tests/test_pipeline_cli.py::test_a_bare_value_error_in_the_pipeline_is_a_bug_not_a_usage_error"],
+    ),
+    (
+        "running out of memory is a traceback",
+        "src/starminer/cli.py",
+        "    except MemoryError:\n"
+        "        pass  # reported below, once this block has freed the miner's frames\n",
+        "",
+        ["tests/test_pipeline_cli.py::test_running_out_of_memory_is_one_line_printed_once_the_miner_is_freed"],
     ),
     (
         "load_csv takes non-finite numbers",

@@ -395,6 +395,8 @@ def frequent_families(draw):
 @example(prev=[("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d")])
 # abcd and abce keep every subset; abde has no ade or bde
 @example(prev=[(*"abc",), (*"abd",), (*"abe",), (*"acd",), (*"ace",), (*"bcd",), (*"bce",)])
+# abcd has bcd, the subset without a, but not acd, the one without b
+@example(prev=[("a", "b", "c"), ("a", "b", "d"), ("b", "c", "d")])
 def test_next_candidates_matches_join_then_prune(prev):
     joined = apriori_join(prev)
     kept, pruned = prune(joined, set(prev))

@@ -1,12 +1,17 @@
 import dataclasses
 import errno
+import io
 import json
 import math
 import os
 import random
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -363,9 +368,13 @@ def test_cli_minsup_zero_rejected_before_any_work(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-SYNTH = ["--synth", "100", "--seed", "1", "--join", "product_id:product:product_id"]
+SYNTH = ["--synth", "100", "--seed", "1", "--join", "product_id:product:product_id", "--minsup", "0.5",
+         "--minconf", "0.5"]
 # the files need not exist: the conflicts are rejected before anything is read
-EXPLICIT = ["--fact", "fact.csv", "--dim", "product=product.csv", "--combine-dims", "product_name"]
+EXPLICIT = ["--fact", "fact.csv", "--dim", "product=product.csv", "--combine-dims", "product_name",
+            "--minsup", "0.5", "--minconf", "0.5"]
+# config files the test writes, by name
+CONFIGS = {"not-json.json": "{minsup: 0.5}", "list.json": "[]", "eclat.json": '{"algorithm": "eclat"}'}
 
 
 @pytest.mark.parametrize(
@@ -381,19 +390,29 @@ EXPLICIT = ["--fact", "fact.csv", "--dim", "product=product.csv", "--combine-dim
         ([*SYNTH, "--combine-dims", "product_name", "--join", "product_id:nosuch:product_id"], "joins"),
         ([*SYNTH, "--combine-dims", "product_name,year", "--bins", "year=old:1990:2000,new:2000:2100",
           "--bins", "year=all:1000:3000"], "bins"),
+        ([*EXPLICIT, "--dim", "=other.csv"], "--dim expects NAME=VALUE, got '=other.csv'"),
+        ([*EXPLICIT, "--dim", "other="], "--dim expects NAME=VALUE, got 'other='"),
+        ([*SYNTH, "--combine-dims", "year", "--bins", "year=old:x:2000"], "--bins bounds must be numbers"),
+        ([*SYNTH, "--combine-dims", "product_name", "--config", "{tmp}/not-json.json"], "not valid JSON"),
+        ([*SYNTH, "--combine-dims", "product_name", "--config", "{tmp}/list.json"], "must hold a JSON object"),
+        ([*SYNTH, "--combine-dims", "product_name", "--config", "{tmp}/eclat.json"], "algorithm must be one of"),
+        ([*SYNTH, "--combine-dims", "product_name", "--workers", "0"], "workers must be >= 1"),
+        (["--synth", "100", "--seed", "1", "--combine-dims", "product_id", "--minsup", "0.5"], "minconf"),
+        ([*SYNTH, "--combine-dims", "product_name", "--fact", "fact.csv"], "synth mode and explicit input"),
     ],
     ids=["key-dim-combined", "duplicate-dims", "duplicate-join", "repeatable-not-combined",
          "duplicate-dim-name", "dim-named-fact", "join-without-dim", "join-synth-does-not-make",
-         "repeated-bins-attribute"],
+         "repeated-bins-attribute", "dim-without-name", "dim-without-path", "bins-bound-not-a-number",
+         "config-not-json", "config-not-an-object", "config-unknown-algorithm", "no-workers",
+         "minsup-without-minconf", "synth-with-fact"],
 )
 def test_cli_flag_conflicts_are_usage_errors_naming_the_field(tmp_path, capsys, flags, field):
-    code = run_cli(
-        "--key-dim", "tid", *flags,
-        "--minsup", "0.5", "--minconf", "0.5", "--out", str(tmp_path / "out"),
-    )
+    for name, text in CONFIGS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code = run_cli("--key-dim", "tid", *(f.format(tmp=tmp_path) for f in flags), "--out", str(tmp_path / "out"))
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("starminer: usage error: ") and field in err
+    assert err.startswith("starminer: usage error: ") and field in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -706,6 +725,81 @@ def test_cli_disagreement_exit_code(tmp_path, monkeypatch, capsys):
         "--minsup", "0.5", "--minconf", "0.5", "--out", str(tmp_path / "out"),
     )
     assert code == 3
+
+
+def test_running_out_of_memory_is_one_line_printed_once_the_miner_is_freed(tmp_path, monkeypatch):
+    class Held:
+        pass
+
+    held = []
+
+    def exhaust(view, minsup, **kwargs):
+        frame_local = Held()
+        held.append(weakref.ref(frame_local))
+        raise MemoryError
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            assert held and held[0]() is None, "the message was printed while the miner's frame was alive"
+            return super().write(text)
+
+    monkeypatch.setattr(pipeline, "fi_gen", exhaust)
+    monkeypatch.setattr(sys, "stderr", err := Stderr())
+    code = run_cli(
+        "--fact", str(write_people_csv(tmp_path)), "--key-dim", "TID", "--combine-dims", "age",
+        "--minsup", "0.5", "--minconf", "0.5", "--out", str(tmp_path / "out"),
+    )
+    assert code == 4
+    assert err.getvalue() == (
+        "starminer: out of memory: the run at minsup 0.5 needs more memory than this process may use\n")
+
+
+def test_a_run_past_its_address_space_limit_exits_4_with_one_line(tmp_path):
+    # 100 customers of about 200 rows each over 50 products: at minsup 0.1
+    # nearly every product set is frequent, and the walk outgrows a 200 MiB
+    # address space within seconds. Never run this shape without the limit.
+    resource = pytest.importorskip("resource")
+    limit = 200 << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "starminer", "--synth", "20000", "--seed", "1", "--key-dim", "customer_id",
+         "--combine-dims", "product_id", "--minsup", "0.1", "--minconf", "0.5", "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parent.parent)}, preexec_fn=cap,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr == (
+        "starminer: out of memory: the run at minsup 0.1 needs more memory than this process may use\n")
+
+
+def test_a_read_failure_of_an_input_is_a_data_error_naming_it(tmp_path, monkeypatch, capsys):
+    fact = write_people_csv(tmp_path)
+    open_path = Path.open
+
+    def failing_open(self, *args, **kwargs):
+        if self == fact:
+            raise OSError(errno.EIO, os.strerror(errno.EIO), str(self))
+        return open_path(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", failing_open)
+    code = run_cli(
+        "--fact", str(fact), "--key-dim", "TID", "--combine-dims", "age",
+        "--minsup", "0.5", "--minconf", "0.5", "--out", str(tmp_path / "out"),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"starminer: data error: cannot read {fact}: {os.strerror(errno.EIO)}\n"
+
+
+def test_an_earlier_artifact_that_cannot_be_removed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "itemsets.txt").mkdir(parents=True)
+    assert run_cli("--synth", "100", "--seed", "1", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"starminer: usage error: cannot remove earlier artifacts from {out}: ")
+    assert err.count("\n") == 1
 
 
 def test_cli_config_file_round_trip(tmp_path):
